@@ -45,13 +45,19 @@ def _default_seed():
 
 
 def _parse_fps(text):
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return int(num), int(den)
-    value = float(text)
-    if value == int(value):
-        return int(value), 1
-    return int(round(value * 1000)), 1000
+    """'30000/1001' or '29.97' -> (num, den), both positive."""
+    try:
+        if "/" in text:
+            num, den = (int(part) for part in text.split("/", 1))
+        else:
+            value = float(text)
+            num, den = ((int(value), 1) if value == int(value)
+                        else (int(round(value * 1000)), 1000))
+    except (ValueError, OverflowError):
+        raise ValidationError(f"bad frame rate {text!r}") from None
+    if num <= 0 or den <= 0:
+        raise ValidationError(f"frame rate {text!r} must be positive")
+    return num, den
 
 
 def _load_config_file(path):
@@ -68,46 +74,16 @@ def _load_config_file(path):
     return settings
 
 
-def _subparsers(parser):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices
-    return {}
-
-
-def _apply_config_defaults(parser, argv):
-    """Pre-scan argv for --config and install its values as defaults on
-    every subcommand that knows the key, so explicit flags still win."""
-    if "--config" not in argv:
-        return
-    path = argv[argv.index("--config") + 1]
-    settings = _load_config_file(path)
-    subs = _subparsers(parser)
-    known = set()
-    for sub in subs.values():
-        known.update(a.dest for a in sub._actions)
-    unknown = set(settings) - known
-    if unknown:
-        raise ValidationError(
-            f"unknown config keys: {', '.join(sorted(unknown))}")
-    for sub in subs.values():
-        dests = {a.dest for a in sub._actions}
-        sub.set_defaults(**{k: v for k, v in settings.items()
-                            if k in dests})
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
 def _align_params(args):
-    onset = OnsetParams(win=int(args.onset_win),
-                        threshold_k=float(args.threshold_k),
-                        smoothing=int(args.smoothing))
-    flow = FlowParams(alpha=float(args.flow_alpha),
-                      iterations=int(args.flow_iterations))
-    peaks = PeakPickParams(threshold_k=float(args.threshold_k),
-                           smoothing=int(args.smoothing))
+    onset = OnsetParams(win=args.onset_win, threshold_k=args.threshold_k,
+                        smoothing=args.smoothing)
+    flow = FlowParams(alpha=args.flow_alpha, iterations=args.flow_iterations)
+    peaks = PeakPickParams(threshold_k=args.threshold_k,
+                           smoothing=args.smoothing)
     return onset, flow, peaks
 
 
@@ -117,11 +93,11 @@ def _score_pair(video_path, audio_path, args):
     onset, flow, peaks = _align_params(args)
     fps = None
     if args.fps_override:
-        num, den = _parse_fps(str(args.fps_override))
+        num, den = _parse_fps(args.fps_override)
         fps = num / den
     return av_align.av_align_from_media(
         video, audio, onset_params=onset, flow_params=flow,
-        peak_params=peaks, tolerance=int(args.tolerance), fps_override=fps)
+        peak_params=peaks, tolerance=args.tolerance, fps_override=fps)
 
 
 def cmd_av_align(args):
@@ -169,7 +145,7 @@ def cmd_tokens(args):
         mapper, pooling, dims = comp.mapper, comp.pooling, comp.dims
     else:
         dims = diffusion_toy.desk_train_dims()
-        comp = diffusion_toy.build_components(dims, int(seed))
+        comp = diffusion_toy.build_components(dims, seed)
         mapper, pooling = comp.mapper, comp.pooling
 
     if args.embeddings:
@@ -179,8 +155,7 @@ def cmd_tokens(args):
             print("--audio requires --toy-encoder", file=sys.stderr)
             return EXIT_FORMAT
         audio = media_io.read_wav(args.audio)
-        emb = toy_audio_features(audio, int(args.length), int(args.layers),
-                                 int(args.dim))
+        emb = toy_audio_features(audio, args.length, args.layers, args.dim)
     if emb.layers * emb.dim != mapper.in_dim:
         print(f"embeddings have segment dim {emb.layers * emb.dim}, "
               f"mapper expects {mapper.in_dim}", file=sys.stderr)
@@ -199,11 +174,11 @@ def cmd_tokens(args):
 def cmd_gen_synth(args):
     seed = args.seed if args.seed is not None else _default_seed()
     config = synthgen.SynthConfig(
-        width=int(args.width), height=int(args.height), fps=int(args.fps),
-        duration=float(args.duration), sample_rate=int(args.sample_rate),
-        n_events=int(args.events), event_kind=args.kind,
-        shift_frames=int(args.shift), seed=int(seed))
-    manifest = synthgen.corpus(config, int(args.clips), args.out)
+        width=args.width, height=args.height, fps=args.fps,
+        duration=args.duration, sample_rate=args.sample_rate,
+        n_events=args.events, event_kind=args.kind,
+        shift_frames=args.shift, seed=seed)
+    manifest = synthgen.corpus(config, args.clips, args.out)
     print(f"manifest={manifest}")
     return EXIT_OK
 
@@ -216,14 +191,14 @@ def cmd_train_toy(args):
     dims = diffusion_toy.desk_train_dims()
     if args.hidden:
         dims.mapper_hidden = tuple(int(h) for h in args.hidden.split(","))
-    comp = diffusion_toy.build_components(dims, int(seed))
+    comp = diffusion_toy.build_components(dims, seed)
     items = [diffusion_toy.prepare_item(pair, comp.codec, dims.embed_layers,
                                         dims.embed_dim)
              for pair, _ in clips]
     config = diffusion_toy.TrainConfig(
-        batch_videos=int(args.batch), frames_per_video=int(args.frames),
-        steps=int(args.steps), learning_rate=float(args.lr),
-        lambda_l1=float(args.lambda_l1), seed=int(seed))
+        batch_videos=args.batch, frames_per_video=args.frames,
+        steps=args.steps, learning_rate=args.lr,
+        lambda_l1=args.lambda_l1, seed=seed)
     history = diffusion_toy.train(items, config, comp.mapper, comp.pooling,
                                   comp.denoiser, comp.schedule)
     diffusion_toy.save_checkpoint(comp, args.ckpt)
@@ -247,7 +222,7 @@ def cmd_generate(args):
     audio = media_io.read_wav(args.audio)
     emb = toy_audio_features(audio, comp.dims.frames_per_video,
                              comp.dims.embed_layers, comp.dims.embed_dim)
-    rng = Rng(int(seed)).derive(diffusion_toy._KEY_GENERATE)
+    rng = Rng(seed).derive(diffusion_toy._KEY_GENERATE)
     video = diffusion_toy.generate(emb, comp.mapper, comp.pooling,
                                    comp.denoiser, comp.codec, comp.schedule,
                                    rng, fps=comp.dims.fps)
@@ -261,13 +236,31 @@ def cmd_generate(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def build_parser():
+class _CommandParser(argparse.ArgumentParser):
+    """Subcommand parser that records the dest of every argument it
+    defines, so config keys can be matched against them."""
+
+    def __init__(self, *args, **kwargs):
+        self.dests = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.dests.add(action.dest)
+        return action
+
+
+def build_parser(config=None):
+    """The tempokit parser; config (key -> text, from a --config file)
+    presets flags of every subcommand that takes the key. Argparse
+    converts the text with the flag's type, and explicit flags win."""
     parser = argparse.ArgumentParser(
         prog="tempokit",
         description="audio-conditioned video toolkit: alignment metric, "
                     "token export, synthetic data, toy training")
     parser.add_argument("--config", help="key=value config file")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     p = sub.add_parser("av-align", help="score audio-video alignment")
     p.add_argument("--video", help="RVID file or PPM directory")
@@ -279,21 +272,21 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.add_argument("--batch", action="store_true",
                    help="read 'video audio' path pairs from stdin")
-    p.add_argument("--onset-win", default=1024)
-    p.add_argument("--threshold-k", default=1.5)
-    p.add_argument("--smoothing", default=5)
-    p.add_argument("--flow-alpha", default=10.0)
-    p.add_argument("--flow-iterations", default=100)
+    p.add_argument("--onset-win", default=1024, type=int)
+    p.add_argument("--threshold-k", default=1.5, type=float)
+    p.add_argument("--smoothing", default=5, type=int)
+    p.add_argument("--flow-alpha", default=10.0, type=float)
+    p.add_argument("--flow-iterations", default=100, type=int)
     p.set_defaults(func=cmd_av_align)
 
     p = sub.add_parser("tokens", help="export conditioning tokens (TTC1)")
     p.add_argument("--embeddings", help="TTE1 input file")
     p.add_argument("--audio", help="WAV input (with --toy-encoder)")
     p.add_argument("--toy-encoder", action="store_true")
-    p.add_argument("--L", dest="length", default=24,
+    p.add_argument("--L", dest="length", default=24, type=int,
                    help="segments for the toy encoder")
-    p.add_argument("--layers", default=2)
-    p.add_argument("--dim", default=12)
+    p.add_argument("--layers", default=2, type=int)
+    p.add_argument("--dim", default=12, type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("windows", "vec"), default="windows")
     p.add_argument("--ckpt", help="optional trained checkpoint")
@@ -302,28 +295,28 @@ def build_parser():
 
     p = sub.add_parser("gen-synth", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--clips", default=32)
-    p.add_argument("--shift", default=0)
+    p.add_argument("--clips", default=32, type=int)
+    p.add_argument("--shift", default=0, type=int)
     p.add_argument("--seed", default=None, type=int)
-    p.add_argument("--width", default=64)
-    p.add_argument("--height", default=64)
-    p.add_argument("--fps", default=24)
-    p.add_argument("--duration", default=4.0)
-    p.add_argument("--sample-rate", default=16000)
-    p.add_argument("--events", default=6)
+    p.add_argument("--width", default=64, type=int)
+    p.add_argument("--height", default=64, type=int)
+    p.add_argument("--fps", default=24, type=int)
+    p.add_argument("--duration", default=4.0, type=float)
+    p.add_argument("--sample-rate", default=16000, type=int)
+    p.add_argument("--events", default=6, type=int)
     p.add_argument("--kind", choices=("bounce", "flash"), default="bounce")
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("train-toy", help="train the adapter on a corpus")
     p.add_argument("--corpus", required=True,
                    help="corpus directory or manifest path")
-    p.add_argument("--steps", default=200)
-    p.add_argument("--lr", default=2e-3)
-    p.add_argument("--lambda-l1", dest="lambda_l1", default=0.5)
+    p.add_argument("--steps", default=200, type=int)
+    p.add_argument("--lr", default=2e-3, type=float)
+    p.add_argument("--lambda-l1", dest="lambda_l1", default=0.5, type=float)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--loss-log", default=None)
-    p.add_argument("--batch", default=8)
-    p.add_argument("--frames", default=24)
+    p.add_argument("--batch", default=8, type=int)
+    p.add_argument("--frames", default=24, type=int)
     p.add_argument("--hidden", default=None,
                    help="mapper hidden sizes, e.g. 64,64,64")
     p.add_argument("--seed", default=None, type=int)
@@ -335,15 +328,28 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--seed", default=None, type=int)
     p.set_defaults(func=cmd_generate)
+
+    if config:
+        commands = sub.choices.values()
+        unknown = set(config).difference(*(p.dests for p in commands))
+        if unknown:
+            raise ValidationError(
+                f"unknown config keys: {', '.join(sorted(unknown))}")
+        for p in commands:
+            p.set_defaults(**{key: value for key, value in config.items()
+                              if key in p.dests})
     return parser
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # first pass: only --config, which must be read before the real parse
+    pre = argparse.ArgumentParser(prog="tempokit", add_help=False)
+    pre.add_argument("--config")
     try:
-        _apply_config_defaults(parser, argv)
-        args = parser.parse_args(argv)
+        config_path = pre.parse_known_args(argv)[0].config
+        config = _load_config_file(config_path) if config_path else None
+        args = build_parser(config).parse_args(argv)
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,9 +4,12 @@ The generative backbone is deliberately tiny and frozen: a fixed random
 orthonormal projection stands in for the latent autoencoder, and the
 denoiser is a per-frame residual MLP whose condition summary comes from
 single-head cross-attention (query from the noised latent, keys/values
-from that frame's conditioning tokens). Only the audio mapper and the
-attentive pooling parameters receive gradients; the training loop
-verifies this by hashing the frozen parameters.
+from that frame's conditioning tokens). The denoiser always runs on a
+batch of frames: training makes one forward and one backward per clip
+(total_loss_and_grads, the only loss), and sampling denoises all frames
+of a clip together. Only the audio mapper and the attentive pooling
+parameters receive gradients; the training loop verifies this by
+hashing the frozen parameters.
 
 Checkpoints are TTCKPT1 files (see tempokit.media_io): named float32
 tensor records for every parameter plus two metadata records,
@@ -16,16 +19,16 @@ width, height, fps_num, fps_den].
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
 from .media_io import Video, read_named_tensors, write_named_tensors
-from .numerics import LinearLayer, Rng, gelu, gelu_grad, softmax
+from .numerics import LinearLayer, Rng, gelu, gelu_grad
 from .tempo_tokens import (MapperParams, PoolingParams, condition_backward,
-                           mapper_backward, mapper_forward, pool_backward,
-                           pool_forward, window_stack)
+                           condition_values, mapper_backward, mapper_forward,
+                           pool_backward, pool_forward)
 
 _KEY_MAPPER = 1
 _KEY_POOLING = 2
@@ -143,6 +146,9 @@ def time_embedding(t, dim):
 class DenoiserParams:
     """Per-frame conditional denoiser; all weights frozen after init.
 
+    The array fields, in declaration order, are the parameter name list:
+    arrays() and load_checkpoint both follow it.
+
     Structure: cross-attention summary (query from the noised latent,
     keys/values from the frame's condition tokens) concatenated with the
     latent and a sinusoidal time embedding, then a residual two-layer
@@ -172,24 +178,13 @@ class DenoiserParams:
         return self.out.shape[0]
 
     def arrays(self):
-        return [
-            ("denoiser.query_proj", self.query_proj),
-            ("denoiser.query_bias", self.query_bias),
-            ("denoiser.key_proj", self.key_proj),
-            ("denoiser.key_bias", self.key_bias),
-            ("denoiser.value_proj", self.value_proj),
-            ("denoiser.value_bias", self.value_bias),
-            ("denoiser.mlp1", self.mlp1),
-            ("denoiser.mlp1_bias", self.mlp1_bias),
-            ("denoiser.mlp2", self.mlp2),
-            ("denoiser.mlp2_bias", self.mlp2_bias),
-            ("denoiser.out", self.out),
-            ("denoiser.out_bias", self.out_bias),
-            ("denoiser.summary_skip", self.summary_skip),
-        ]
+        return [(f"denoiser.{f.name}", getattr(self, f.name))
+                for f in fields(self) if f.name != "time_dim"]
 
     def predict(self, z_t, t, cond_tokens):
-        """Noise estimate for one frame latent given its condition."""
+        """Noise estimates (N, latent_dim) for a batch of frame latents
+        z_t (N, latent_dim) at timestep t, frame n attending to its own
+        condition tokens cond_tokens[n] (N, tokens, token_dim)."""
         pred, _ = _denoiser_forward(self, z_t, t, cond_tokens)
         return pred
 
@@ -236,51 +231,50 @@ def create_denoiser(latent_dim, token_dim, rng, attn_dim=16, value_dim=16,
 
 
 def _denoiser_forward(den, z_t, t, cond_tokens):
+    """Batched forward over N frames: z_t (N, latent), cond (N, T, D)."""
+    z_t = np.asarray(z_t, dtype=np.float64)
     cond = np.asarray(cond_tokens, dtype=np.float64)
-    temb = time_embedding(t, den.time_dim)
-    query = den.query_proj @ z_t + den.query_bias
+    temb = np.broadcast_to(time_embedding(t, den.time_dim),
+                           (z_t.shape[0], den.time_dim))
+    query = z_t @ den.query_proj.T + den.query_bias
     keys = cond @ den.key_proj.T + den.key_bias
     values = cond @ den.value_proj.T + den.value_bias
-    scores = keys @ query / np.sqrt(query.size)
-    weights = softmax(scores)
-    summary = weights @ values
+    scores = np.einsum("nta,na->nt", keys, query) / np.sqrt(query.shape[1])
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    summary = np.einsum("nt,ntv->nv", weights, values)
 
-    mlp_in = np.concatenate([z_t, temb, summary])
-    pre1 = den.mlp1 @ mlp_in + den.mlp1_bias
+    mlp_in = np.concatenate([z_t, temb, summary], axis=1)
+    pre1 = mlp_in @ den.mlp1.T + den.mlp1_bias
     h1 = gelu(pre1)
-    pre2 = den.mlp2 @ h1 + den.mlp2_bias
+    pre2 = h1 @ den.mlp2.T + den.mlp2_bias
     h2 = h1 + gelu(pre2)
-    pred = den.out @ h2 + den.summary_skip @ summary + den.out_bias
-    cache = (cond, query, values, weights, pre1, pre2)
+    pred = h2 @ den.out.T + summary @ den.summary_skip.T + den.out_bias
+    cache = (query, values, weights, pre1, pre2)
     return pred, cache
 
 
 def _denoiser_backward_to_cond(den, d_pred, cache):
-    """Gradient of the prediction w.r.t. the condition tokens only (the
-    denoiser itself is frozen)."""
-    cond, query, values, weights, pre1, pre2 = cache
-    d_h2 = den.out.T @ d_pred
-    d_h1 = d_h2 + den.mlp2.T @ (gelu_grad(pre2) * d_h2)
-    d_in = den.mlp1.T @ (gelu_grad(pre1) * d_h1)
-    d_summary = d_in[-values.shape[1]:] + den.summary_skip.T @ d_pred
+    """Gradient of the batched prediction w.r.t. the condition tokens
+    only (the denoiser itself is frozen): (N, latent) -> (N, T, D)."""
+    query, values, weights, pre1, pre2 = cache
+    d_h2 = d_pred @ den.out
+    d_h1 = d_h2 + (gelu_grad(pre2) * d_h2) @ den.mlp2
+    d_in = (gelu_grad(pre1) * d_h1) @ den.mlp1
+    d_summary = d_in[:, -values.shape[2]:] + d_pred @ den.summary_skip
 
-    d_weights = values @ d_summary
-    d_values = np.outer(weights, d_summary)
-    d_scores = weights * (d_weights - weights @ d_weights)
-    d_keys = np.outer(d_scores, query) / np.sqrt(query.size)
+    d_weights = np.einsum("ntv,nv->nt", values, d_summary)
+    d_values = weights[:, :, None] * d_summary[:, None, :]
+    d_scores = weights * (d_weights - (weights * d_weights).sum(
+        axis=1, keepdims=True))
+    d_keys = d_scores[:, :, None] * query[:, None, :] / np.sqrt(
+        query.shape[1])
     return d_values @ den.value_proj + d_keys @ den.key_proj
 
 
 # ---------------------------------------------------------------------------
-# Losses
+# Loss
 # ---------------------------------------------------------------------------
-
-def _cond_values(cond):
-    values = np.asarray(getattr(cond, "values", cond), dtype=np.float64)
-    if values.ndim != 3:
-        raise ShapeError("condition values must be (L, tokens, dim)")
-    return values
-
 
 def sample_step_noise(latents, schedule, rng):
     """Draw one (t, eps) pair for a clip: uniform timestep, unit-normal
@@ -290,66 +284,26 @@ def sample_step_noise(latents, schedule, rng):
     return t, eps
 
 
-def cldm_loss(batch, denoiser, schedule, rng):
-    """Conditional denoising loss over a batch of (latents, condition).
-
-    Per item one timestep is drawn and per frame unit-normal noise; the
-    loss is the squared prediction error averaged over frames and items
-    (so a denoiser that predicts zero scores about latent_dim on
-    unit-normal noise). Frame i attends to its own condition row.
-    """
-    total = 0.0
-    for latents, cond in batch:
-        values = _cond_values(cond)
-        latents = np.asarray(latents, dtype=np.float64)
-        if values.shape[0] != latents.shape[0]:
-            raise ShapeError(
-                f"{values.shape[0]} condition frames for "
-                f"{latents.shape[0]} video frames")
-        t, eps = sample_step_noise(latents, schedule, rng)
-        z_t = forward_noise(latents, t, eps, schedule)
-        item = 0.0
-        for i in range(latents.shape[0]):
-            resid = denoiser.predict(z_t[i], t, values[i]) - eps[i]
-            item += resid @ resid
-        total += item / latents.shape[0]
-    return total / len(batch)
-
-
 def _tokens_and_condition(embeddings, mapper, pooling):
     length = embeddings.shape[0]
     flat_in = np.asarray(embeddings, dtype=np.float64).reshape(length, -1)
     tokens_flat, mapper_cache = mapper_forward(flat_in, mapper)
     pooled, _, pool_cache = pool_forward(tokens_flat, pooling)
-    windows = window_stack(tokens_flat)
-    cond = np.concatenate(
-        [windows, np.repeat(pooled[None, None, :], length, axis=0)], axis=1)
+    cond = condition_values(tokens_flat, pooled)
     return tokens_flat, cond, mapper_cache, pool_cache
-
-
-def total_loss(batch, mapper, pooling, denoiser, schedule, lambda_l1, rng):
-    """cldm_loss on mapped conditions plus the mean token L1 penalty.
-
-    Batch items are (latents, embeddings) with embeddings shaped
-    (L, H_layers, d). Draws noise exactly like cldm_loss so the two
-    agree for an identical rng state.
-    """
-    cond_batch = []
-    reg = 0.0
-    for latents, embeddings in batch:
-        tokens_flat, cond, _, _ = _tokens_and_condition(
-            embeddings, mapper, pooling)
-        cond_batch.append((latents, cond))
-        reg += lambda_l1 / tokens_flat.shape[0] * np.abs(tokens_flat).sum()
-    return cldm_loss(cond_batch, denoiser, schedule, rng) + reg / len(batch)
 
 
 def total_loss_and_grads(batch, noises, mapper, pooling, denoiser, schedule,
                          lambda_l1):
-    """Deterministic loss plus analytic gradients for mapper and pooling.
+    """Training loss plus analytic gradients for mapper and pooling.
 
-    noises supplies the (t, eps) pair per batch item so the same
-    function serves the SGD loop and finite-difference checking.
+    Batch items are (latents (L, latent_dim), embeddings (L, H_layers,
+    d)); noises supplies the (t, eps) pair per item (sample_step_noise),
+    so the same function serves the SGD loop, finite-difference checks
+    and tests. Frame i attends to its own condition row. The loss per
+    item is the squared noise-prediction error averaged over frames (a
+    denoiser that predicts zero scores about latent_dim on unit-normal
+    noise) plus the mean token L1 penalty; items are averaged.
     """
     n_items = len(batch)
     grads = {name: np.zeros_like(arr)
@@ -359,23 +313,21 @@ def total_loss_and_grads(batch, noises, mapper, pooling, denoiser, schedule,
     for (latents, embeddings), (t, eps) in zip(batch, noises):
         latents = np.asarray(latents, dtype=np.float64)
         length = latents.shape[0]
+        if len(embeddings) != length:
+            raise ShapeError(
+                f"{len(embeddings)} condition frames for {length} video "
+                f"frames")
         tokens_flat, cond, mapper_cache, pool_cache = _tokens_and_condition(
             embeddings, mapper, pooling)
 
         z_t = forward_noise(latents, t, eps, schedule)
-        d_cond = np.zeros_like(cond)
-        item_loss = 0.0
-        for i in range(length):
-            pred, cache = _denoiser_forward(denoiser, z_t[i], t, cond[i])
-            resid = pred - eps[i]
-            item_loss += resid @ resid
-            d_cond[i] = _denoiser_backward_to_cond(
-                denoiser, 2.0 * resid / length, cache)
-        item_loss /= length
-
+        pred, cache = _denoiser_forward(denoiser, z_t, t, cond)
+        resid = pred - eps
         reg = lambda_l1 / length * np.abs(tokens_flat).sum()
-        total += item_loss + reg
+        total += (resid * resid).sum() / length + reg
 
+        d_cond = _denoiser_backward_to_cond(denoiser, 2.0 * resid / length,
+                                            cache)
         d_tokens, d_pooled = condition_backward(d_cond, length)
         d_tokens_pool, pool_grads = pool_backward(
             d_pooled, pool_cache, pooling)
@@ -506,13 +458,13 @@ def generate(embeddings, mapper, pooling, denoiser, codec, schedule, rng,
              fps=(24, 1)):
     """Ancestral sampling of one video conditioned on audio embeddings.
 
-    Each frame is denoised along the full schedule attending to its own
-    conditioning row, then decoded to pixels. The initial latent and the
-    per-step ancestral noise are drawn once and shared by every frame:
-    with a per-frame denoiser this is what keeps the clip temporally
-    coherent (identical conditions then yield identical frames), so any
-    frame-to-frame change traces back to the conditioning. Deterministic
-    given the rng.
+    All frames are denoised together as one batch along the full
+    schedule, each attending to its own conditioning row, then decoded
+    to pixels. The initial latent and the per-step ancestral noise are
+    drawn once and shared by every frame: with a per-frame denoiser this
+    is what keeps the clip temporally coherent (identical conditions
+    then yield identical frames), so any frame-to-frame change traces
+    back to the conditioning. Deterministic given the rng.
     """
     values = np.asarray(embeddings.values, dtype=np.float64)
     _, cond, _, _ = _tokens_and_condition(values, mapper, pooling)
@@ -522,21 +474,18 @@ def generate(embeddings, mapper, pooling, denoiser, codec, schedule, rng,
     z_init = rng.normal(codec.latent_dim)
     step_noise = rng.normal((timesteps, codec.latent_dim))
 
-    latents = np.empty((length, codec.latent_dim))
-    for i in range(length):
-        z = z_init.copy()
-        for t in range(timesteps, 0, -1):
-            pred = denoiser.predict(z, t, cond[i])
-            beta = schedule.betas[t - 1]
-            abar = schedule.alpha_bars[t - 1]
-            z = (z - beta / np.sqrt(1.0 - abar) * pred) \
-                / np.sqrt(schedule.alphas[t - 1])
-            if t > 1:
-                abar_prev = schedule.alpha_bars[t - 2]
-                sigma = np.sqrt((1.0 - abar_prev) / (1.0 - abar) * beta)
-                z += sigma * step_noise[t - 1]
-        latents[i] = z
-    return Video(codec.decode(latents), fps[0], fps[1])
+    z = np.tile(z_init, (length, 1))
+    for t in range(timesteps, 0, -1):
+        pred = denoiser.predict(z, t, cond)
+        beta = schedule.betas[t - 1]
+        abar = schedule.alpha_bars[t - 1]
+        z = (z - beta / np.sqrt(1.0 - abar) * pred) \
+            / np.sqrt(schedule.alphas[t - 1])
+        if t > 1:
+            abar_prev = schedule.alpha_bars[t - 2]
+            sigma = np.sqrt((1.0 - abar_prev) / (1.0 - abar) * beta)
+            z += sigma * step_noise[t - 1]
+    return Video(codec.decode(z), fps[0], fps[1])
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +591,14 @@ def save_checkpoint(components, path):
     write_named_tensors(records, path)
 
 
+def _params_from_records(cls, prefix, records, **scalars):
+    """Build a parameter dataclass from its "<prefix>.<field>" records;
+    fields passed in scalars are not arrays and are taken as given."""
+    arrays = {f.name: records[f"{prefix}.{f.name}"] for f in fields(cls)
+              if f.name not in scalars}
+    return cls(**arrays, **scalars)
+
+
 def load_checkpoint(path):
     records = read_named_tensors(path)
     try:
@@ -653,30 +610,9 @@ def load_checkpoint(path):
         layers = [LinearLayer(records[f"mapper.{i}.weight"],
                               records[f"mapper.{i}.bias"]) for i in range(4)]
         mapper = MapperParams(layers)
-        pooling = PoolingParams(
-            local_proj=records["pooling.local_proj"],
-            local_score=records["pooling.local_score"],
-            cross_left=records["pooling.cross_left"],
-            cross_right=records["pooling.cross_right"],
-            alpha_local=records["pooling.alpha_local"],
-            alpha_cross=records["pooling.alpha_cross"],
-        )
-        denoiser = DenoiserParams(
-            query_proj=records["denoiser.query_proj"],
-            query_bias=records["denoiser.query_bias"],
-            key_proj=records["denoiser.key_proj"],
-            key_bias=records["denoiser.key_bias"],
-            value_proj=records["denoiser.value_proj"],
-            value_bias=records["denoiser.value_bias"],
-            mlp1=records["denoiser.mlp1"],
-            mlp1_bias=records["denoiser.mlp1_bias"],
-            mlp2=records["denoiser.mlp2"],
-            mlp2_bias=records["denoiser.mlp2_bias"],
-            out=records["denoiser.out"],
-            out_bias=records["denoiser.out_bias"],
-            summary_skip=records["denoiser.summary_skip"],
-            time_dim=int(time_dim),
-        )
+        pooling = _params_from_records(PoolingParams, "pooling", records)
+        denoiser = _params_from_records(DenoiserParams, "denoiser", records,
+                                        time_dim=int(time_dim))
         codec = LatentCodec(records["codec.encoder"], int(width), int(height))
     except KeyError as exc:
         raise ValidationError(f"checkpoint missing record {exc}") from exc

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 @dataclass
 class PeakPickParams:
@@ -19,9 +21,9 @@ class PeakPickParams:
 
     def __post_init__(self):
         if self.threshold_k <= 0:
-            raise ValueError("threshold_k must be positive")
+            raise ValidationError("threshold_k must be positive")
         if self.smoothing < 1:
-            raise ValueError("smoothing window must be >= 1")
+            raise ValidationError("smoothing window must be >= 1")
 
 
 class PeakSet:
@@ -30,7 +32,7 @@ class PeakSet:
     def __init__(self, indices=()):
         cleaned = sorted({int(i) for i in indices})
         if cleaned and cleaned[0] < 0:
-            raise ValueError("peak indices must be nonnegative")
+            raise ValidationError("peak indices must be nonnegative")
         self.indices = tuple(cleaned)
 
     def __len__(self):

@@ -6,13 +6,17 @@ growing context windows (averaged token spans of half-width 1, 2, 4, ...)
 plus one global attentive token pooled over all segments with learned
 local and cross potentials.
 
-Forward passes come in two flavors: the public ops (map_audio,
-attentive_pool, build_condition) and cached variants that return what
-the hand-written backward passes need. All analytic gradients here are
-validated against central finite differences in the test suite.
+Each trainable op has one forward that also returns what its
+hand-written backward needs (mapper_forward, pool_forward); the public
+ops (map_audio, attentive_pool, build_condition) are thin wrappers over
+them. The context windows are one linear operator, the cached
+averaging matrix window_matrix(L): window_stack applies it and
+condition_backward applies its transpose. All analytic gradients here
+are validated against central finite differences in the test suite.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,7 +70,8 @@ def create_mapper(in_dim, out_dim, hidden=(512, 512, 512), rng=None,
 
 @dataclass
 class PoolingParams:
-    """Trainable attentive-pooling parameters.
+    """Trainable attentive-pooling parameters; the fields, in
+    declaration order, are the parameter name list (arrays()).
 
     local_proj/local_score produce the per-token local potential
     score . relu(proj @ token); cross_left/cross_right embed tokens for
@@ -101,14 +106,8 @@ class PoolingParams:
         return self.local_proj.shape[1]
 
     def arrays(self):
-        return [
-            ("pooling.local_proj", self.local_proj),
-            ("pooling.local_score", self.local_score),
-            ("pooling.cross_left", self.cross_left),
-            ("pooling.cross_right", self.cross_right),
-            ("pooling.alpha_local", self.alpha_local),
-            ("pooling.alpha_cross", self.alpha_cross),
-        ]
+        return [(f"pooling.{f.name}", getattr(self, f.name))
+                for f in fields(self)]
 
 
 def create_pooling(token_dim, hidden=16, cross_dim=16, rng=None):
@@ -351,7 +350,6 @@ def pool_backward(d_pooled, cache, params):
 def attentive_pool(tokens, params):
     """Pool TempoTokens into one global token plus its distribution."""
     pooled, p, _ = pool_forward(tokens.flat, params)
-    length = tokens.values.shape[0]
     return pooled.reshape(tokens.values.shape[1:]), p
 
 
@@ -359,17 +357,38 @@ def attentive_pool(tokens, params):
 # Conditioning sequences
 # ---------------------------------------------------------------------------
 
-def window_stack(flat_tokens):
-    """All per-frame context windows as one (L, resolutions(L), D) array."""
-    flat = np.asarray(flat_tokens, dtype=np.float64)
-    length, dim = flat.shape
+@functools.lru_cache(maxsize=16)
+def window_matrix(length):
+    """Read-only averaging operator M of shape (L, resolutions(L), L).
+
+    M[i - 1, k] holds 1/(hi - lo + 1) on the segments lo..hi of frame
+    i's k-th window (window_bounds) and 0 elsewhere, so the windows are
+    M applied to the flat tokens and their backward is M's transpose.
+    M is dense: 8 * L^2 * resolutions(L) bytes (23 KB at L = 24).
+    """
     widths = window_half_widths(length)
-    values = np.empty((length, len(widths), dim))
+    matrix = np.zeros((length, len(widths), length))
     for i in range(1, length + 1):
         for k, half in enumerate(widths):
             lo, hi = window_bounds(i, half, length)
-            values[i - 1, k] = flat[lo - 1:hi].mean(axis=0)
-    return values
+            matrix[i - 1, k, lo - 1:hi] = 1.0 / (hi - lo + 1)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def window_stack(flat_tokens):
+    """All per-frame context windows as one (L, resolutions(L), D) array."""
+    flat = np.asarray(flat_tokens, dtype=np.float64)
+    return np.einsum("fkl,ld->fkd", window_matrix(flat.shape[0]), flat)
+
+
+def condition_values(flat_tokens, pooled):
+    """Per-frame condition rows (L, resolutions(L) + 1, D): the context
+    windows followed by the shared attentive token."""
+    windows = window_stack(flat_tokens)
+    length, _, dim = windows.shape
+    return np.concatenate(
+        [windows, np.broadcast_to(pooled, (length, 1, dim))], axis=1)
 
 
 def build_condition(tokens, params):
@@ -380,27 +399,20 @@ def build_condition(tokens, params):
     attentive token, so tokens_per_frame == resolutions(L) + 1.
     """
     flat = tokens.flat
-    windows = window_stack(flat)
     pooled, p, _ = pool_forward(flat, params)
-    values = np.concatenate([windows, pooled[None, None, :].repeat(
-        flat.shape[0], axis=0)], axis=1)
-    return ConditioningSequence(values, attention=p)
+    return ConditioningSequence(condition_values(flat, pooled), attention=p)
 
 
 def condition_backward(d_values, length):
     """Scatter a gradient on condition values back onto the tokens.
 
-    Returns (d_flat_tokens, d_pooled): the window part lands directly on
-    the averaged segments; the attentive part is summed over frames and
-    must still be pushed through pool_backward by the caller.
+    Returns (d_flat_tokens, d_pooled): the window part goes through the
+    transpose of window_matrix(length); the attentive part is summed
+    over frames and must still be pushed through pool_backward by the
+    caller.
     """
-    widths = window_half_widths(length)
-    dim = d_values.shape[2]
-    d_flat = np.zeros((length, dim))
-    for i in range(1, length + 1):
-        for k, half in enumerate(widths):
-            lo, hi = window_bounds(i, half, length)
-            d_flat[lo - 1:hi] += d_values[i - 1, k] / (hi - lo + 1)
+    d_flat = np.einsum("fkl,fkd->ld", window_matrix(length),
+                       d_values[:, :-1])
     d_pooled = d_values[:, -1].sum(axis=0)
     return d_flat, d_pooled
 
@@ -420,8 +432,3 @@ def regularization(tokens, lambda_l1):
     if lambda_l1 == 0.0:
         return 0.0
     return lambda_l1 / tokens.segments * float(np.abs(tokens.values).sum())
-
-
-def regularization_grad(tokens, lambda_l1):
-    """d(regularization)/d(flat tokens); the sign subgradient at 0 is 0."""
-    return (lambda_l1 / tokens.segments) * np.sign(tokens.flat)

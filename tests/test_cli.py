@@ -248,3 +248,48 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc_info:
             main(["av-align", "--no-such-flag"])
         assert exc_info.value.code == 2
+
+    def test_equals_form_config_is_applied(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("clips=2\n")
+        out = tmp_path / "c"
+        assert main([f"--config={cfg}", "gen-synth", "--out", str(out),
+                     "--seed", "1"]) == 0
+        manifest = (out / "manifest.txt").read_text().split("\n")
+        assert len([line for line in manifest if line.strip()]) == 2
+
+
+BAD_INPUTS = {
+    "non-int clip count": ["gen-synth", "--out", "{tmp}/o", "--clips", "abc"],
+    "non-int flow iterations": ["av-align", "{clip}", "--flow-iterations",
+                                "x"],
+    "zero smoothing window": ["av-align", "{clip}", "--smoothing", "0"],
+    "zero fps denominator": ["av-align", "{clip}", "--fps-override", "30/0"],
+    "negative fps": ["av-align", "{clip}", "--fps-override", "-24"],
+    "non-numeric fps": ["av-align", "{clip}", "--fps-override", "abc"],
+    "config flag without a path": ["--config"],
+    "config value of the wrong type": ["--config", "{tmp}/bad_value.cfg",
+                                       "gen-synth", "--out", "{tmp}/o"],
+    "unknown config key": ["--config={tmp}/bad_key.cfg", "gen-synth",
+                           "--out", "{tmp}/o"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2_with_error_line(argv, corpus_dir, tmp_path,
+                                           capsys):
+    (tmp_path / "bad_value.cfg").write_text("clips=abc\n")
+    (tmp_path / "bad_key.cfg").write_text("no_such_flag=1\n")
+    clip = ["--video", str(corpus_dir / "clip_0000.rvid"),
+            "--audio", str(corpus_dir / "clip_0000.wav")]
+    expanded = []
+    for arg in argv:
+        expanded += clip if arg == "{clip}" else [arg.format(tmp=tmp_path)]
+    try:
+        code = main(expanded)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert any("error:" in line for line in err.splitlines())
+    assert "Traceback" not in err

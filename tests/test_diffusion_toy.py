@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,11 @@ from tempokit import diffusion_toy as dt
 from tempokit.audio_analysis import (spectral_flux, stft_magnitude,
                                      toy_audio_features)
 from tempokit.errors import NumericError, ShapeError, ValidationError
+from tempokit.media_io import AudioEmbeddings
 from tempokit.motion_analysis import motion_curve
 from tempokit.numerics import Rng, grad_check
 from tempokit.synthgen import SynthConfig, generate as synth_generate
+from tempokit.tempo_tokens import build_condition, map_audio
 
 TINY = dt.ModelDims(embed_layers=1, embed_dim=3, token_dim=2,
                     mapper_hidden=(5, 4, 3), pool_hidden=3, pool_cross=2,
@@ -23,30 +28,25 @@ def tiny_batch(n_items=2, frames=3, seed=11):
             for _ in range(n_items)]
 
 
-class EchoDenoiser:
-    """Stub that reconstructs the exact noise from (z_t, t) using the
-    known clean latents; frames are visited in order."""
-
-    def __init__(self, batch, schedule):
-        self.latents = [np.asarray(latents) for latents, _ in batch]
-        self.schedule = schedule
-        self.calls = 0
-
-    def predict(self, z_t, t, cond_tokens):
-        total = 0
-        for latents in self.latents:
-            if self.calls < total + latents.shape[0]:
-                z0 = latents[self.calls - total]
-                break
-            total += latents.shape[0]
-        self.calls += 1
-        abar = self.schedule.alpha_bars[t - 1]
-        return (z_t - np.sqrt(abar) * z0) / np.sqrt(1.0 - abar)
+def zero_denoiser(dims):
+    """Frozen denoiser whose weights are all zero: it predicts zero."""
+    den = dt.build_components(dims, seed=0).denoiser
+    return dt.DenoiserParams(*(np.zeros_like(arr) for _, arr in den.arrays()),
+                             time_dim=dims.time_dim)
 
 
-class ZeroDenoiser:
-    def predict(self, z_t, t, cond_tokens):
-        return np.zeros_like(z_t)
+def item_noises(batch, schedule, rng):
+    return [dt.sample_step_noise(latents, schedule, rng)
+            for latents, _ in batch]
+
+
+def batch_loss(batch, comp, lambda_l1, rng, denoiser=None):
+    noises = item_noises(batch, comp.schedule, rng)
+    loss, _ = dt.total_loss_and_grads(batch, noises, comp.mapper,
+                                      comp.pooling,
+                                      denoiser or comp.denoiser,
+                                      comp.schedule, lambda_l1)
+    return loss, noises
 
 
 @pytest.fixture(scope="module")
@@ -155,57 +155,64 @@ class TestCodec:
 
 
 class TestCldmLoss:
-    def test_perfect_denoiser_gives_zero_loss(self):
-        sched = dt.make_schedule(TINY.timesteps)
+    """The denoising term of total_loss_and_grads (lambda = 0)."""
+
+    def test_zero_denoiser_loss_is_mean_eps_norm(self):
+        comp = dt.build_components(TINY, seed=2)
         batch = tiny_batch()
-        conds = [(latents, np.zeros((latents.shape[0], 2, 2)))
-                 for latents, _ in batch]
-        echo = EchoDenoiser(conds, sched)
-        loss = dt.cldm_loss(conds, echo, sched, Rng(13))
-        assert loss < 1e-20
+        loss, noises = batch_loss(batch, comp, 0.0, Rng(13),
+                                  zero_denoiser(TINY))
+        expected = np.mean([(eps * eps).sum() / eps.shape[0]
+                            for _, eps in noises])
+        assert loss == pytest.approx(expected, rel=1e-14)
 
     def test_zero_denoiser_loss_is_about_latent_dim(self):
-        sched = dt.make_schedule()
+        dims = dataclasses.replace(TINY, latent_dim=16)
+        comp = dt.build_components(dims, seed=3)
         rng = Rng(17)
-        d_z = 16
-        batch = [(rng.normal((24, d_z)), np.zeros((24, 1, 1)))
+        batch = [(rng.normal((24, dims.latent_dim)),
+                  rng.normal((24, dims.embed_layers, dims.embed_dim)))
                  for _ in range(8)]
-        loss = dt.cldm_loss(batch, ZeroDenoiser(), sched, Rng(19))
-        # z_t has unit variance for unit-variance inputs, so the mean
-        # squared norm of eps is d_z up to sampling error... the
-        # prediction is zero so the loss is mean ||eps||^2 exactly
-        assert loss == pytest.approx(d_z, rel=0.15)
+        loss, _ = batch_loss(batch, comp, 0.0, Rng(19), zero_denoiser(dims))
+        # the prediction is zero, so the loss is the mean squared norm of
+        # unit-normal eps: latent_dim up to sampling error
+        assert loss == pytest.approx(dims.latent_dim, rel=0.15)
 
     def test_fixed_seed_is_bit_identical(self):
-        sched = dt.make_schedule(TINY.timesteps)
         comp = dt.build_components(TINY, seed=2)
-        batch = [(latents, np.zeros((latents.shape[0], 4, 2)))
-                 for latents, _ in tiny_batch()]
-        a = dt.cldm_loss(batch, comp.denoiser, sched, Rng(23))
-        b = dt.cldm_loss(batch, comp.denoiser, sched, Rng(23))
-        assert a == b
+        batch = tiny_batch()
+        runs = []
+        for _ in range(2):
+            noises = item_noises(batch, comp.schedule, Rng(23))
+            runs.append(dt.total_loss_and_grads(
+                batch, noises, comp.mapper, comp.pooling, comp.denoiser,
+                comp.schedule, 0.1))
+        (loss_a, grads_a), (loss_b, grads_b) = runs
+        assert loss_a == loss_b
+        for name in grads_a:
+            assert grads_a[name].tobytes() == grads_b[name].tobytes()
 
     def test_condition_frame_count_must_match(self):
-        sched = dt.make_schedule(TINY.timesteps)
         comp = dt.build_components(TINY, seed=2)
-        batch = [(np.zeros((3, 4)), np.zeros((2, 4, 2)))]
+        batch = [(np.zeros((3, TINY.latent_dim)),
+                  np.zeros((2, TINY.embed_layers, TINY.embed_dim)))]
         with pytest.raises(ShapeError):
-            dt.cldm_loss(batch, comp.denoiser, sched, Rng(29))
+            batch_loss(batch, comp, 0.0, Rng(29))
 
 
 class TestTotalLoss:
-    def test_zero_lambda_equals_cldm_on_built_conditions(self):
+    def test_zero_lambda_equals_predict_on_built_conditions(self):
         comp = dt.build_components(TINY, seed=6)
         batch = tiny_batch(seed=31)
-        total = dt.total_loss(batch, comp.mapper, comp.pooling, comp.denoiser,
-                              comp.schedule, 0.0, Rng(37))
-        conds = []
-        for latents, emb in batch:
-            _, cond, _, _ = dt._tokens_and_condition(emb, comp.mapper,
-                                                     comp.pooling)
-            conds.append((latents, cond))
-        cldm = dt.cldm_loss(conds, comp.denoiser, comp.schedule, Rng(37))
-        assert total == cldm
+        total, noises = batch_loss(batch, comp, 0.0, Rng(37))
+        expected = 0.0
+        for (latents, emb), (t, eps) in zip(batch, noises):
+            tokens = map_audio(AudioEmbeddings(emb), comp.mapper)
+            cond = build_condition(tokens, comp.pooling)
+            z_t = dt.forward_noise(latents, t, eps, comp.schedule)
+            resid = comp.denoiser.predict(z_t, t, cond.values) - eps
+            expected += (resid * resid).sum() / latents.shape[0]
+        assert total == pytest.approx(expected / len(batch), rel=1e-12)
 
     def test_decomposes_into_cldm_plus_regularization(self):
         from tempokit.tempo_tokens import mapper_forward
@@ -213,10 +220,8 @@ class TestTotalLoss:
         comp = dt.build_components(TINY, seed=8)
         batch = tiny_batch(seed=41)
         lam = 0.7
-        total = dt.total_loss(batch, comp.mapper, comp.pooling, comp.denoiser,
-                              comp.schedule, lam, Rng(43))
-        cldm = dt.total_loss(batch, comp.mapper, comp.pooling, comp.denoiser,
-                             comp.schedule, 0.0, Rng(43))
+        total, _ = batch_loss(batch, comp, lam, Rng(43))
+        cldm, _ = batch_loss(batch, comp, 0.0, Rng(43))
         reg = 0.0
         for _, emb in batch:
             flat_in = emb.reshape(emb.shape[0], -1)
@@ -231,10 +236,8 @@ class TestTotalLoss:
             layer.bias[:] = 0.0
         batch = [(Rng(47).normal((3, TINY.latent_dim)),
                   np.zeros((3, TINY.embed_layers, TINY.embed_dim)))]
-        with_reg = dt.total_loss(batch, comp.mapper, comp.pooling,
-                                 comp.denoiser, comp.schedule, 5.0, Rng(53))
-        without = dt.total_loss(batch, comp.mapper, comp.pooling,
-                                comp.denoiser, comp.schedule, 0.0, Rng(53))
+        with_reg, _ = batch_loss(batch, comp, 5.0, Rng(53))
+        without, _ = batch_loss(batch, comp, 0.0, Rng(53))
         assert with_reg == without
 
 
@@ -255,19 +258,6 @@ class TestGradients:
 
         flat0 = dt.flatten_trainable(comp.mapper, comp.pooling)
         assert grad_check(f, flat0, 1e-5) <= 1e-4
-
-    def test_loss_value_matches_total_loss_with_same_noise(self):
-        comp = dt.build_components(TINY, seed=12)
-        batch = tiny_batch(seed=59)
-        rng = Rng(61)
-        noises = [dt.sample_step_noise(latents, comp.schedule, rng)
-                  for latents, _ in batch]
-        loss, _ = dt.total_loss_and_grads(batch, noises, comp.mapper,
-                                          comp.pooling, comp.denoiser,
-                                          comp.schedule, 0.3)
-        direct = dt.total_loss(batch, comp.mapper, comp.pooling,
-                               comp.denoiser, comp.schedule, 0.3, Rng(61))
-        assert loss == pytest.approx(direct, abs=1e-12)
 
     def test_batch_permutation_invariance(self):
         comp = dt.build_components(TINY, seed=13)
@@ -370,7 +360,6 @@ class TestGenerate:
     def test_shape_and_determinism(self):
         comp = dt.build_components(TINY, seed=41)
         emb_rng = Rng(81)
-        from tempokit.media_io import AudioEmbeddings
         emb = AudioEmbeddings(emb_rng.normal(
             (5, TINY.embed_layers, TINY.embed_dim)))
         a = dt.generate(emb, comp.mapper, comp.pooling, comp.denoiser,
@@ -380,6 +369,22 @@ class TestGenerate:
         assert a.frame_count == 5
         assert a.frames.shape == (5, TINY.height, TINY.width, 3)
         assert a.frames.tobytes() == b.frames.tobytes()
+
+    def test_matches_pre_batching_golden_run(self, trained):
+        # loss history and sampled frames of this run as computed by the
+        # per-frame denoiser loops the batched forward/backward replaced
+        comp, pairs, _, history = trained
+        golden = {0: 32.10337417094181, 1: 23.376648854741145,
+                  49: 19.138351310991972, 99: 12.494952618248385,
+                  199: 11.591146940149684}
+        for step, value in golden.items():
+            assert history[step] == pytest.approx(value, rel=1e-9)
+        emb = toy_audio_features(pairs[0].audio, 24, 2, 12)
+        video = dt.generate(emb, comp.mapper, comp.pooling, comp.denoiser,
+                            comp.codec, comp.schedule,
+                            Rng(0).derive(dt._KEY_GENERATE))
+        assert hashlib.sha256(video.frames.tobytes()).hexdigest() == (
+            "84c568017a739c1433b59665301b98e69852e43fd60dfbf40971fa6c051212d7")
 
     def test_training_reduces_loss_on_synthetic_corpus(self, trained):
         _, _, _, history = trained

@@ -7,12 +7,14 @@ from tempokit.numerics import Rng, gelu, grad_check, softmax
 from tempokit.tempo_tokens import (ConditioningSequence, MapperParams,
                                    PoolingParams, TempoTokens,
                                    attentive_pool, build_condition,
-                                   create_mapper, create_pooling, map_audio,
+                                   condition_backward, create_mapper,
+                                   create_pooling, map_audio,
                                    mapper_backward, mapper_forward,
                                    pool_backward, pool_forward,
                                    regularization, resolutions,
                                    single_vector_condition, window_average,
-                                   window_bounds, window_half_widths)
+                                   window_bounds, window_half_widths,
+                                   window_matrix)
 
 
 def small_mapper(seed=0, in_dim=6, out_dim=4):
@@ -224,6 +226,32 @@ class TestBuildCondition:
         cond = build_condition(tokens, small_pooling())
         assert cond.attention.shape == (6,)
         assert abs(cond.attention.sum() - 1.0) < 1e-12
+
+
+class TestWindowOperator:
+    def test_backward_matches_loop_scatter(self):
+        # reference: scatter each window's gradient evenly over its
+        # segments; the matrix form sums in another order
+        rng = np.random.default_rng(87)
+        for length in (1, 5, 24):
+            d_values = rng.normal(size=(length, resolutions(length) + 1, 3))
+            expected = np.zeros((length, 3))
+            for i in range(1, length + 1):
+                for k, half in enumerate(window_half_widths(length)):
+                    lo, hi = window_bounds(i, half, length)
+                    expected[lo - 1:hi] += d_values[i - 1, k] / (hi - lo + 1)
+            d_flat, d_pooled = condition_backward(d_values, length)
+            np.testing.assert_allclose(d_flat, expected, rtol=1e-13,
+                                       atol=1e-13)
+            np.testing.assert_array_equal(d_pooled, d_values[:, -1].sum(0))
+
+    def test_matrix_is_cached_and_read_only(self):
+        matrix = window_matrix(6)
+        assert window_matrix(6) is matrix
+        assert matrix.shape == (6, resolutions(6), 6)
+        np.testing.assert_allclose(matrix.sum(axis=2), 1.0, atol=1e-15)
+        with pytest.raises(ValueError):
+            matrix[0, 0, 0] = 1.0
 
 
 class TestSingleVector:
