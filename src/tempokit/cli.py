@@ -60,17 +60,33 @@ def _parse_fps(text):
     return num, den
 
 
+def _parse_hidden(text):
+    """'64,64,64' -> three positive mapper hidden sizes."""
+    try:
+        sizes = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        sizes = ()
+    if len(sizes) != 3 or min(sizes) < 1:
+        raise ValidationError(
+            f"--hidden {text!r} must be three positive sizes, e.g. 64,64,64")
+    return sizes
+
+
 def _load_config_file(path):
     settings = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            settings[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"config file {path} is not UTF-8") from None
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"bad config line: {line!r}")
+        key, value = line.split("=", 1)
+        settings[key.strip().replace("-", "_")] = value.strip()
     return settings
 
 
@@ -190,7 +206,7 @@ def cmd_train_toy(args):
                                  else args.corpus)
     dims = diffusion_toy.desk_train_dims()
     if args.hidden:
-        dims.mapper_hidden = tuple(int(h) for h in args.hidden.split(","))
+        dims.mapper_hidden = _parse_hidden(args.hidden)
     comp = diffusion_toy.build_components(dims, seed)
     items = [diffusion_toy.prepare_item(pair, comp.codec, dims.embed_layers,
                                         dims.embed_dim)

@@ -603,6 +603,9 @@ def load_checkpoint(path):
     records = read_named_tensors(path)
     try:
         meta = records["meta.dims"].astype(int)
+        if meta.shape != (9,):
+            raise ValidationError(
+                f"checkpoint meta.dims has shape {meta.shape}, want (9,)")
         (embed_layers, embed_dim, token_dim, time_dim, frames_per_video,
          width, height, fps_num, fps_den) = meta
         betas = records["schedule.betas"]

@@ -10,6 +10,7 @@ implementation keeps the two modalities symmetric.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 
@@ -53,29 +54,39 @@ class PeakSet:
         return f"PeakSet({list(self.indices)})"
 
 
-def moving_median(values, width):
-    """Centered moving median; the window is clipped at the edges."""
+def _moving(values, width, stat):
+    """stat(window) over centered windows of 2 * (width // 2) + 1
+    samples, clipped at the edges. stat reduces the last axis, so the
+    full interior windows go through it as one (n, window) view."""
     values = np.asarray(values, dtype=np.float64)
     half = width // 2
     out = np.empty_like(values)
-    for i in range(values.size):
-        lo = max(0, i - half)
-        hi = min(values.size, i + half + 1)
-        out[i] = np.median(values[lo:hi])
+    head = min(half, values.size)
+    tail = max(head, values.size - half)
+    for i in (*range(head), *range(tail, values.size)):
+        out[i] = stat(values[max(0, i - half):i + half + 1])
+    if tail > head:
+        out[head:tail] = stat(sliding_window_view(values, 2 * half + 1))
     return out
+
+
+def _median(windows):
+    return np.median(windows, axis=-1)
+
+
+def _mad(windows):
+    deviation = windows - np.median(windows, axis=-1, keepdims=True)
+    return np.median(np.abs(deviation), axis=-1)
+
+
+def moving_median(values, width):
+    """Centered moving median; the window is clipped at the edges."""
+    return _moving(values, width, _median)
 
 
 def moving_mad(values, width):
     """Centered moving median absolute deviation (same windows)."""
-    values = np.asarray(values, dtype=np.float64)
-    half = width // 2
-    out = np.empty_like(values)
-    for i in range(values.size):
-        lo = max(0, i - half)
-        hi = min(values.size, i + half + 1)
-        window = values[lo:hi]
-        out[i] = np.median(np.abs(window - np.median(window)))
-    return out
+    return _moving(values, width, _mad)
 
 
 def pick_peaks(curve, params=None):

@@ -6,7 +6,8 @@ import pytest
 
 from tempokit import diffusion_toy
 from tempokit.cli import build_parser, main
-from tempokit.media_io import read_condition, read_video
+from tempokit.media_io import (read_condition, read_named_tensors,
+                               read_video, write_named_tensors)
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,22 @@ class TestTrainAndGenerate:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_checkpoint_with_short_meta_dims_exits_2(self, corpus_dir,
+                                                     tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        main(["train-toy", "--corpus", str(corpus_dir), "--steps", "0",
+              "--ckpt", str(ckpt), "--seed", "3"])
+        records = read_named_tensors(ckpt)
+        records["meta.dims"] = records["meta.dims"][:5]
+        write_named_tensors(records, ckpt)
+        capsys.readouterr()
+        code = main(["generate", "--ckpt", str(ckpt), "--audio",
+                     str(corpus_dir / "clip_0000.wav"), "--out",
+                     str(tmp_path / "o.rvid"), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: checkpoint meta.dims" in err
+
 
 class TestConfigFile:
     def test_config_file_presets_flags(self, corpus_dir, tmp_path, capsys):
@@ -272,6 +289,12 @@ BAD_INPUTS = {
                                        "gen-synth", "--out", "{tmp}/o"],
     "unknown config key": ["--config={tmp}/bad_key.cfg", "gen-synth",
                            "--out", "{tmp}/o"],
+    "config file not UTF-8": ["--config", "{tmp}/not_utf8.cfg", "gen-synth",
+                              "--out", "{tmp}/o"],
+    "non-int hidden size": ["train-toy", "--corpus", "{corpus}", "--ckpt",
+                            "{tmp}/h.ckpt", "--hidden", "a"],
+    "two hidden sizes": ["train-toy", "--corpus", "{corpus}", "--ckpt",
+                         "{tmp}/h.ckpt", "--hidden", "8,8"],
 }
 
 
@@ -280,11 +303,13 @@ def test_bad_input_exits_2_with_error_line(argv, corpus_dir, tmp_path,
                                            capsys):
     (tmp_path / "bad_value.cfg").write_text("clips=abc\n")
     (tmp_path / "bad_key.cfg").write_text("no_such_flag=1\n")
+    (tmp_path / "not_utf8.cfg").write_bytes(b"\xff\xfeclips=2\n")
     clip = ["--video", str(corpus_dir / "clip_0000.rvid"),
             "--audio", str(corpus_dir / "clip_0000.wav")]
     expanded = []
     for arg in argv:
-        expanded += clip if arg == "{clip}" else [arg.format(tmp=tmp_path)]
+        expanded += clip if arg == "{clip}" else [
+            arg.format(tmp=tmp_path, corpus=corpus_dir)]
     try:
         code = main(expanded)
     except SystemExit as exc:  # argparse usage errors

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy.ndimage import convolve
 
 from tempokit.errors import ShapeError
 from tempokit.media_io import Video
-from tempokit.motion_analysis import (FlowParams, detect_motion_peaks,
-                                      motion_curve, optical_flow,
-                                      to_grayscale)
+from tempokit.motion_analysis import (PIXELS, FlowParams,
+                                      detect_motion_peaks, motion_curve,
+                                      optical_flow, to_grayscale)
 from tempokit.peaks import PeakPickParams
+from tempokit.synthgen import SynthConfig, generate
 
 
 def gray_ramp(width=64, height=64, slope=4, shift=0):
@@ -148,3 +150,88 @@ class TestMotionPeaks:
                                          on_derivative=True)
         assert list(derivative) == [11]  # steepest increase
         assert list(plain) != list(derivative)
+
+
+# ---------------------------------------------------------------------------
+# The stencil solver against the per-pair convolution it replaced
+# ---------------------------------------------------------------------------
+
+_AVG_KERNEL = np.array([
+    [1 / 12, 1 / 6, 1 / 12],
+    [1 / 6, 0.0, 1 / 6],
+    [1 / 12, 1 / 6, 1 / 12],
+])
+
+
+def reference_flow(frame1, frame2, params):
+    """One frame pair, two scipy.ndimage convolutions per sweep."""
+    i1 = np.asarray(frame1, dtype=np.float64) * 255.0
+    i2 = np.asarray(frame2, dtype=np.float64) * 255.0
+    padded = np.pad((i1 + i2) / 2.0, 1, mode="reflect")
+    ix = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
+    iy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
+    it = i2 - i1
+    denom = params.alpha ** 2 + ix ** 2 + iy ** 2
+    u = np.zeros_like(i1)
+    v = np.zeros_like(i1)
+    for _ in range(params.iterations):
+        u_avg = convolve(u, _AVG_KERNEL, mode="reflect")
+        v_avg = convolve(v, _AVG_KERNEL, mode="reflect")
+        shared = (ix * u_avg + iy * v_avg + it) / denom
+        u = u_avg - ix * shared
+        v = v_avg - iy * shared
+    return u, v
+
+
+def reference_curve(video, params):
+    grays = [to_grayscale(f) for f in video.frames]
+    curve = np.zeros(video.frame_count)
+    for i in range(1, video.frame_count):
+        u, v = reference_flow(grays[i - 1], grays[i], params)
+        curve[i] = np.sqrt(u ** 2 + v ** 2).mean()
+    return curve
+
+
+# (width, height, frames, kind): 64x64 and 128x96 as in the corpus, and
+# a small clip whose pairs do not fill the last chunk evenly
+REFERENCE_CLIPS = [(64, 64, 24, "bounce"), (128, 96, 20, "flash"),
+                   (40, 30, 38, "bounce")]
+
+
+@pytest.fixture(scope="module", params=REFERENCE_CLIPS,
+                ids=lambda c: f"{c[0]}x{c[1]}x{c[2]}")
+def reference_clip(request):
+    width, height, frames, kind = request.param
+    config = SynthConfig(width=width, height=height, duration=frames / 24,
+                         n_events=2, event_kind=kind, seed=7)
+    video = generate(config)[0].video
+    assert video.frame_count == frames
+    return video
+
+
+class TestStencilMatchesConvolution:
+    params = FlowParams(alpha=7.0, iterations=40)
+
+    def test_partial_last_chunk_is_covered(self):
+        assert (38 - 1) % max(1, PIXELS // (40 * 30)) != 0
+
+    def test_optical_flow_is_bit_exact(self, reference_clip):
+        grays = [to_grayscale(f) for f in reference_clip.frames]
+        for i in (1, reference_clip.frame_count // 2):
+            u, v = reference_flow(grays[i - 1], grays[i], self.params)
+            flow = optical_flow(grays[i - 1], grays[i], self.params)
+            assert np.array_equal(flow.u, u)
+            assert np.array_equal(flow.v, v)
+
+    def test_stacked_pairs_match_single_pairs(self, reference_clip):
+        grays = np.stack([to_grayscale(f) for f in reference_clip.frames])
+        stacked = optical_flow(grays[:4], grays[1:5], self.params)
+        for k in range(4):
+            single = optical_flow(grays[k], grays[k + 1], self.params)
+            assert np.array_equal(stacked.u[k], single.u)
+            assert np.array_equal(stacked.v[k], single.v)
+
+    def test_motion_curve_is_bit_exact(self, reference_clip):
+        for params in (self.params, FlowParams()):
+            assert np.array_equal(motion_curve(reference_clip, params),
+                                  reference_curve(reference_clip, params))
