@@ -1,9 +1,10 @@
 """Spectral audio analysis: STFT, onset detection, toy features.
 
 Onsets are found on a positive spectral-flux curve with the shared
-median/MAD picker. The STFT hop defaults to one column per video frame
-(sample_rate / fps, rounded) so that flux peak columns convert to frame
-indices with a plain rounding rule.
+median/MAD picker, configured by the same PeakPickParams as the video
+side. The STFT hop is one column per video frame (sample_rate / fps,
+rounded) so that flux peak columns convert to frame indices with a
+plain rounding rule.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .media_io import AudioEmbeddings
-from .peaks import PeakPickParams, PeakSet, pick_peaks
+from .peaks import PeakSet, pick_peaks
 
 LOG_FLOOR = 1e-6
 
@@ -25,30 +26,10 @@ class Spectrogram:
     sample_rate: int
 
 
-@dataclass
-class OnsetParams:
-    """Tunables for onset detection.
-
-    hop=None means "derive from the video rate": round(sample_rate/fps),
-    giving one STFT column per video frame.
-    """
-
-    win: int = 1024
-    hop: int | None = None
-    threshold_k: float = 1.5
-    smoothing: int = 5
-
-    def __post_init__(self):
-        if self.win < 1:
-            raise ValidationError("win must be >= 1")
-        if self.hop is not None and not (1 <= self.hop <= self.win):
-            raise ValidationError("need win >= hop >= 1")
-        if self.threshold_k <= 0:
-            raise ValidationError("threshold_k must be positive")
-
-
 def stft_magnitude(signal, win=1024, hop=512):
     """Hann-windowed magnitude spectrogram with win/2+1 bins per column."""
+    if win < 1 or hop < 1:
+        raise ValidationError(f"need win >= 1 and hop >= 1, got {win}, {hop}")
     samples = signal.samples
     if samples.size < win:
         raise ValidationError(
@@ -71,22 +52,20 @@ def spectral_flux(spec):
     return flux
 
 
-def detect_onsets(signal, fps, params=None, n_frames=None):
+def detect_onsets(signal, fps, params=None, n_frames=None, win=1024):
     """Detect audio onsets and report them as video-frame indices.
 
-    Flux peak columns t map to frames round(t * hop * fps / sample_rate);
-    results are sorted, deduplicated, and clamped to [0, n_frames-1] when
-    a frame count is supplied.
+    params is the PeakPickParams for the flux curve. Flux peak columns t
+    map to frames round(t * hop * fps / sample_rate); results are sorted,
+    deduplicated, and clamped to [0, n_frames-1] when a frame count is
+    supplied.
     """
     if fps <= 0:
         raise ValidationError("fps must be positive")
-    if params is None:
-        params = OnsetParams()
-    hop = params.hop if params.hop is not None else round(signal.sample_rate / fps)
-    hop = max(1, int(hop))
-    spec = stft_magnitude(signal, params.win, hop)
+    hop = max(1, round(signal.sample_rate / fps))
+    spec = stft_magnitude(signal, win, hop)
     flux = spectral_flux(spec)
-    cols = pick_peaks(flux, PeakPickParams(params.threshold_k, params.smoothing))
+    cols = pick_peaks(flux, params)
     frames = [round(t * hop * fps / signal.sample_rate) for t in cols]
     if n_frames is not None:
         frames = [min(max(f, 0), n_frames - 1) for f in frames]

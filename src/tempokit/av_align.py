@@ -92,10 +92,12 @@ def av_align_score(audio_peaks, video_peaks, tolerance=1):
                        len(a), len(v), union)
 
 
-def av_align_from_media(video, audio, onset_params=None, flow_params=None,
-                        peak_params=None, tolerance=1, fps_override=None):
+def av_align_from_media(video, audio, peak_params=None, flow_params=None,
+                        tolerance=1, fps_override=None, onset_win=1024):
     """Full pipeline: media in, alignment report out.
 
+    One peak_params (PeakPickParams) picks the peaks of both the audio
+    flux and the motion curve; onset_win is the STFT window in samples.
     Durations that disagree by more than one frame are truncated to the
     shorter stream (with a warning); a mismatch beyond half the longer
     duration raises DurationError.
@@ -106,7 +108,7 @@ def av_align_from_media(video, audio, onset_params=None, flow_params=None,
     video, audio = _reconcile_durations(video, audio, fps)
 
     onsets = audio_analysis.detect_onsets(
-        audio, fps, onset_params, n_frames=video.frame_count)
+        audio, fps, peak_params, n_frames=video.frame_count, win=onset_win)
     curve = motion_analysis.motion_curve(video, flow_params)
     motion = motion_analysis.detect_motion_peaks(curve, peak_params)
     return av_align_score(onsets, motion, tolerance)

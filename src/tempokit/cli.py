@@ -24,8 +24,8 @@ import sys
 import numpy as np
 
 from . import av_align, diffusion_toy, media_io, synthgen, tempo_tokens
-from .audio_analysis import OnsetParams, toy_audio_features
-from .errors import (DurationError, FormatError, NumericError, TempokitError,
+from .audio_analysis import toy_audio_features
+from .errors import (DurationError, FormatError, NumericError, ShapeError,
                      ValidationError)
 from .motion_analysis import FlowParams
 from .numerics import Rng
@@ -35,6 +35,16 @@ EXIT_OK = 0
 EXIT_FORMAT = 2
 EXIT_DURATION = 3
 EXIT_NUMERIC = 4
+# The exit code of each error class that main reports as an error line.
+EXIT_CODES = {
+    FileNotFoundError: EXIT_FORMAT,
+    IsADirectoryError: EXIT_FORMAT,
+    FormatError: EXIT_FORMAT,
+    ValidationError: EXIT_FORMAT,
+    ShapeError: EXIT_FORMAT,
+    DurationError: EXIT_DURATION,
+    NumericError: EXIT_NUMERIC,
+}
 
 
 def _default_seed():
@@ -94,29 +104,21 @@ def _load_config_file(path):
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _align_params(args):
-    onset = OnsetParams(win=args.onset_win, threshold_k=args.threshold_k,
-                        smoothing=args.smoothing)
-    flow = FlowParams(alpha=args.flow_alpha, iterations=args.flow_iterations)
+def cmd_av_align(args):
     peaks = PeakPickParams(threshold_k=args.threshold_k,
                            smoothing=args.smoothing)
-    return onset, flow, peaks
-
-
-def _score_pair(video_path, audio_path, args):
-    video = media_io.read_video(video_path)
-    audio = media_io.read_wav(audio_path)
-    onset, flow, peaks = _align_params(args)
+    flow = FlowParams(alpha=args.flow_alpha, iterations=args.flow_iterations)
     fps = None
     if args.fps_override:
         num, den = _parse_fps(args.fps_override)
         fps = num / den
-    return av_align.av_align_from_media(
-        video, audio, onset_params=onset, flow_params=flow,
-        peak_params=peaks, tolerance=args.tolerance, fps_override=fps)
 
+    def score_pair(video_path, audio_path):
+        return av_align.av_align_from_media(
+            media_io.read_video(video_path), media_io.read_wav(audio_path),
+            peak_params=peaks, flow_params=flow, tolerance=args.tolerance,
+            fps_override=fps, onset_win=args.onset_win)
 
-def cmd_av_align(args):
     if args.batch:
         reports = []
         for lineno, raw in enumerate(sys.stdin, 1):
@@ -128,7 +130,7 @@ def cmd_av_align(args):
                 print(f"line {lineno}: expected 'video audio'",
                       file=sys.stderr)
                 return EXIT_FORMAT
-            reports.append((parts[0], _score_pair(parts[0], parts[1], args)))
+            reports.append((parts[0], score_pair(*parts)))
         if args.json:
             print(json.dumps(
                 {"clips": [{"video": name, **rep.to_dict()}
@@ -144,7 +146,7 @@ def cmd_av_align(args):
                 print(f"mean_score={mean:.6f}")
         return EXIT_OK
 
-    report = _score_pair(args.video, args.audio, args)
+    report = score_pair(args.video, args.audio)
     print(report.to_json() if args.json else report.to_text())
     return EXIT_OK
 
@@ -367,21 +369,10 @@ def main(argv=None):
         config = _load_config_file(config_path) if config_path else None
         args = build_parser(config).parse_args(argv)
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (FormatError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except DurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DURATION
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except TempokitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for error, code in EXIT_CODES.items()
+                    if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ a manifest.txt whose first line is "fps <num> <den>" followed by one
 frame filename per line.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .errors import FormatError, ShapeError, ValidationError
 from .numerics import require_finite
 
 PCM_SCALE = 32768.0
+READ_PIECE = 1 << 20
 
 
 @dataclass
@@ -119,7 +121,8 @@ class AudioEmbeddings:
 
 @dataclass
 class ConditionFile:
-    """Per-frame conditioning tokens as stored in a TTC1 file."""
+    """Per-frame conditioning tokens, as built by tempo_tokens and stored
+    in a TTC1 file."""
 
     values: np.ndarray  # (L, tokens_per_frame, token_dim)
 
@@ -142,10 +145,17 @@ class ConditionFile:
 
 
 def _read_exact(fh, n, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated file while reading {what}")
-    return data
+    """Read n bytes in pieces of at most READ_PIECE, so a size declared
+    beyond the end of the input fails without being allocated. Pieces
+    rather than a size check keep pipes readable."""
+    pieces = []
+    while n > 0:
+        piece = fh.read(min(n, READ_PIECE))
+        if not piece:
+            raise FormatError(f"truncated file while reading {what}")
+        pieces.append(piece)
+        n -= len(piece)
+    return b"".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +427,7 @@ def read_named_tensors(path):
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             shape = struct.unpack(f"<{ndim}I",
                                   _read_exact(fh, 4 * ndim, "dims"))
-            n_values = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+            n_values = math.prod(shape)
             payload = _read_exact(fh, 4 * n_values, f"record {name}")
             values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
             records[name] = values.reshape(shape)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .peaks import PeakPickParams, pick_peaks
+from .peaks import pick_peaks
 
 _LUMA = np.array([0.299, 0.587, 0.114])
 # Offsets and weights of the 8-point neighbor average in the raster
@@ -178,15 +178,6 @@ def motion_curve(video, params=None):
     return curve
 
 
-def detect_motion_peaks(curve, params=None, on_derivative=False):
-    """Peak-pick a motion curve with the shared median/MAD picker.
-
-    on_derivative picks peaks of the positive first difference instead
-    of the curve itself.
-    """
-    if params is None:
-        params = PeakPickParams()
-    curve = np.asarray(curve, dtype=np.float64)
-    if on_derivative:
-        curve = np.concatenate([[0.0], np.clip(np.diff(curve), 0.0, None)])
+def detect_motion_peaks(curve, params=None):
+    """Peak-pick a motion curve with the shared median/MAD picker."""
     return pick_peaks(curve, params)

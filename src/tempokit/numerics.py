@@ -95,10 +95,6 @@ def linear_forward(x, layer):
     return x @ layer.weight.T + layer.bias
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
-
-
 def gelu(x):
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF.
 

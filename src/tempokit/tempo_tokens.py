@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ShapeError, ValidationError
+from .media_io import ConditionFile
 from .numerics import (gelu, gelu_grad, linear_forward, linear_init,
                        softmax)
 
@@ -145,35 +146,6 @@ class TempoTokens:
         """(L, H_layers*d_t) view used by pooling and conditioning."""
         length = self.values.shape[0]
         return self.values.reshape(length, -1)
-
-
-@dataclass
-class ConditioningSequence:
-    """Per-frame ordered token lists plus the shared attention weights.
-
-    values has shape (frames, tokens_per_frame, token_dim); each row can
-    be viewed by consumers as H_layers groups of d_t channels. attention
-    is the pooling distribution over segments (None for single-vector
-    conditioning, which has no attentive token).
-    """
-
-    values: np.ndarray
-    attention: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3:
-            raise ShapeError("condition values must be (L, tokens, dim)")
-        if self.attention is not None:
-            self.attention = np.asarray(self.attention, dtype=np.float64)
-
-    @property
-    def frame_count(self):
-        return self.values.shape[0]
-
-    @property
-    def tokens_per_frame(self):
-        return self.values.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +371,8 @@ def build_condition(tokens, params):
     attentive token, so tokens_per_frame == resolutions(L) + 1.
     """
     flat = tokens.flat
-    pooled, p, _ = pool_forward(flat, params)
-    return ConditioningSequence(condition_values(flat, pooled), attention=p)
+    pooled, _, _ = pool_forward(flat, params)
+    return ConditionFile(condition_values(flat, pooled))
 
 
 def condition_backward(d_values, length):
@@ -422,13 +394,5 @@ def single_vector_condition(tokens):
     mean = tokens.flat.mean(axis=0)
     length = tokens.segments
     values = np.broadcast_to(mean, (length, 1, mean.size)).copy()
-    return ConditioningSequence(values, attention=None)
+    return ConditionFile(values)
 
-
-def regularization(tokens, lambda_l1):
-    """Mean L1 penalty on the tokens: (lambda/L) * sum of L1 norms."""
-    if lambda_l1 < 0:
-        raise ValidationError("lambda_l1 must be >= 0")
-    if lambda_l1 == 0.0:
-        return 0.0
-    return lambda_l1 / tokens.segments * float(np.abs(tokens.values).sum())

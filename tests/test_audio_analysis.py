@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from tempokit.audio_analysis import (OnsetParams, detect_onsets,
-                                     spectral_flux, stft_magnitude,
-                                     toy_audio_features)
+from tempokit.audio_analysis import (detect_onsets, spectral_flux,
+                                     stft_magnitude, toy_audio_features)
 from tempokit.errors import ValidationError
 from tempokit.media_io import AudioSignal
 
@@ -133,8 +132,12 @@ class TestDetectOnsets:
         assert all(0 <= p <= 89 for p in peaks)
 
     def test_custom_params_validated(self):
+        signal = click_signal([0.5], duration_s=1.0)
+        for win, hop in ((0, 512), (1024, 0), (-5, 512)):
+            with pytest.raises(ValidationError):
+                stft_magnitude(signal, win, hop)
         with pytest.raises(ValidationError):
-            OnsetParams(win=512, hop=1024)
+            detect_onsets(signal, FPS, win=0)
 
 
 class TestToyFeatures:

@@ -6,7 +6,8 @@ import pytest
 from tempokit.av_align import av_align_from_media, av_align_score
 from tempokit.errors import DurationError, ValidationError
 from tempokit.media_io import AudioSignal, Video
-from tempokit.peaks import PeakSet
+from tempokit.peaks import PeakPickParams, PeakSet
+from tempokit.synthgen import SynthConfig, generate
 
 
 def oracle_score(a, b, tol):
@@ -124,3 +125,13 @@ class TestFromMedia:
         audio = AudioSignal(np.zeros(24000), 16000)
         rep = av_align_from_media(video, audio, fps_override=32.0)
         assert rep.vacuous
+
+    def test_peak_params_reach_both_detectors(self):
+        pair, _ = generate(SynthConfig(width=32, height=32, duration=2.5,
+                                       n_events=4, seed=0))
+        rep = av_align_from_media(pair.video, pair.audio)
+        assert rep.audio_peaks > 0 and rep.video_peaks > 0
+        # a one-sample window is its own median, so nothing can beat it
+        rep = av_align_from_media(pair.video, pair.audio,
+                                  peak_params=PeakPickParams(smoothing=1))
+        assert (rep.audio_peaks, rep.video_peaks) == (0, 0)

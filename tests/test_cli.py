@@ -1,5 +1,6 @@
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -295,7 +296,25 @@ BAD_INPUTS = {
                             "{tmp}/h.ckpt", "--hidden", "a"],
     "two hidden sizes": ["train-toy", "--corpus", "{corpus}", "--ckpt",
                          "{tmp}/h.ckpt", "--hidden", "8,8"],
+    "zero onset window": ["av-align", "{clip}", "--onset-win", "0"],
+    "negative onset window": ["av-align", "{clip}", "--onset-win", "-5"],
+    "checkpoint dims beyond the file": [
+        "generate", "--ckpt", "{tmp}/huge_dims.ckpt", "--audio",
+        "{corpus}/clip_0000.wav", "--out", "{tmp}/g.rvid"],
+    "checkpoint dims past int64": [
+        "generate", "--ckpt", "{tmp}/wrapping_dims.ckpt", "--audio",
+        "{corpus}/clip_0000.wav", "--out", "{tmp}/g.rvid"],
+    "checkpoint bias one entry short": [
+        "generate", "--ckpt", "{tmp}/short_bias.ckpt", "--audio",
+        "{corpus}/clip_0000.wav", "--out", "{tmp}/g.rvid"],
 }
+
+
+def lying_checkpoint(*dims):
+    """A one-record TTCKPT1 file whose dims claim values it does not hold."""
+    name = b"mapper.0.w"
+    return (b"TTCKPT1" + struct.pack("<2I", 1, len(name)) + name
+            + struct.pack(f"<{1 + len(dims)}I", len(dims), *dims))
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -304,6 +323,17 @@ def test_bad_input_exits_2_with_error_line(argv, corpus_dir, tmp_path,
     (tmp_path / "bad_value.cfg").write_text("clips=abc\n")
     (tmp_path / "bad_key.cfg").write_text("no_such_flag=1\n")
     (tmp_path / "not_utf8.cfg").write_bytes(b"\xff\xfeclips=2\n")
+    (tmp_path / "huge_dims.ckpt").write_bytes(
+        lying_checkpoint(2 ** 20, 2 ** 20, 2 ** 20))
+    (tmp_path / "wrapping_dims.ckpt").write_bytes(
+        lying_checkpoint(0xFFFFFFFF, 0xFFFFFFFF))
+    short_bias = tmp_path / "short_bias.ckpt"
+    diffusion_toy.save_checkpoint(
+        diffusion_toy.build_components(diffusion_toy.desk_train_dims(), 0),
+        short_bias)
+    records = read_named_tensors(short_bias)
+    records["mapper.0.bias"] = records["mapper.0.bias"][:-1]
+    write_named_tensors(records, short_bias)
     clip = ["--video", str(corpus_dir / "clip_0000.rvid"),
             "--audio", str(corpus_dir / "clip_0000.wav")]
     expanded = []

@@ -1,4 +1,6 @@
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -79,6 +81,21 @@ class TestWav:
             craft_wav(p, rng.integers(-32768, 32768, 500).astype(np.int16))
             s = read_wav(p).samples
             assert s.min() >= -1.0 and s.max() <= 1.0
+
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        # a pipe has no size to check a declared chunk size against
+        path = tmp_path / "a.wav"
+        craft_wav(path, np.arange(-3000, 3000, dtype=np.int16))
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        got = read_wav(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(got.samples, read_wav(path).samples)
 
 
 class TestRvid:

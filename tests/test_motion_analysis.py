@@ -7,7 +7,6 @@ from tempokit.media_io import Video
 from tempokit.motion_analysis import (PIXELS, FlowParams,
                                       detect_motion_peaks, motion_curve,
                                       optical_flow, to_grayscale)
-from tempokit.peaks import PeakPickParams
 from tempokit.synthgen import SynthConfig, generate
 
 
@@ -141,15 +140,6 @@ class TestMotionPeaks:
         base = detect_motion_peaks(curve)
         shifted = detect_motion_peaks(curve + 17.3)
         assert list(base) == list(shifted)
-
-    def test_derivative_mode_finds_fastest_rise(self):
-        curve = np.concatenate([np.zeros(10), [0.5, 3.0, 3.2],
-                                np.full(10, 3.2)])
-        plain = detect_motion_peaks(curve)
-        derivative = detect_motion_peaks(curve, PeakPickParams(),
-                                         on_derivative=True)
-        assert list(derivative) == [11]  # steepest increase
-        assert list(plain) != list(derivative)
 
 
 # ---------------------------------------------------------------------------

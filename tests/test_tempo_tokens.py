@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from tempokit.errors import ShapeError, ValidationError
-from tempokit.media_io import AudioEmbeddings
+from tempokit.media_io import AudioEmbeddings, ConditionFile
 from tempokit.numerics import Rng, gelu, grad_check, softmax
-from tempokit.tempo_tokens import (ConditioningSequence, MapperParams,
-                                   PoolingParams, TempoTokens,
+from tempokit.tempo_tokens import (MapperParams, PoolingParams, TempoTokens,
                                    attentive_pool, build_condition,
                                    condition_backward, create_mapper,
                                    create_pooling, map_audio,
                                    mapper_backward, mapper_forward,
-                                   pool_backward, pool_forward,
-                                   regularization, resolutions,
+                                   pool_backward, pool_forward, resolutions,
                                    single_vector_condition, window_average,
                                    window_bounds, window_half_widths,
                                    window_matrix)
@@ -220,13 +218,6 @@ class TestBuildCondition:
             np.testing.assert_array_equal(cond.values[frame, -1],
                                           cond.values[0, -1])
 
-    def test_attention_distribution_attached(self):
-        rng = np.random.default_rng(83)
-        tokens = TempoTokens(rng.normal(size=(6, 2, 2)))
-        cond = build_condition(tokens, small_pooling())
-        assert cond.attention.shape == (6,)
-        assert abs(cond.attention.sum() - 1.0) < 1e-12
-
 
 class TestWindowOperator:
     def test_backward_matches_loop_scatter(self):
@@ -272,21 +263,6 @@ class TestSingleVector:
     def test_one_token_per_frame(self):
         tokens = TempoTokens(np.zeros((4, 1, 2)))
         assert single_vector_condition(tokens).tokens_per_frame == 1
-
-
-class TestRegularization:
-    def test_zero_tokens(self):
-        assert regularization(scalar_tokens([0.0, 0.0]), 1.0) == 0.0
-
-    def test_zero_lambda(self):
-        assert regularization(scalar_tokens([4.0, -7.0]), 0.0) == 0.0
-
-    def test_hand_value(self):
-        assert regularization(scalar_tokens([2.0, -3.0]), 1.0) == 2.5
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValidationError):
-            regularization(scalar_tokens([1.0]), -0.5)
 
 
 class TestGradients:
@@ -356,7 +332,7 @@ class TestGradients:
 class TestConditioningSequenceType:
     def test_requires_three_dims(self):
         with pytest.raises(ShapeError):
-            ConditioningSequence(np.zeros((2, 3)))
+            ConditionFile(np.zeros((2, 3)))
 
     def test_pooling_param_shapes_validated(self):
         with pytest.raises(ShapeError):
