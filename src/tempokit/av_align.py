@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DurationError, ValidationError
+from .errors import DurationError, ShapeError, ValidationError
 from .media_io import AudioSignal, Video
 from .peaks import PeakSet
 from . import audio_analysis, motion_analysis
@@ -93,7 +93,8 @@ def av_align_score(audio_peaks, video_peaks, tolerance=1):
 
 
 def av_align_from_media(video, audio, peak_params=None, flow_params=None,
-                        tolerance=1, fps_override=None, onset_win=1024):
+                        tolerance=1, fps_override=None, onset_win=1024,
+                        motion=None):
     """Full pipeline: media in, alignment report out.
 
     One peak_params (PeakPickParams) picks the peaks of both the audio
@@ -101,17 +102,28 @@ def av_align_from_media(video, audio, peak_params=None, flow_params=None,
     Durations that disagree by more than one frame are truncated to the
     shorter stream (with a warning); a mismatch beyond half the longer
     duration raises DurationError.
+
+    motion, if given, is the video's full-length
+    motion_analysis.motion_curve(video, flow_params), so a caller that
+    scores one video against several audios solves its flow once. The
+    flow of a frame pair depends only on that pair, so the curve of a
+    truncated video is a prefix of it.
     """
     fps = fps_override if fps_override is not None else video.fps
     if fps <= 0:
         raise ValidationError("fps must be positive")
+    if motion is not None and len(motion) != video.frame_count:
+        raise ShapeError(f"motion curve has {len(motion)} entries for "
+                         f"{video.frame_count} frames")
     video, audio = _reconcile_durations(video, audio, fps)
 
     onsets = audio_analysis.detect_onsets(
         audio, fps, peak_params, n_frames=video.frame_count, win=onset_win)
-    curve = motion_analysis.motion_curve(video, flow_params)
-    motion = motion_analysis.detect_motion_peaks(curve, peak_params)
-    return av_align_score(onsets, motion, tolerance)
+    if motion is None:
+        motion = motion_analysis.motion_curve(video, flow_params)
+    peaks = motion_analysis.detect_motion_peaks(
+        motion[:video.frame_count], peak_params)
+    return av_align_score(onsets, peaks, tolerance)
 
 
 def _reconcile_durations(video, audio, fps):

@@ -23,7 +23,8 @@ import sys
 
 import numpy as np
 
-from . import av_align, diffusion_toy, media_io, synthgen, tempo_tokens
+from . import (av_align, diffusion_toy, media_io, motion_analysis, synthgen,
+               tempo_tokens)
 from .audio_analysis import toy_audio_features
 from .errors import (DurationError, FormatError, NumericError, ShapeError,
                      ValidationError)
@@ -113,11 +114,19 @@ def cmd_av_align(args):
         num, den = _parse_fps(args.fps_override)
         fps = num / den
 
+    # video path, as written, -> its full-length motion curve: a video
+    # listed on several --batch lines has its flow solved once
+    curves = {}
+
     def score_pair(video_path, audio_path):
+        video = media_io.read_video(video_path)
+        audio = media_io.read_wav(audio_path)
+        if video_path not in curves:
+            curves[video_path] = motion_analysis.motion_curve(video, flow)
         return av_align.av_align_from_media(
-            media_io.read_video(video_path), media_io.read_wav(audio_path),
-            peak_params=peaks, flow_params=flow, tolerance=args.tolerance,
-            fps_override=fps, onset_win=args.onset_win)
+            video, audio, peak_params=peaks, flow_params=flow,
+            tolerance=args.tolerance, fps_override=fps,
+            onset_win=args.onset_win, motion=curves[video_path])
 
     if args.batch:
         reports = []
@@ -127,9 +136,8 @@ def cmd_av_align(args):
                 continue
             parts = line.split()
             if len(parts) != 2:
-                print(f"line {lineno}: expected 'video audio'",
-                      file=sys.stderr)
-                return EXIT_FORMAT
+                raise FormatError(f"--batch line {lineno}: expected "
+                                  f"'video audio', got {len(parts)} fields")
             reports.append((parts[0], score_pair(*parts)))
         if args.json:
             print(json.dumps(
@@ -153,9 +161,8 @@ def cmd_av_align(args):
 
 def cmd_tokens(args):
     if bool(args.embeddings) == bool(args.audio):
-        print("exactly one of --embeddings or --audio is required",
-              file=sys.stderr)
-        return EXIT_FORMAT
+        raise ValidationError(
+            "exactly one of --embeddings or --audio is required")
     seed = args.seed if args.seed is not None else _default_seed()
 
     if args.ckpt:
@@ -170,14 +177,13 @@ def cmd_tokens(args):
         emb = media_io.read_embeddings(args.embeddings)
     else:
         if not args.toy_encoder:
-            print("--audio requires --toy-encoder", file=sys.stderr)
-            return EXIT_FORMAT
+            raise ValidationError("--audio requires --toy-encoder")
         audio = media_io.read_wav(args.audio)
         emb = toy_audio_features(audio, args.length, args.layers, args.dim)
     if emb.layers * emb.dim != mapper.in_dim:
-        print(f"embeddings have segment dim {emb.layers * emb.dim}, "
-              f"mapper expects {mapper.in_dim}", file=sys.stderr)
-        return EXIT_FORMAT
+        raise ValidationError(f"embeddings have segment dim "
+                              f"{emb.layers * emb.dim}, mapper expects "
+                              f"{mapper.in_dim}")
 
     tokens = tempo_tokens.map_audio(emb, mapper)
     if args.mode == "vec":

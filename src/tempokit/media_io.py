@@ -158,6 +158,17 @@ def _read_exact(fh, n, what):
     return b"".join(pieces)
 
 
+def _skip(fh, n):
+    """Read and drop up to n bytes in pieces of at most READ_PIECE,
+    stopping quietly at the end of the input. Reading rather than
+    seeking keeps pipes readable."""
+    while n > 0:
+        piece = fh.read(min(n, READ_PIECE))
+        if not piece:
+            return
+        n -= len(piece)
+
+
 # ---------------------------------------------------------------------------
 # WAV
 # ---------------------------------------------------------------------------
@@ -185,9 +196,9 @@ def read_wav(path):
             elif chunk_id == b"data":
                 data = _read_exact(fh, size, "data chunk")
             else:
-                fh.seek(size, os.SEEK_CUR)
+                _skip(fh, size)
             if size % 2 == 1:  # chunks are word-aligned
-                fh.seek(1, os.SEEK_CUR)
+                _skip(fh, 1)
 
     if fmt is None or data is None:
         raise FormatError("missing fmt or data chunk")

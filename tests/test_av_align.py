@@ -1,11 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from tempokit.av_align import av_align_from_media, av_align_score
-from tempokit.errors import DurationError, ValidationError
+from tempokit.errors import DurationError, ShapeError, ValidationError
 from tempokit.media_io import AudioSignal, Video
+from tempokit.motion_analysis import FlowParams, motion_curve
 from tempokit.peaks import PeakPickParams, PeakSet
 from tempokit.synthgen import SynthConfig, generate
 
@@ -135,3 +137,49 @@ class TestFromMedia:
         rep = av_align_from_media(pair.video, pair.audio,
                                   peak_params=PeakPickParams(smoothing=1))
         assert (rep.audio_peaks, rep.video_peaks) == (0, 0)
+
+
+def _clip(shift_frames=0):
+    pair, _ = generate(SynthConfig(width=32, height=32, duration=2.5,
+                                   n_events=4, shift_frames=shift_frames,
+                                   seed=0))
+    return pair.video, pair.audio
+
+
+class TestPrecomputedMotion:
+    """motion= is the full-length curve; it must not change a report."""
+
+    @pytest.mark.parametrize("shift, audio_cut, kwargs", [
+        (0, 0, {}),
+        (12, 0, {}),
+        # audio 1.26 s: the 2.5-s video is cut to 30 frames, before its
+        # last event (frame 33)
+        (0, 19840, {}),
+        (0, 0, {"fps_override": 32.0}),
+        (0, 0, {"flow_params": FlowParams(alpha=4.0, iterations=30)}),
+    ], ids=["synced", "shifted 12 frames", "truncated video",
+            "fps override", "flow params"])
+    def test_report_equals_computing_the_curve(self, shift, audio_cut,
+                                               kwargs):
+        video, audio = _clip(shift)
+        if audio_cut:
+            audio = AudioSignal(audio.samples[:-audio_cut], audio.sample_rate)
+        curve = motion_curve(video, kwargs.get("flow_params"))
+        truncates = bool(audio_cut) or "fps_override" in kwargs
+        with warnings.catch_warnings(record=True) as plain_warnings:
+            warnings.simplefilter("always")
+            plain = av_align_from_media(video, audio, **kwargs)
+        with warnings.catch_warnings(record=True) as given_warnings:
+            warnings.simplefilter("always")
+            given = av_align_from_media(video, audio, motion=curve, **kwargs)
+        assert given.to_dict() == plain.to_dict()
+        assert len(given_warnings) == len(plain_warnings) == int(truncates)
+        assert plain.video_peaks > 0
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_curve_of_the_wrong_length_rejected(self, delta):
+        video, audio = _clip()
+        curve = motion_curve(video)
+        wrong = curve[:delta] if delta < 0 else np.append(curve, 0.0)
+        with pytest.raises(ShapeError):
+            av_align_from_media(video, audio, motion=wrong)

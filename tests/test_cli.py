@@ -5,10 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from tempokit import diffusion_toy
+from tempokit import diffusion_toy, motion_analysis
 from tempokit.cli import build_parser, main
-from tempokit.media_io import (read_condition, read_named_tensors,
-                               read_video, write_named_tensors)
+from tempokit.media_io import (AudioSignal, read_condition,
+                               read_named_tensors, read_video, read_wav,
+                               write_named_tensors, write_wav)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +69,87 @@ class TestAvAlign:
         assert code == 0
         assert out.count("score=") == 3  # two clips plus the mean line
         assert "mean_score=" in out
+
+
+def rescore_batch(corpus_dir, tmp_path, monkeypatch):
+    """A --batch input that scores clip_0000 against 3 audios, and
+    clip_0001 once. One audio is the first 2.1 s of clip_0000's, so the
+    4-s video is truncated to 50 frames, before its last event (frame
+    51). The files are linked into tmp_path, the working directory, so
+    the names printed are the relative paths of the batch lines."""
+    for i in range(2):
+        for ext in ("rvid", "wav"):
+            name = f"clip_{i:04d}.{ext}"
+            (tmp_path / name).symlink_to(corpus_dir / name)
+    audio = read_wav(corpus_dir / "clip_0000.wav")
+    write_wav(AudioSignal(audio.samples[:33600], audio.sample_rate),
+              tmp_path / "short.wav")
+    monkeypatch.chdir(tmp_path)
+    return ("clip_0000.rvid clip_0000.wav\n"
+            "clip_0001.rvid clip_0001.wav\n"
+            "clip_0000.rvid short.wav\n"
+            "clip_0000.rvid clip_0001.wav\n")
+
+
+# stdout for rescore_batch as printed when every line solved its own flow
+RESCORE_TEXT = ("clip_0000.rvid score=1.000000\n"
+                "clip_0001.rvid score=1.000000\n"
+                "clip_0000.rvid score=1.000000\n"
+                "clip_0000.rvid score=0.545455\n"
+                "mean_score=0.886364\n")
+RESCORE_JSON = {"clips": [
+    {"video": "clip_0000.rvid", "score": 1.0, "matched_audio": 6,
+     "matched_video": 6, "tolerance": 1, "audio_peaks": 6,
+     "video_peaks": 6, "union_size": 6, "vacuous": False},
+    {"video": "clip_0001.rvid", "score": 1.0, "matched_audio": 6,
+     "matched_video": 6, "tolerance": 1, "audio_peaks": 6,
+     "video_peaks": 6, "union_size": 6, "vacuous": False},
+    {"video": "clip_0000.rvid", "score": 1.0, "matched_audio": 5,
+     "matched_video": 5, "tolerance": 1, "audio_peaks": 5,
+     "video_peaks": 5, "union_size": 5, "vacuous": False},
+    {"video": "clip_0000.rvid", "score": 0.5454545454545454,
+     "matched_audio": 6, "matched_video": 6, "tolerance": 1,
+     "audio_peaks": 6, "video_peaks": 6, "union_size": 11, "vacuous": False},
+], "mean_score": 0.8863636363636364}
+
+
+class TestBatchSolvesEachVideoOnce:
+    @pytest.mark.parametrize("flags, expected", [
+        ([], RESCORE_TEXT),
+        (["--json"], json.dumps(RESCORE_JSON, indent=2) + "\n"),
+    ], ids=["text", "json"])
+    def test_output_unchanged(self, flags, expected, corpus_dir, tmp_path,
+                              monkeypatch, capsys):
+        lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        assert main(["av-align", "--batch"] + flags) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_one_solve_per_distinct_video(self, corpus_dir, tmp_path,
+                                          monkeypatch):
+        lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
+        solved = []
+        curve = motion_analysis.motion_curve
+
+        def counting_curve(video, params=None):
+            solved.append(video.frame_count)
+            return curve(video, params)
+
+        monkeypatch.setattr(motion_analysis, "motion_curve", counting_curve)
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        assert main(["av-align", "--batch"]) == 0
+        assert solved == [96, 96]
+
+    def test_malformed_line_exits_2_with_error_line(self, corpus_dir,
+                                                    monkeypatch, capsys):
+        video = corpus_dir / "clip_0000.rvid"
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f"{video} {corpus_dir / 'clip_0000.wav'}\n{video}\n"))
+        assert main(["av-align", "--batch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --batch line 2: expected 'video audio'" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestTokens:
@@ -307,6 +389,13 @@ BAD_INPUTS = {
     "checkpoint bias one entry short": [
         "generate", "--ckpt", "{tmp}/short_bias.ckpt", "--audio",
         "{corpus}/clip_0000.wav", "--out", "{tmp}/g.rvid"],
+    "tokens without a source": ["tokens", "--out", "{tmp}/t.ttc"],
+    "tokens audio without the toy encoder": [
+        "tokens", "--audio", "{corpus}/clip_0000.wav", "--out",
+        "{tmp}/t.ttc"],
+    "tokens segment dim the mapper does not take": [
+        "tokens", "--audio", "{corpus}/clip_0000.wav", "--toy-encoder",
+        "--dim", "5", "--out", "{tmp}/t.ttc"],
 }
 
 

@@ -15,13 +15,15 @@ from tempokit.media_io import (AudioEmbeddings, AudioSignal, ConditionFile,
 
 
 def craft_wav(path, pcm, channels=1, sample_rate=16000, audio_format=1,
-              bits=16):
-    """Hand-rolled WAV writer used as an independent oracle for read_wav."""
+              bits=16, extra=b""):
+    """Hand-rolled WAV writer used as an independent oracle for read_wav.
+    extra holds whole chunks to place between the fmt and data chunks."""
     data = pcm.astype("<i2").tobytes()
     fmt = struct.pack("<HHIIHH", audio_format, channels, sample_rate,
                       sample_rate * 2 * channels, 2 * channels, bits)
     body = b"WAVE"
     body += b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += extra
     body += b"data" + struct.pack("<I", len(data)) + data
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
@@ -84,18 +86,27 @@ class TestWav:
 
 
     def test_reads_from_a_pipe(self, tmp_path):
-        # a pipe has no size to check a declared chunk size against
-        path = tmp_path / "a.wav"
-        craft_wav(path, np.arange(-3000, 3000, dtype=np.int16))
-        fifo = tmp_path / "fifo"
-        os.mkfifo(fifo)
-        writer = threading.Thread(
-            target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
-        writer.start()
-        got = read_wav(fifo)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-        np.testing.assert_array_equal(got.samples, read_wav(path).samples)
+        # a pipe can neither be sized against a declared chunk size nor
+        # seeked past a chunk read_wav does not use
+        extras = {
+            "plain": b"",
+            "list": b"LIST" + struct.pack("<I", 4) + b"INFO",
+            "odd": b"junk" + struct.pack("<I", 3) + b"abc\x00",  # pad byte
+        }
+        for name, extra in extras.items():
+            path = tmp_path / f"{name}.wav"
+            craft_wav(path, np.arange(-3000, 3000, dtype=np.int16),
+                      extra=extra)
+            fifo = tmp_path / f"{name}.fifo"
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_bytes,
+                                      args=(path.read_bytes(),), daemon=True)
+            writer.start()
+            got = read_wav(fifo)
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            np.testing.assert_array_equal(got.samples,
+                                          read_wav(path).samples)
 
 
 class TestRvid:
