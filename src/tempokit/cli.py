@@ -7,6 +7,12 @@ Subcommands:
   train-toy  train the adapter on a corpus, write a TTCKPT1 checkpoint
   generate   sample a video from a checkpoint and an audio file
 
+av-align checks every pair (files, frame shapes, durations) before it
+solves any flow. It then splits the optical flow of the distinct videos
+into frame-pair ranges across one process per core in its affinity mask
+(see worker_count; taskset restricts it); the output is byte-identical
+for any number of processes.
+
 Exit codes: 0 success, 2 format or input error, 3 duration mismatch
 beyond the truncation policy, 4 numeric failure (non-finite loss).
 
@@ -20,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -28,6 +35,7 @@ from . import (av_align, diffusion_toy, media_io, motion_analysis, synthgen,
 from .audio_analysis import toy_audio_features
 from .errors import (DurationError, FormatError, NumericError, ShapeError,
                      ValidationError)
+from .media_io import Video
 from .motion_analysis import FlowParams
 from .numerics import Rng
 from .peaks import PeakPickParams
@@ -105,6 +113,86 @@ def _load_config_file(path):
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
+def worker_count():
+    """Processes that solve av-align's flow: one per core this process
+    may run on (its affinity mask, so taskset restricts it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def plan_flow(videos, workers):
+    """Deal the frame pairs of videos, (key, frame_count, height, width)
+    tuples, into at most `workers` bins of about equal cost, counted as
+    pairs x height x width.
+
+    The pairs of all videos are laid end to end in the order given and
+    cut at the pair boundaries nearest to each equal share. So every
+    pair lands in exactly one bin, each bin's cost is within one pair of
+    its share, and a bin holds at most one range of each video. A bin is
+    a list of (key, start, stop) ranges, the pairs that end at frames
+    start..stop-1 (1 <= start < stop <= frame_count); empty bins are
+    dropped, so the first bin holds the first pair.
+    """
+    total = sum((n - 1) * h * w for _, n, h, w in videos)
+    bounds = [0]
+    for j in range(1, workers if total else 0):
+        share = total * j / workers
+        done = pairs = 0
+        for _, n, h, w in videos:
+            if done + (n - 1) * h * w >= share:
+                break
+            done += (n - 1) * h * w
+            pairs += n - 1
+        bounds.append(pairs + round((share - done) / (h * w)))
+    bounds.append(sum(n - 1 for _, n, _, _ in videos))
+    bins = [[] for _ in bounds[1:]]
+    first = 0  # index of each video's first pair in the whole sequence
+    for key, n, _, _ in videos:
+        for ranges, lo, hi in zip(bins, bounds, bounds[1:]):
+            lo, hi = max(lo, first), min(hi, first + n - 1)
+            if lo < hi:
+                ranges.append((key, lo - first + 1, hi - first + 1))
+        first += n - 1
+    return [ranges for ranges in bins if ranges]
+
+
+def solve_ranges(ranges, flow):
+    """The motion-curve pieces curve[start:stop] of the video file at
+    each (path, start, stop) range. Pool workers run this too: it gets
+    only paths, ranges and FlowParams, and returns float64 arrays."""
+    pieces = []
+    for path, start, stop in ranges:
+        video = media_io.read_video(path)
+        # the flow of a frame pair depends only on that pair
+        part = Video(video.frames[start - 1:stop], video.fps_num,
+                     video.fps_den)
+        pieces.append(motion_analysis.motion_curve(part, flow)[1:])
+    return pieces
+
+
+def solve_curves(videos, flow, workers):
+    """Full-length motion curves of videos, (path, frame_count, height,
+    width) tuples, keyed by path: the flow is split by plan_flow, this
+    process solves the first bin and a multiprocessing pool the rest.
+    The curves are bit-identical for any number of workers."""
+    bins = plan_flow(videos, workers)
+    if len(bins) > 1:
+        import multiprocessing  # only a command that starts a pool pays
+        with multiprocessing.Pool(len(bins) - 1) as pool:
+            pending = pool.starmap_async(
+                solve_ranges, [(ranges, flow) for ranges in bins[1:]])
+            results = [solve_ranges(bins[0], flow)] + pending.get()
+    else:
+        results = [solve_ranges(ranges, flow) for ranges in bins]
+    curves = {path: np.zeros(n) for path, n, _, _ in videos}
+    for ranges, pieces in zip(bins, results):
+        for (path, start, stop), piece in zip(ranges, pieces):
+            curves[path][start:stop] = piece
+    return curves
+
+
 def cmd_av_align(args):
     peaks = PeakPickParams(threshold_k=args.threshold_k,
                            smoothing=args.smoothing)
@@ -114,22 +202,22 @@ def cmd_av_align(args):
         num, den = _parse_fps(args.fps_override)
         fps = num / den
 
-    # video path, as written, -> its full-length motion curve: a video
-    # listed on several --batch lines has its flow solved once
-    curves = {}
+    # Every pair is checked, in input order, before any flow is solved.
+    # Only the shape of each video (by path, as written) is kept: a video
+    # listed on several --batch lines has its flow solved once.
+    pairs, shapes = [], {}
 
-    def score_pair(video_path, audio_path):
+    def check_pair(video_path, audio_path):
         video = media_io.read_video(video_path)
         audio = media_io.read_wav(audio_path)
-        if video_path not in curves:
-            curves[video_path] = motion_analysis.motion_curve(video, flow)
-        return av_align.av_align_from_media(
-            video, audio, peak_params=peaks, flow_params=flow,
-            tolerance=args.tolerance, fps_override=fps,
-            onset_win=args.onset_win, motion=curves[video_path])
+        motion_analysis.check_video(video)
+        # warns once here when the pair will be truncated
+        av_align._reconcile_durations(
+            video, audio, fps if fps is not None else video.fps)
+        pairs.append((video_path, audio_path))
+        shapes.setdefault(video_path, video.frames.shape[:3])
 
     if args.batch:
-        reports = []
         for lineno, raw in enumerate(sys.stdin, 1):
             line = raw.strip()
             if not line:
@@ -138,24 +226,38 @@ def cmd_av_align(args):
             if len(parts) != 2:
                 raise FormatError(f"--batch line {lineno}: expected "
                                   f"'video audio', got {len(parts)} fields")
-            reports.append((parts[0], score_pair(*parts)))
-        if args.json:
-            print(json.dumps(
-                {"clips": [{"video": name, **rep.to_dict()}
-                           for name, rep in reports],
-                 "mean_score": (float(np.mean([r.score for _, r in reports]))
-                                if reports else None)},
-                indent=2))
-        else:
-            for name, rep in reports:
-                print(f"{name} score={rep.score:.6f}")
-            if reports:
-                mean = np.mean([r.score for _, r in reports])
-                print(f"mean_score={mean:.6f}")
-        return EXIT_OK
+            check_pair(*parts)
+    else:
+        check_pair(args.video, args.audio)
 
-    report = score_pair(args.video, args.audio)
-    print(report.to_json() if args.json else report.to_text())
+    curves = solve_curves([(path, *shape) for path, shape in shapes.items()],
+                          flow, worker_count())
+    reports = []
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "durations differ", UserWarning)
+        for video_path, audio_path in pairs:
+            reports.append((video_path, av_align.av_align_from_media(
+                media_io.read_video(video_path),
+                media_io.read_wav(audio_path), peak_params=peaks,
+                flow_params=flow, tolerance=args.tolerance, fps_override=fps,
+                onset_win=args.onset_win, motion=curves[video_path])))
+
+    if not args.batch:
+        report = reports[0][1]
+        print(report.to_json() if args.json else report.to_text())
+    elif args.json:
+        print(json.dumps(
+            {"clips": [{"video": name, **rep.to_dict()}
+                       for name, rep in reports],
+             "mean_score": (float(np.mean([r.score for _, r in reports]))
+                            if reports else None)},
+            indent=2))
+    else:
+        for name, rep in reports:
+            print(f"{name} score={rep.score:.6f}")
+        if reports:
+            mean = np.mean([r.score for _, r in reports])
+            print(f"mean_score={mean:.6f}")
     return EXIT_OK
 
 

@@ -141,6 +141,20 @@ def _solve(f1, f2, params):
     return buf[..., 1:-1, 1:-1].copy()
 
 
+def _check_grids(shape):
+    if len(shape) not in (2, 3) or min(shape[-2:]) < 3:
+        raise ShapeError("frames must be 2-d grids of at least 3x3, "
+                         "or stacks of them")
+
+
+def check_video(video):
+    """Raise what motion_curve would raise on video's shape, without
+    solving any flow."""
+    if video.frame_count < 2:
+        raise ValidationError("motion curve needs at least 2 frames")
+    _check_grids(video.frames.shape[:3])
+
+
 def optical_flow(frame1, frame2, params=None):
     """Dense flow from frame1 to frame2 (gray grids in [0, 1]).
 
@@ -154,9 +168,7 @@ def optical_flow(frame1, frame2, params=None):
     f2 = np.asarray(frame2, dtype=np.float64)
     if f1.shape != f2.shape:
         raise ShapeError(f"frame shapes differ: {f1.shape} vs {f2.shape}")
-    if f1.ndim not in (2, 3) or min(f1.shape[-2:]) < 3:
-        raise ShapeError("frames must be 2-d grids of at least 3x3, "
-                         "or stacks of them")
+    _check_grids(f1.shape)
     stack = (-1,) + f1.shape[-2:]
     u, v = _solve(f1.reshape(stack), f2.reshape(stack), params)
     return FlowField(u.reshape(f1.shape), v.reshape(f1.shape))
@@ -164,8 +176,7 @@ def optical_flow(frame1, frame2, params=None):
 
 def motion_curve(video, params=None):
     """Mean flow magnitude per frame; index 0 has no predecessor and is 0."""
-    if video.frame_count < 2:
-        raise ValidationError("motion curve needs at least 2 frames")
+    check_video(video)
     height, width = video.frames.shape[1:3]
     chunk = max(1, PIXELS // (height * width))
     curve = np.zeros(video.frame_count)

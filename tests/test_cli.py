@@ -1,15 +1,19 @@
 import io
 import json
+import multiprocessing
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from tempokit import diffusion_toy, motion_analysis
+from tempokit import cli, diffusion_toy, motion_analysis
 from tempokit.cli import build_parser, main
-from tempokit.media_io import (AudioSignal, read_condition,
+from tempokit.errors import FormatError
+from tempokit.media_io import (AudioSignal, Video, read_condition,
                                read_named_tensors, read_video, read_wav,
-                               write_named_tensors, write_wav)
+                               write_named_tensors, write_video, write_wav)
+from tempokit.motion_analysis import FlowParams
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +131,9 @@ class TestBatchSolvesEachVideoOnce:
 
     def test_one_solve_per_distinct_video(self, corpus_dir, tmp_path,
                                           monkeypatch):
+        # calls counted in a pool worker would not reach this list; the
+        # split across workers is covered by TestFlowPlan
+        monkeypatch.setattr(cli, "worker_count", lambda: 1)
         lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
         solved = []
         curve = motion_analysis.motion_curve
@@ -150,6 +157,185 @@ class TestBatchSolvesEachVideoOnce:
         assert captured.out == ""
         assert "error: --batch line 2: expected 'video audio'" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestChecksBeforeFlow:
+    """Every batch line is checked, in input order, before any flow."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        calls = []
+        curve = motion_analysis.motion_curve
+
+        def counting_curve(video, params=None):
+            calls.append(video.frame_count)
+            return curve(video, params)
+
+        monkeypatch.setattr(motion_analysis, "motion_curve", counting_curve)
+        return calls
+
+    def test_duration_beyond_policy_exits_3_before_any_flow(
+            self, corpus_dir, tmp_path, monkeypatch, capsys, solved):
+        audio = read_wav(corpus_dir / "clip_0000.wav")
+        write_wav(AudioSignal(audio.samples[:16000], audio.sample_rate),
+                  tmp_path / "one_second.wav")
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f"{corpus_dir / 'clip_0000.rvid'} {corpus_dir / 'clip_0000.wav'}"
+            f"\n{corpus_dir / 'clip_0001.rvid'} {tmp_path / 'one_second.wav'}"
+            "\n"))
+        assert main(["av-align", "--batch"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: durations differ by 3.000s" in captured.err
+        assert solved == []
+
+    def test_short_video_is_the_first_error_reported(
+            self, corpus_dir, tmp_path, monkeypatch, capsys, solved):
+        write_video(Video(np.zeros((1, 8, 8, 3), np.uint8), 24),
+                    tmp_path / "one_frame.rvid")
+        write_video(Video(np.zeros((24, 2, 8, 3), np.uint8), 24),
+                    tmp_path / "thin.rvid")
+        wav = corpus_dir / "clip_0000.wav"
+        for bad, message in [("one_frame", "needs at least 2 frames"),
+                             ("thin", "at least 3x3")]:
+            # the missing file on the line after it is never reached
+            monkeypatch.setattr("sys.stdin", io.StringIO(
+                f"{corpus_dir / 'clip_0000.rvid'} {wav}\n"
+                f"{tmp_path / bad}.rvid {wav}\n"
+                f"{tmp_path / 'missing.rvid'} {wav}\n"))
+            assert main(["av-align", "--batch"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+            assert "missing.rvid" not in captured.err
+        assert solved == []
+
+    def test_truncation_warns_once_per_line(self, corpus_dir, tmp_path,
+                                            monkeypatch, capsys):
+        lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines + lines))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["av-align", "--batch", "--flow-iterations",
+                         "10"]) == 0
+        truncations = [w for w in caught
+                       if "durations differ" in str(w.message)]
+        assert len(truncations) == 2  # short.wav is on 2 of 8 lines
+
+
+@pytest.fixture(scope="module")
+def mixed_clips(tmp_path_factory):
+    """Two 1.5-s clips: 64x64 and 128x96."""
+    root = tmp_path_factory.mktemp("mixed")
+    for name, seed, size in [("small", 5, []),
+                             ("large", 6, ["--width", "128", "--height",
+                                           "96", "--kind", "flash"])]:
+        assert main(["gen-synth", "--out", str(root / name), "--clips", "1",
+                     "--seed", str(seed), "--duration", "1.5", "--events",
+                     "3"] + size) == 0
+    return {name: (str(root / name / "clip_0000.rvid"),
+                   str(root / name / "clip_0000.wav"))
+            for name in ("small", "large")}
+
+
+class TestFlowPlan:
+    SHAPES = [("a", 96, 64, 64), ("b", 96, 96, 128), ("c", 2, 3, 3),
+              ("d", 41, 64, 64), ("e", 7, 96, 128)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7, 64])
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_every_pair_solved_once_in_balanced_bins(self, workers, count):
+        videos = self.SHAPES[:count]
+        bins = cli.plan_flow(videos, workers)
+        assert bins == cli.plan_flow(videos, workers)
+        assert 1 <= len(bins) <= workers
+        for key, n, _, _ in videos:
+            ranges = sorted((start, stop) for ranges in bins
+                            for k, start, stop in ranges if k == key)
+            assert ranges[0][0] == 1 and ranges[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            assert all(start < stop for start, stop in ranges)
+        size = {key: h * w for key, _, h, w in videos}
+        share = sum((n - 1) * h * w for _, n, h, w in videos) / workers
+        for ranges in bins:
+            assert len({key for key, _, _ in ranges}) == len(ranges)
+            cost = sum((stop - start) * size[key]
+                       for key, start, stop in ranges)
+            assert abs(cost - share) <= max(size.values())
+
+    def test_align_distinct_shapes_split_without_cutting_a_video(self):
+        videos = [("s0", 96, 64, 64), ("s1", 96, 64, 64),
+                  ("s2", 96, 64, 64), ("big", 96, 96, 128)]
+        assert cli.plan_flow(videos, 2) == [
+            [("s0", 1, 96), ("s1", 1, 96), ("s2", 1, 96)],
+            [("big", 1, 96)]]
+
+    def test_no_videos_no_bins(self):
+        assert cli.plan_flow([], 2) == []
+
+
+class TestParallelFlow:
+    @pytest.mark.parametrize("flags", [["--batch"], ["--batch", "--json"],
+                                       [], ["--json"]],
+                             ids=["batch", "batch-json", "pair", "pair-json"])
+    def test_output_identical_at_1_and_2_workers(self, flags, mixed_clips,
+                                                 monkeypatch, capsys):
+        small, large = mixed_clips["small"], mixed_clips["large"]
+        lines = (f"{small[0]} {small[1]}\n{large[0]} {large[1]}\n"
+                 f"{small[0]} {large[1]}\n")
+        argv = ["av-align", "--flow-iterations", "20"] + flags
+        if "--batch" not in flags:
+            argv += ["--video", large[0], "--audio", small[1]]
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "worker_count", lambda: workers)
+            monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("score") == (4 if "--batch" in flags else 1)
+
+    def test_spawned_workers_give_the_serial_curves(self, mixed_clips):
+        # spawn is the default start method on macOS; it and forkserver
+        # (the Linux default from Python 3.14) pickle the work
+        videos = [(path, *read_video(path).frames.shape[:3])
+                  for path, _ in mixed_clips.values()]
+        flow = FlowParams(iterations=20)
+        default = multiprocessing.get_start_method()
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            spawned = cli.solve_curves(videos, flow, 3)
+        finally:
+            multiprocessing.set_start_method(default, force=True)
+        assert multiprocessing.active_children() == []
+        for path, _, _, _ in videos:
+            assert np.array_equal(spawned[path], motion_analysis.motion_curve(
+                read_video(path), flow))
+
+    def test_worker_error_exits_with_its_code(self, mixed_clips, tmp_path,
+                                              monkeypatch, capsys):
+        broken = tmp_path / "broken.rvid"
+        with open(mixed_clips["large"][0], "rb") as fh:
+            broken.write_bytes(fh.read(100))
+        with pytest.raises(FormatError) as raised:
+            read_video(broken)
+        plan = cli.plan_flow
+
+        def plan_with_a_broken_worker(videos, workers):
+            bins = plan(videos, workers)
+            bins[1] = [(str(broken), start, stop)
+                       for _, start, stop in bins[1]]
+            return bins
+
+        monkeypatch.setattr(cli, "plan_flow", plan_with_a_broken_worker)
+        monkeypatch.setattr(cli, "worker_count", lambda: 2)
+        video, audio = mixed_clips["large"]
+        assert main(["av-align", "--video", video, "--audio", audio,
+                     "--flow-iterations", "20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {raised.value}\n"
+        assert multiprocessing.active_children() == []
 
 
 class TestTokens:
@@ -279,6 +465,25 @@ class TestTrainAndGenerate:
                          "--steps", "300", "--lr", "1e9",
                          "--ckpt", str(tmp_path / "x.ckpt"), "--seed", "1"])
         assert code == 4
+
+    def test_readme_recipe_trains_the_seed_27_corpus(self, tmp_path,
+                                                     capsys):
+        # plain SGD left this corpus with a non-finite loss at step 5,
+        # after numpy overflow warnings
+        corpus = tmp_path / "c27"
+        assert main(["gen-synth", "--out", str(corpus), "--seed", "27"]) == 0
+        log = tmp_path / "loss.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train-toy", "--corpus", str(corpus), "--steps",
+                         "200", "--lr", "2e-3", "--lambda-l1", "0.5",
+                         "--ckpt", str(tmp_path / "x.ckpt"), "--loss-log",
+                         str(log), "--seed", "27"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        history = [float(x) for x in log.read_text().split()]
+        assert len(history) == 200 and np.all(np.isfinite(history))
+        assert np.mean(history[-20:]) < 0.5 * np.mean(history[:20])
 
     def test_generate_writes_expected_frames(self, corpus_dir, tmp_path,
                                              capsys):

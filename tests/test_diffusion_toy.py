@@ -317,13 +317,30 @@ class TestTrain:
         assert dt.params_hash(comp.codec.arrays()) == frozen_before[1]
         assert dt.params_hash(comp.mapper.arrays()) != mapper_before
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale, step_norm", [(1, 15.7226), (100, 1000)])
+    def test_steps_longer_than_the_norm_limit_are_clipped(self, scale,
+                                                          step_norm):
+        comp = dt.build_components(TINY, seed=25)
+        items = [dt.TrainItem(Rng(81).normal((6, TINY.latent_dim)),
+                              scale * Rng(82).normal((6, 1, 3)))]
+        before = dt.flatten_trainable(comp.mapper, comp.pooling)
+        config = dt.TrainConfig(batch_videos=2, frames_per_video=2, steps=1,
+                                learning_rate=1e-3, lambda_l1=0.1, seed=8)
+        dt.train(items, config, comp.mapper, comp.pooling, comp.denoiser,
+                 comp.schedule)
+        moved = dt.flatten_trainable(comp.mapper, comp.pooling) - before
+        assert np.linalg.norm(moved) / 1e-3 == pytest.approx(step_norm,
+                                                             rel=1e-5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_loss_aborts_with_step_info(self):
+        # Clipped steps are at most learning_rate * MAX_GRAD_NORM long, so
+        # it takes a rate whose first step overflows the next forward.
         comp = dt.build_components(TINY, seed=24)
         items = [dt.TrainItem(Rng(79).normal((6, TINY.latent_dim)),
                               Rng(80).normal((6, 1, 3)))]
         config = dt.TrainConfig(batch_videos=2, frames_per_video=2,
-                                steps=500, learning_rate=1e9,
+                                steps=500, learning_rate=1e300,
                                 lambda_l1=0.1, seed=7)
         with pytest.raises(NumericError, match="step"):
             dt.train(items, config, comp.mapper, comp.pooling, comp.denoiser,
