@@ -227,6 +227,8 @@ def cmd_av_align(args):
                 raise FormatError(f"--batch line {lineno}: expected "
                                   f"'video audio', got {len(parts)} fields")
             check_pair(*parts)
+    elif args.video is None or args.audio is None:
+        raise ValidationError("av-align needs --video and --audio, or --batch")
     else:
         check_pair(args.video, args.audio)
 

@@ -5,17 +5,18 @@ orthonormal projection stands in for the latent autoencoder, and the
 denoiser is a per-frame residual MLP whose condition summary comes from
 single-head cross-attention (query from the noised latent, keys/values
 from that frame's conditioning tokens). The denoiser always runs on a
-batch of frames: training makes one forward and one backward per clip
-(total_loss_and_grads, the only loss), and sampling denoises all frames
-of a clip together. Only the audio mapper and the attentive pooling
+batch of frames: a training step stacks its clips into (B, L, ...)
+arrays and makes one forward and one backward through the adapter and
+the denoiser (total_loss_and_grads, the only loss), with the gradients
+of the clips summed in clip order; sampling denoises all frames of a
+clip together. Only the audio mapper and the attentive pooling
 parameters receive gradients; the training loop verifies this by
 hashing the frozen parameters.
 
 Checkpoints are TTCKPT1 files (see tempokit.media_io): named float32
 tensor records for every parameter plus two metadata records,
-"schedule.betas" (the noise schedule) and "meta.dims" with the integer
-layout [embed_layers, embed_dim, token_dim, time_dim, frames_per_video,
-width, height, fps_num, fps_den].
+"schedule.betas" (the noise schedule) and "meta.dims", the integer
+ModelDims fields named by META_DIMS followed by fps_num and fps_den.
 """
 
 import hashlib
@@ -116,9 +117,10 @@ class LatentCodec:
 
     def encode(self, frames):
         """uint8 frames (L, H, W, 3) -> latents (L, latent_dim)."""
-        flat = np.asarray(frames, dtype=np.float64).reshape(
-            frames.shape[0], -1)
-        return (flat / 127.5 - 1.0) @ self.encoder.T
+        flat = np.array(frames, dtype=np.float64)
+        flat /= 127.5
+        flat -= 1.0
+        return flat.reshape(flat.shape[0], -1) @ self.encoder.T
 
     def decode(self, latents):
         """latents (L, latent_dim) -> uint8 frames (L, H, W, 3)."""
@@ -142,11 +144,12 @@ def create_codec(width, height, latent_dim, rng):
 # ---------------------------------------------------------------------------
 
 def time_embedding(t, dim):
-    """Sinusoidal embedding of an integer timestep."""
+    """Sinusoidal embedding of an integer timestep (dim,), or of each of
+    an array of timesteps (..., dim)."""
     half = dim // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
-    angles = t * freqs
-    return np.concatenate([np.sin(angles), np.cos(angles)])
+    angles = np.multiply.outer(t, freqs)
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
 @dataclass
@@ -238,20 +241,23 @@ def create_denoiser(latent_dim, token_dim, rng, attn_dim=16, value_dim=16,
 
 
 def _denoiser_forward(den, z_t, t, cond_tokens):
-    """Batched forward over N frames: z_t (N, latent), cond (N, T, D)."""
+    """Batched forward over N frames: z_t (N, latent), cond (N, T, D) at
+    timestep t; or over B clips of N frames, z_t (B, N, latent) and cond
+    (B, N, T, D), with one timestep per clip in t (B,)."""
     z_t = np.asarray(z_t, dtype=np.float64)
     cond = np.asarray(cond_tokens, dtype=np.float64)
-    temb = np.broadcast_to(time_embedding(t, den.time_dim),
-                           (z_t.shape[0], den.time_dim))
+    temb = np.broadcast_to(time_embedding(t, den.time_dim)[..., None, :],
+                           z_t.shape[:-1] + (den.time_dim,))
     query = z_t @ den.query_proj.T + den.query_bias
     keys = cond @ den.key_proj.T + den.key_bias
     values = cond @ den.value_proj.T + den.value_bias
-    scores = np.einsum("nta,na->nt", keys, query) / np.sqrt(query.shape[1])
-    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights /= weights.sum(axis=1, keepdims=True)
-    summary = np.einsum("nt,ntv->nv", weights, values)
+    scores = np.einsum("...ta,...a->...t", keys, query) / np.sqrt(
+        query.shape[-1])
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    summary = np.einsum("...t,...tv->...v", weights, values)
 
-    mlp_in = np.concatenate([z_t, temb, summary], axis=1)
+    mlp_in = np.concatenate([z_t, temb, summary], axis=-1)
     pre1 = mlp_in @ den.mlp1.T + den.mlp1_bias
     h1 = gelu(pre1)
     pre2 = h1 @ den.mlp2.T + den.mlp2_bias
@@ -263,19 +269,20 @@ def _denoiser_forward(den, z_t, t, cond_tokens):
 
 def _denoiser_backward_to_cond(den, d_pred, cache):
     """Gradient of the batched prediction w.r.t. the condition tokens
-    only (the denoiser itself is frozen): (N, latent) -> (N, T, D)."""
+    only (the denoiser itself is frozen): (..., N, latent) ->
+    (..., N, T, D)."""
     query, values, weights, pre1, pre2 = cache
     d_h2 = d_pred @ den.out
     d_h1 = d_h2 + (gelu_grad(pre2) * d_h2) @ den.mlp2
     d_in = (gelu_grad(pre1) * d_h1) @ den.mlp1
-    d_summary = d_in[:, -values.shape[2]:] + d_pred @ den.summary_skip
+    d_summary = d_in[..., -values.shape[-1]:] + d_pred @ den.summary_skip
 
-    d_weights = np.einsum("ntv,nv->nt", values, d_summary)
-    d_values = weights[:, :, None] * d_summary[:, None, :]
+    d_weights = np.einsum("...tv,...v->...t", values, d_summary)
+    d_values = weights[..., None] * d_summary[..., None, :]
     d_scores = weights * (d_weights - (weights * d_weights).sum(
-        axis=1, keepdims=True))
-    d_keys = d_scores[:, :, None] * query[:, None, :] / np.sqrt(
-        query.shape[1])
+        axis=-1, keepdims=True))
+    d_keys = d_scores[..., None] * query[..., None, :] / np.sqrt(
+        query.shape[-1])
     return d_values @ den.value_proj + d_keys @ den.key_proj
 
 
@@ -292,12 +299,23 @@ def sample_step_noise(latents, schedule, rng):
 
 
 def _tokens_and_condition(embeddings, mapper, pooling):
-    length = embeddings.shape[0]
-    flat_in = np.asarray(embeddings, dtype=np.float64).reshape(length, -1)
+    """Tokens and per-frame conditions of one clip's (L, H_layers, d)
+    embeddings, or of each clip of a (B, L, H_layers, d) stack."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    flat_in = emb.reshape(emb.shape[:-2] + (-1,))
     tokens_flat, mapper_cache = mapper_forward(flat_in, mapper)
     pooled, _, pool_cache = pool_forward(tokens_flat, pooling)
     cond = condition_values(tokens_flat, pooled)
     return tokens_flat, cond, mapper_cache, pool_cache
+
+
+def _sum_clips(per_clip):
+    """Sum over the leading clip axis, adding clip after clip in batch
+    order: the additions of a running per-clip total."""
+    total = per_clip[0].copy()
+    for clip in per_clip[1:]:
+        total += clip
+    return total
 
 
 def total_loss_and_grads(batch, noises, mapper, pooling, denoiser, schedule,
@@ -305,50 +323,55 @@ def total_loss_and_grads(batch, noises, mapper, pooling, denoiser, schedule,
     """Training loss plus analytic gradients for mapper and pooling.
 
     Batch items are (latents (L, latent_dim), embeddings (L, H_layers,
-    d)); noises supplies the (t, eps) pair per item (sample_step_noise),
-    so the same function serves the SGD loop, finite-difference checks
-    and tests. Frame i attends to its own condition row. The loss per
-    item is the squared noise-prediction error averaged over frames (a
-    denoiser that predicts zero scores about latent_dim on unit-normal
-    noise) plus the mean token L1 penalty; items are averaged.
+    d)), all of one length L; noises supplies the (t, eps) pair per item
+    (sample_step_noise), so the same function serves the SGD loop,
+    finite-difference checks and tests. Frame i attends to its own
+    condition row. The loss per item is the squared noise-prediction
+    error averaged over frames (a denoiser that predicts zero scores
+    about latent_dim on unit-normal noise) plus the mean token L1
+    penalty; items are averaged.
+
+    The items are stacked into (B, L, ...) arrays and go through one
+    forward and one backward. Each product runs once per clip, so every
+    clip's loss and gradients are those of a one-clip batch; they are
+    summed in clip order and divided by B, which makes the result
+    independent of how many clips share the pass, bit for bit.
     """
-    n_items = len(batch)
-    grads = {name: np.zeros_like(arr)
-             for name, arr in mapper.arrays() + pooling.arrays()}
-    total = 0.0
-
-    for (latents, embeddings), (t, eps) in zip(batch, noises):
-        latents = np.asarray(latents, dtype=np.float64)
-        length = latents.shape[0]
-        if len(embeddings) != length:
+    for latents, embeddings in batch:
+        if len(embeddings) != len(latents):
             raise ShapeError(
-                f"{len(embeddings)} condition frames for {length} video "
-                f"frames")
-        tokens_flat, cond, mapper_cache, pool_cache = _tokens_and_condition(
-            embeddings, mapper, pooling)
+                f"{len(embeddings)} condition frames for {len(latents)} "
+                f"video frames")
+    lengths = {len(latents) for latents, _ in batch}
+    if len(lengths) != 1:
+        raise ShapeError(
+            f"batch items differ in length: {sorted(lengths)} frames")
+    n_items, length = len(batch), lengths.pop()
 
-        z_t = forward_noise(latents, t, eps, schedule)
-        pred, cache = _denoiser_forward(denoiser, z_t, t, cond)
-        resid = pred - eps
-        reg = lambda_l1 / length * np.abs(tokens_flat).sum()
-        total += (resid * resid).sum() / length + reg
+    timesteps = np.array([t for t, _ in noises])
+    eps = np.stack([noise for _, noise in noises])
+    tokens_flat, cond, mapper_cache, pool_cache = _tokens_and_condition(
+        np.stack([embeddings for _, embeddings in batch]), mapper, pooling)
+    z_t = np.stack([forward_noise(latents, t, noise, schedule)
+                    for (latents, _), (t, noise) in zip(batch, noises)])
+    pred, cache = _denoiser_forward(denoiser, z_t, timesteps, cond)
+    resid = pred - eps
+    losses = ((resid * resid).reshape(n_items, -1).sum(axis=1) / length
+              + lambda_l1 / length
+              * np.abs(tokens_flat).reshape(n_items, -1).sum(axis=1))
 
-        d_cond = _denoiser_backward_to_cond(denoiser, 2.0 * resid / length,
-                                            cache)
-        d_tokens, d_pooled = condition_backward(d_cond, length)
-        d_tokens_pool, pool_grads = pool_backward(
-            d_pooled, pool_cache, pooling)
-        d_tokens += d_tokens_pool
-        d_tokens += lambda_l1 / length * np.sign(tokens_flat)
-        _, mapper_grads = mapper_backward(d_tokens, mapper_cache, mapper)
+    d_cond = _denoiser_backward_to_cond(denoiser, 2.0 * resid / length,
+                                        cache)
+    d_tokens, d_pooled = condition_backward(d_cond, length)
+    d_tokens_pool, pool_grads = pool_backward(d_pooled, pool_cache, pooling)
+    d_tokens += d_tokens_pool
+    d_tokens += lambda_l1 / length * np.sign(tokens_flat)
+    _, mapper_grads = mapper_backward(d_tokens, mapper_cache, mapper)
 
-        for name, grad in {**pool_grads, **mapper_grads}.items():
-            grads[name] += grad
-
-    total /= n_items
-    for name in grads:
-        grads[name] = grads[name] / n_items
-    return total, grads
+    per_clip = {**mapper_grads, **pool_grads}
+    grads = {name: _sum_clips(per_clip[name]) / n_items
+             for name, _ in mapper.arrays() + pooling.arrays()}
+    return _sum_clips(losses) / n_items, grads
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +575,12 @@ class ModelDims:
         return self.embed_layers * self.token_dim
 
 
+# The ModelDims fields of a checkpoint's "meta.dims" record, in order;
+# the two fps entries (numerator, denominator) follow them.
+META_DIMS = ("embed_layers", "embed_dim", "token_dim", "time_dim",
+             "frames_per_video", "width", "height")
+
+
 def desk_train_dims():
     """The training profile the CLI and shipped experiments use: narrow
     mapper, 4-d latents, and a biased frozen head for the adapter to
@@ -600,11 +629,9 @@ def save_checkpoint(components, path):
                       + c.denoiser.arrays() + c.codec.arrays()):
         records[name] = arr
     records["schedule.betas"] = c.schedule.betas
-    records["meta.dims"] = np.array([
-        c.dims.embed_layers, c.dims.embed_dim, c.dims.token_dim,
-        c.dims.time_dim, c.dims.frames_per_video, c.dims.width,
-        c.dims.height, c.dims.fps[0], c.dims.fps[1],
-    ], dtype=np.float64)
+    records["meta.dims"] = np.array(
+        [*(getattr(c.dims, name) for name in META_DIMS), *c.dims.fps],
+        dtype=np.float64)
     write_named_tensors(records, path)
 
 
@@ -620,11 +647,12 @@ def load_checkpoint(path):
     records = read_named_tensors(path)
     try:
         meta = records["meta.dims"].astype(int)
-        if meta.shape != (9,):
+        want = (len(META_DIMS) + 2,)
+        if meta.shape != want:
             raise ValidationError(
-                f"checkpoint meta.dims has shape {meta.shape}, want (9,)")
-        (embed_layers, embed_dim, token_dim, time_dim, frames_per_video,
-         width, height, fps_num, fps_den) = meta
+                f"checkpoint meta.dims has shape {meta.shape}, want {want}")
+        *sizes, fps_num, fps_den = (int(v) for v in meta)
+        meta_dims = dict(zip(META_DIMS, sizes), fps=(fps_num, fps_den))
         betas = records["schedule.betas"]
 
         layers = [LinearLayer(records[f"mapper.{i}.weight"],
@@ -632,16 +660,16 @@ def load_checkpoint(path):
         mapper = MapperParams(layers)
         pooling = _params_from_records(PoolingParams, "pooling", records)
         denoiser = _params_from_records(DenoiserParams, "denoiser", records,
-                                        time_dim=int(time_dim))
-        codec = LatentCodec(records["codec.encoder"], int(width), int(height))
+                                        time_dim=meta_dims["time_dim"])
+        codec = LatentCodec(records["codec.encoder"], meta_dims["width"],
+                            meta_dims["height"])
     except KeyError as exc:
         raise ValidationError(f"checkpoint missing record {exc}") from exc
 
     alphas = 1.0 - betas
     schedule = NoiseSchedule(betas, alphas, np.cumprod(alphas))
     dims = ModelDims(
-        embed_layers=int(embed_layers), embed_dim=int(embed_dim),
-        token_dim=int(token_dim),
+        **meta_dims,
         mapper_hidden=tuple(l.out_dim for l in layers[:3]),
         pool_hidden=pooling.local_score.size,
         pool_cross=pooling.cross_left.shape[0],
@@ -649,9 +677,6 @@ def load_checkpoint(path):
         attn_dim=denoiser.query_proj.shape[0],
         value_dim=denoiser.value_proj.shape[0],
         denoiser_hidden=denoiser.mlp1.shape[0],
-        time_dim=int(time_dim), timesteps=betas.size,
-        width=int(width), height=int(height),
-        fps=(int(fps_num), int(fps_den)),
-        frames_per_video=int(frames_per_video),
+        timesteps=betas.size,
     )
     return Components(mapper, pooling, denoiser, codec, schedule, dims)

@@ -113,14 +113,15 @@ def gelu_grad(x):
 
 
 def softmax(v):
-    """Stable softmax of a vector (max-subtracted)."""
+    """Stable softmax (max-subtracted) along the last axis: of a vector,
+    or of each row of a stack of vectors."""
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"softmax expects a vector, got shape {v.shape}")
-    if v.size == 0:
+    if v.ndim < 1:
+        raise ShapeError("softmax expects a vector, got a scalar")
+    if v.shape[-1] == 0:
         raise ValidationError("softmax of an empty vector is undefined")
-    shifted = np.exp(v - v.max())
-    return shifted / shifted.sum()
+    shifted = np.exp(v - v.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def grad_check(f, params, eps=1e-5):

@@ -13,6 +13,12 @@ them. The context windows are one linear operator, the cached
 averaging matrix window_matrix(L): window_stack applies it and
 condition_backward applies its transpose. All analytic gradients here
 are validated against central finite differences in the test suite.
+
+The forward and backward ops take one clip, (L, ...), or a stack of
+clips of one length, (B, L, ...). A stack is B independent problems:
+every product runs once per clip on the same operands, so clip b of a
+stack gives the bytes of the one-clip call, and the backward ops return
+one weight gradient per clip along the leading axis.
 """
 
 import functools
@@ -26,6 +32,11 @@ from .numerics import (gelu, gelu_grad, linear_forward, linear_init,
                        softmax)
 
 COSINE_NORM_FLOOR = 1e-12
+
+
+def _t(x):
+    """Transpose the last two axes (the matrix transpose of each clip)."""
+    return np.swapaxes(x, -1, -2)
 
 
 @dataclass
@@ -153,8 +164,8 @@ class TempoTokens:
 # ---------------------------------------------------------------------------
 
 def mapper_forward(flat_in, params):
-    """Run the segment MLP on (L, in_dim); returns output and a cache
-    for mapper_backward."""
+    """Run the segment MLP on (L, in_dim) or (B, L, in_dim); returns
+    output and a cache for mapper_backward."""
     activations = [np.asarray(flat_in, dtype=np.float64)]
     pre_acts = []
     x = activations[0]
@@ -167,15 +178,16 @@ def mapper_forward(flat_in, params):
 
 
 def mapper_backward(d_out, cache, params):
-    """Backprop through the segment MLP. Returns (d_input, grads)."""
+    """Backprop through the segment MLP. Returns (d_input, grads); for a
+    (B, L, ·) stack each gradient has a leading axis of B clips."""
     activations, pre_acts = cache
     grads = {}
     delta = np.asarray(d_out, dtype=np.float64)
     for i in reversed(range(4)):
         if i < 3:
             delta = delta * gelu_grad(pre_acts[i])
-        grads[f"mapper.{i}.weight"] = delta.T @ activations[i]
-        grads[f"mapper.{i}.bias"] = delta.sum(axis=0)
+        grads[f"mapper.{i}.weight"] = _t(delta) @ activations[i]
+        grads[f"mapper.{i}.bias"] = delta.sum(axis=-2)
         delta = delta @ params.layers[i].weight
     return delta, grads
 
@@ -234,20 +246,22 @@ def window_average(tokens, lo, hi):
 # ---------------------------------------------------------------------------
 
 def pool_forward(flat_tokens, params):
-    """Attentive pooling over flattened tokens (L, D).
+    """Attentive pooling over flattened tokens (L, D), or over each clip
+    of a (B, L, D) stack.
 
-    Returns (pooled (D,), p (L,), cache). The attention distribution is
+    Returns (pooled (D,), p (L,), cache), with a leading B axis on
+    pooled and p for a stack. The attention distribution is
     softmax(alpha_local * local + alpha_cross * cross) where local is a
     scored relu projection of each token and cross sums the cosine
     similarities between the token's left embedding and every token's
     right embedding (pairs with a near-zero norm contribute 0).
     """
     a = np.asarray(flat_tokens, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError("flat tokens must be 2-d")
-    if a.shape[1] != params.token_dim:
+    if a.ndim not in (2, 3):
+        raise ShapeError("flat tokens must be (L, D) or (B, L, D)")
+    if a.shape[-1] != params.token_dim:
         raise ShapeError(
-            f"token dim {a.shape[1]} != pooling dim {params.token_dim}")
+            f"token dim {a.shape[-1]} != pooling dim {params.token_dim}")
 
     z = a @ params.local_proj.T
     r = np.maximum(z, 0.0)
@@ -255,53 +269,62 @@ def pool_forward(flat_tokens, params):
 
     x = a @ params.cross_left.T
     y = a @ params.cross_right.T
-    x_norm = np.linalg.norm(x, axis=1)
-    y_norm = np.linalg.norm(y, axis=1)
+    x_norm = np.linalg.norm(x, axis=-1)
+    y_norm = np.linalg.norm(y, axis=-1)
     x_ok = x_norm >= COSINE_NORM_FLOOR
     y_ok = y_norm >= COSINE_NORM_FLOOR
     x_unit = np.zeros_like(x)
     x_unit[x_ok] = x[x_ok] / x_norm[x_ok, None]
     y_unit = np.zeros_like(y)
     y_unit[y_ok] = y[y_ok] / y_norm[y_ok, None]
-    theta_cross = (x_unit @ y_unit.T).sum(axis=1)
+    theta_cross = (x_unit @ _t(y_unit)).sum(axis=-1)
 
     scores = (float(params.alpha_local) * theta_local
               + float(params.alpha_cross) * theta_cross)
     p = softmax(scores)
-    pooled = p @ a
+    pooled = (p[..., None, :] @ a)[..., 0, :]
     cache = (a, z, r, theta_local, x, y, x_norm, y_norm, x_ok, y_ok,
              x_unit, y_unit, theta_cross, p)
     return pooled, p, cache
 
 
 def pool_backward(d_pooled, cache, params):
-    """Backprop through pool_forward. Returns (d_flat_tokens, grads)."""
+    """Backprop through pool_forward. Returns (d_flat_tokens, grads); for
+    a stack each gradient has a leading axis of B clips.
+
+    Each product below is the one-clip product (outer, vector-matrix,
+    dot) written on a trailing unit axis, so a stack runs the same BLAS
+    call per clip."""
     (a, z, r, theta_local, x, y, x_norm, y_norm, x_ok, y_ok,
      x_unit, y_unit, theta_cross, p) = cache
     d_pooled = np.asarray(d_pooled, dtype=np.float64)
 
-    d_a = np.outer(p, d_pooled)
-    d_p = a @ d_pooled
-    d_scores = p * (d_p - p @ d_p)
+    d_a = p[..., :, None] * d_pooled[..., None, :]
+    d_p = (a @ d_pooled[..., :, None])[..., 0]
+    d_scores = p * (d_p - (p[..., None, :] @ d_p[..., :, None])[..., 0])
 
     d_theta_local = float(params.alpha_local) * d_scores
     d_theta_cross = float(params.alpha_cross) * d_scores
     grads = {
-        "pooling.alpha_local": np.array(d_scores @ theta_local),
-        "pooling.alpha_cross": np.array(d_scores @ theta_cross),
+        "pooling.alpha_local":
+            (d_scores[..., None, :] @ theta_local[..., :, None])[..., 0, 0],
+        "pooling.alpha_cross":
+            (d_scores[..., None, :] @ theta_cross[..., :, None])[..., 0, 0],
     }
 
     # local potential
-    d_r = np.outer(d_theta_local, params.local_score)
+    d_r = d_theta_local[..., :, None] * params.local_score
     d_z = d_r * (z > 0)
-    grads["pooling.local_score"] = r.T @ d_theta_local
-    grads["pooling.local_proj"] = d_z.T @ a
+    grads["pooling.local_score"] = (
+        _t(r) @ d_theta_local[..., :, None])[..., 0]
+    grads["pooling.local_proj"] = _t(d_z) @ a
     d_a += d_z @ params.local_proj
 
     # cross potential: theta_cross[u] = x_unit[u] . sum_i y_unit[i]
-    sum_y_unit = y_unit.sum(axis=0)
-    d_x_unit = np.outer(d_theta_cross, sum_y_unit)
-    d_y_unit = np.tile(x_unit.T @ d_theta_cross, (a.shape[0], 1))
+    sum_y_unit = y_unit.sum(axis=-2)
+    d_x_unit = d_theta_cross[..., :, None] * sum_y_unit[..., None, :]
+    d_y_unit = np.broadcast_to(
+        (_t(x_unit) @ d_theta_cross[..., :, None])[..., None, :, 0], y.shape)
 
     d_x = np.zeros_like(x)
     rows = x_ok
@@ -312,8 +335,8 @@ def pool_backward(d_pooled, cache, params):
     inner = (d_y_unit[rows] * y_unit[rows]).sum(axis=1, keepdims=True)
     d_y[rows] = (d_y_unit[rows] - inner * y_unit[rows]) / y_norm[rows, None]
 
-    grads["pooling.cross_left"] = d_x.T @ a
-    grads["pooling.cross_right"] = d_y.T @ a
+    grads["pooling.cross_left"] = _t(d_x) @ a
+    grads["pooling.cross_right"] = _t(d_y) @ a
     d_a += d_x @ params.cross_left
     d_a += d_y @ params.cross_right
     return d_a, grads
@@ -349,18 +372,21 @@ def window_matrix(length):
 
 
 def window_stack(flat_tokens):
-    """All per-frame context windows as one (L, resolutions(L), D) array."""
+    """All per-frame context windows as one (L, resolutions(L), D) array,
+    with a leading B axis for a (B, L, D) stack."""
     flat = np.asarray(flat_tokens, dtype=np.float64)
-    return np.einsum("fkl,ld->fkd", window_matrix(flat.shape[0]), flat)
+    return np.einsum("fkl,...ld->...fkd", window_matrix(flat.shape[-2]),
+                     flat)
 
 
 def condition_values(flat_tokens, pooled):
     """Per-frame condition rows (L, resolutions(L) + 1, D): the context
-    windows followed by the shared attentive token."""
+    windows followed by the shared attentive token (per clip for a
+    stack: pooled is then (B, D))."""
     windows = window_stack(flat_tokens)
-    length, _, dim = windows.shape
-    return np.concatenate(
-        [windows, np.broadcast_to(pooled, (length, 1, dim))], axis=1)
+    attentive = np.broadcast_to(pooled[..., None, None, :],
+                                windows.shape[:-2] + (1, windows.shape[-1]))
+    return np.concatenate([windows, attentive], axis=-2)
 
 
 def build_condition(tokens, params):
@@ -381,11 +407,11 @@ def condition_backward(d_values, length):
     Returns (d_flat_tokens, d_pooled): the window part goes through the
     transpose of window_matrix(length); the attentive part is summed
     over frames and must still be pushed through pool_backward by the
-    caller.
+    caller. A (B, L, T, D) stack gives both with a leading B axis.
     """
-    d_flat = np.einsum("fkl,fkd->ld", window_matrix(length),
-                       d_values[:, :-1])
-    d_pooled = d_values[:, -1].sum(axis=0)
+    d_flat = np.einsum("fkl,...fkd->...ld", window_matrix(length),
+                       d_values[..., :-1, :])
+    d_pooled = d_values[..., -1, :].sum(axis=-2)
     return d_flat, d_pooled
 
 

@@ -583,6 +583,9 @@ BAD_INPUTS = {
                             "{tmp}/h.ckpt", "--hidden", "a"],
     "two hidden sizes": ["train-toy", "--corpus", "{corpus}", "--ckpt",
                          "{tmp}/h.ckpt", "--hidden", "8,8"],
+    "av-align without inputs": ["av-align"],
+    "av-align --video without --audio": [
+        "av-align", "--video", "{corpus}/clip_0000.rvid"],
     "zero onset window": ["av-align", "{clip}", "--onset-win", "0"],
     "negative onset window": ["av-align", "{clip}", "--onset-win", "-5"],
     "checkpoint dims beyond the file": [

@@ -1,5 +1,9 @@
 import dataclasses
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +16,10 @@ from tempokit.media_io import AudioEmbeddings
 from tempokit.motion_analysis import motion_curve
 from tempokit.numerics import Rng, grad_check
 from tempokit.synthgen import SynthConfig, generate as synth_generate
-from tempokit.tempo_tokens import build_condition, map_audio
+from tempokit.tempo_tokens import (build_condition, condition_backward,
+                                   condition_values, map_audio,
+                                   mapper_backward, mapper_forward,
+                                   pool_backward, pool_forward)
 
 TINY = dt.ModelDims(embed_layers=1, embed_dim=3, token_dim=2,
                     mapper_hidden=(5, 4, 3), pool_hidden=3, pool_cross=2,
@@ -273,6 +280,127 @@ class TestGradients:
             [batch[i] for i in perm], [noises[i] for i in perm],
             comp.mapper, comp.pooling, comp.denoiser, comp.schedule, 0.2)
         assert loss_fwd == pytest.approx(loss_perm, abs=1e-12)
+
+
+def per_clip_loss_and_grads(batch, noises, mapper, pooling, denoiser,
+                            schedule, lambda_l1):
+    """Oracle: total_loss_and_grads as a loop of one-clip passes, summing
+    each clip's loss and gradients into running totals in batch order."""
+    grads = {name: np.zeros_like(arr)
+             for name, arr in mapper.arrays() + pooling.arrays()}
+    total = 0.0
+    for (latents, embeddings), (t, eps) in zip(batch, noises):
+        latents = np.asarray(latents, dtype=np.float64)
+        length = latents.shape[0]
+        flat_in = np.asarray(embeddings, dtype=np.float64).reshape(length, -1)
+        tokens_flat, mapper_cache = mapper_forward(flat_in, mapper)
+        pooled, _, pool_cache = pool_forward(tokens_flat, pooling)
+        cond = condition_values(tokens_flat, pooled)
+
+        z_t = dt.forward_noise(latents, t, eps, schedule)
+        pred, cache = dt._denoiser_forward(denoiser, z_t, t, cond)
+        resid = pred - eps
+        reg = lambda_l1 / length * np.abs(tokens_flat).sum()
+        total += (resid * resid).sum() / length + reg
+
+        d_cond = dt._denoiser_backward_to_cond(denoiser,
+                                               2.0 * resid / length, cache)
+        d_tokens, d_pooled = condition_backward(d_cond, length)
+        d_tokens_pool, pool_grads = pool_backward(d_pooled, pool_cache,
+                                                  pooling)
+        d_tokens += d_tokens_pool
+        d_tokens += lambda_l1 / length * np.sign(tokens_flat)
+        _, mapper_grads = mapper_backward(d_tokens, mapper_cache, mapper)
+        for name, grad in {**pool_grads, **mapper_grads}.items():
+            grads[name] += grad
+    total /= len(batch)
+    return total, {name: grad / len(batch) for name, grad in grads.items()}
+
+
+class TestStackedPass:
+    """total_loss_and_grads runs the batch as one stacked pass; every
+    figure must equal the per-clip loop bit for bit."""
+
+    @pytest.mark.parametrize("profile", ["tiny", "desk"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_per_clip_loop(self, profile, seed):
+        dims = TINY if profile == "tiny" else dt.desk_train_dims()
+        frames = 3 if profile == "tiny" else dims.frames_per_video
+        comp = dt.build_components(dims, seed=seed)
+        rng = Rng(seed).derive(9)
+        batch = [(rng.normal((frames, dims.latent_dim)),
+                  rng.normal((frames, dims.embed_layers, dims.embed_dim)))
+                 for _ in range(3)]
+        noises = item_noises(batch, comp.schedule, rng)
+        args = (batch, noises, comp.mapper, comp.pooling, comp.denoiser,
+                comp.schedule, 0.5)
+        loss, grads = dt.total_loss_and_grads(*args)
+        want_loss, want_grads = per_clip_loss_and_grads(*args)
+        assert loss == want_loss
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert grads[name].shape == want.shape, name
+            assert np.all(grads[name] == want), name
+
+    def test_items_of_different_lengths_are_rejected(self):
+        comp = dt.build_components(TINY, seed=2)
+        batch = tiny_batch(n_items=1, frames=3) + tiny_batch(n_items=1,
+                                                              frames=4)
+        with pytest.raises(ShapeError, match="differ in length"):
+            batch_loss(batch, comp, 0.0, Rng(29))
+
+    @pytest.mark.parametrize("clips", [1, 3])
+    def test_each_clip_of_a_stack_gives_the_one_clip_bytes(self, clips):
+        comp = dt.build_components(dt.desk_train_dims(), seed=4)
+        rng = Rng(12)
+        stack = rng.normal((clips, 24, comp.mapper.in_dim))
+        tokens, _ = mapper_forward(stack, comp.mapper)
+        pooled, p, _ = pool_forward(tokens, comp.pooling)
+        for b in range(clips):
+            one_tokens, _ = mapper_forward(stack[b], comp.mapper)
+            one_pooled, one_p, _ = pool_forward(one_tokens, comp.pooling)
+            assert tokens[b].tobytes() == one_tokens.tobytes()
+            assert pooled[b].tobytes() == one_pooled.tobytes()
+            assert p[b].tobytes() == one_p.tobytes()
+
+
+# A 20-step desk-profile run on a 4-clip synthetic corpus, in a fresh
+# interpreter with one BLAS thread: OpenBLAS splits some products across
+# threads, and the split changes their rounding.
+DESK_GOLDEN_SCRIPT = """
+import hashlib
+import numpy as np
+from tempokit import diffusion_toy as dt
+from tempokit.synthgen import SynthConfig, generate
+dims = dt.desk_train_dims()
+comp = dt.build_components(dims, seed=0)
+items = [dt.prepare_item(generate(SynthConfig(seed=2000 + i))[0], comp.codec,
+                         dims.embed_layers, dims.embed_dim) for i in range(4)]
+config = dt.TrainConfig(steps=20, learning_rate=2e-3, lambda_l1=0.5, seed=0)
+history = dt.train(items, config, comp.mapper, comp.pooling, comp.denoiser,
+                   comp.schedule)
+print(hashlib.sha256(np.array(history, dtype=np.float64).tobytes())
+      .hexdigest())
+print(dt.params_hash(comp.mapper.arrays() + comp.pooling.arrays()))
+"""
+
+
+class TestSeedDeterminism:
+    def test_desk_run_matches_its_golden_bytes(self):
+        # the loss history and trained parameters as computed by the
+        # per-clip loop before training stacked its clips: any change to
+        # the order of a sum shows here
+        src = pathlib.Path(dt.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", DESK_GOLDEN_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=300).stdout.split()
+        assert out == [
+            "3b8618d6e2587c39aad9e28847a2f979790f18676832e58d1828163659afea79",
+            "32acf037ee2364968569e6c18fa788a90a99ffec4505b802700a28ecd6e06667",
+        ]
 
 
 class TestTrain:

@@ -81,9 +81,15 @@ class TestSoftmax:
         with pytest.raises(ValidationError):
             softmax(np.array([]))
 
-    def test_matrix_rejected(self):
+    def test_scalar_rejected(self):
         with pytest.raises(ShapeError):
-            softmax(np.zeros((2, 2)))
+            softmax(np.float64(1.0))
+
+    def test_each_row_of_a_stack_is_its_own_softmax(self):
+        rows = np.random.default_rng(2).normal(size=(3, 5)) * 10
+        stacked = softmax(rows)
+        for row, got in zip(rows, stacked):
+            assert got.tobytes() == softmax(row).tobytes()
 
     def test_sum_and_shift_invariance(self):
         rng = np.random.default_rng(3)
