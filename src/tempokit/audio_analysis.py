@@ -2,12 +2,11 @@
 
 Onsets are found on a positive spectral-flux curve with the shared
 median/MAD picker, configured by the same PeakPickParams as the video
-side. The STFT hop is one column per video frame (sample_rate / fps,
-rounded) so that flux peak columns convert to frame indices with a
-plain rounding rule.
+side. stft_magnitude returns a (columns, bins) magnitude array. The
+STFT hop is one column per video frame (sample_rate / fps, rounded) so
+that flux peak columns convert to frame indices with a plain rounding
+rule.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +17,8 @@ from .peaks import PeakSet, pick_peaks
 LOG_FLOOR = 1e-6
 
 
-@dataclass
-class Spectrogram:
-    magnitudes: np.ndarray  # (T_frames, bins), nonnegative
-    hop: int
-    win: int
-    sample_rate: int
-
-
 def stft_magnitude(signal, win=1024, hop=512):
-    """Hann-windowed magnitude spectrogram with win/2+1 bins per column."""
+    """Hann-windowed magnitude spectrogram (columns, win/2+1 bins)."""
     if win < 1 or hop < 1:
         raise ValidationError(f"need win >= 1 and hop >= 1, got {win}, {hop}")
     samples = signal.samples
@@ -38,13 +29,12 @@ def stft_magnitude(signal, win=1024, hop=512):
     window = np.hanning(win)
     starts = hop * np.arange(n_cols)
     frames = samples[starts[:, None] + np.arange(win)[None, :]]
-    magnitudes = np.abs(np.fft.rfft(frames * window, axis=1))
-    return Spectrogram(magnitudes, hop, win, signal.sample_rate)
+    return np.abs(np.fft.rfft(frames * window, axis=1))
 
 
-def spectral_flux(spec):
-    """Positive spectral flux per column; the first entry is 0."""
-    mag = spec.magnitudes
+def spectral_flux(mag):
+    """Positive spectral flux per column of a magnitude spectrogram; the
+    first entry is 0."""
     flux = np.zeros(mag.shape[0])
     if mag.shape[0] >= 2:
         rise = np.clip(mag[1:] - mag[:-1], 0.0, None)
@@ -63,8 +53,8 @@ def detect_onsets(signal, fps, params=None, n_frames=None, win=1024):
     if fps <= 0:
         raise ValidationError("fps must be positive")
     hop = max(1, round(signal.sample_rate / fps))
-    spec = stft_magnitude(signal, win, hop)
-    flux = spectral_flux(spec)
+    mag = stft_magnitude(signal, win, hop)
+    flux = spectral_flux(mag)
     cols = pick_peaks(flux, params)
     frames = [round(t * hop * fps / signal.sample_rate) for t in cols]
     if n_frames is not None:
@@ -101,9 +91,9 @@ def toy_audio_features(signal, length, layers, dim, win=1024, hop=None):
     if hop is None:
         hop = max(1, signal.samples.size // max(length * 2, 4))
         hop = min(hop, win)
-    spec = stft_magnitude(signal, win, hop)
-    bank = _triangle_filterbank(dim, spec.magnitudes.shape[1])
-    energies = spec.magnitudes @ bank.T  # (T, dim)
+    mag = stft_magnitude(signal, win, hop)
+    bank = _triangle_filterbank(dim, mag.shape[1])
+    energies = mag @ bank.T  # (T, dim)
     feats = (np.log10(energies + LOG_FLOOR) + 6.0) / 3.0
 
     n_cols = feats.shape[0]

@@ -13,7 +13,7 @@ empty the score is defined as 1.0 and the report is flagged vacuous.
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,16 +40,8 @@ class AlignReport:
     vacuous: bool = False
 
     def to_dict(self):
-        return {
-            "score": self.score,
-            "matched_audio": self.matched_audio,
-            "matched_video": self.matched_video,
-            "tolerance": self.tolerance,
-            "audio_peaks": self.audio_peaks,
-            "video_peaks": self.video_peaks,
-            "union_size": self.union_size,
-            "vacuous": self.vacuous,
-        }
+        """The fields in declaration order, the key order of the output."""
+        return asdict(self)
 
     def to_text(self):
         """Line-oriented key=value rendering."""

@@ -18,8 +18,8 @@ beyond the truncation policy, 4 numeric failure (non-finite loss).
 
 A plain-text config file (--config, key=value per line, keys mirror
 long flag names with '-' or '_') can preset any flag; explicit flags
-win. The TEMPO_SEED environment variable overrides the default seed
-for commands that take one.
+win. The TEMPO_SEED environment variable overrides the default seed 0
+for commands that take one; a seed is a nonnegative integer.
 """
 
 import argparse
@@ -48,6 +48,7 @@ EXIT_NUMERIC = 4
 EXIT_CODES = {
     FileNotFoundError: EXIT_FORMAT,
     IsADirectoryError: EXIT_FORMAT,
+    NotADirectoryError: EXIT_FORMAT,
     FormatError: EXIT_FORMAT,
     ValidationError: EXIT_FORMAT,
     ShapeError: EXIT_FORMAT,
@@ -56,11 +57,14 @@ EXIT_CODES = {
 }
 
 
-def _default_seed():
-    try:
-        return int(os.environ.get("TEMPO_SEED", "0"))
-    except ValueError:
-        return 0
+def _seed(args):
+    """The command's seed: --seed, else TEMPO_SEED, else 0."""
+    seed = args.seed
+    if seed is None:
+        seed = os.environ.get("TEMPO_SEED", "0")
+    if not str(seed).isdecimal():
+        raise ValidationError(f"seed {seed!r} is not a nonnegative integer")
+    return int(seed)
 
 
 def _parse_fps(text):
@@ -93,14 +97,8 @@ def _parse_hidden(text):
 
 def _load_config_file(path):
     settings = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise ValidationError(f"config file {path} is not UTF-8") from None
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line in media_io.read_text_lines(path, "utf-8"):
+        if line.startswith("#"):
             continue
         if "=" not in line:
             raise ValidationError(f"bad config line: {line!r}")
@@ -267,15 +265,13 @@ def cmd_tokens(args):
     if bool(args.embeddings) == bool(args.audio):
         raise ValidationError(
             "exactly one of --embeddings or --audio is required")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
 
     if args.ckpt:
         comp = diffusion_toy.load_checkpoint(args.ckpt)
-        mapper, pooling, dims = comp.mapper, comp.pooling, comp.dims
     else:
-        dims = diffusion_toy.desk_train_dims()
-        comp = diffusion_toy.build_components(dims, seed)
-        mapper, pooling = comp.mapper, comp.pooling
+        comp = diffusion_toy.build_components(
+            diffusion_toy.desk_train_dims(), seed)
 
     if args.embeddings:
         emb = media_io.read_embeddings(args.embeddings)
@@ -284,23 +280,19 @@ def cmd_tokens(args):
             raise ValidationError("--audio requires --toy-encoder")
         audio = media_io.read_wav(args.audio)
         emb = toy_audio_features(audio, args.length, args.layers, args.dim)
-    if emb.layers * emb.dim != mapper.in_dim:
-        raise ValidationError(f"embeddings have segment dim "
-                              f"{emb.layers * emb.dim}, mapper expects "
-                              f"{mapper.in_dim}")
 
-    tokens = tempo_tokens.map_audio(emb, mapper)
+    tokens = tempo_tokens.map_audio(emb, comp.mapper)
     if args.mode == "vec":
         cond = tempo_tokens.single_vector_condition(tokens)
     else:
-        cond = tempo_tokens.build_condition(tokens, pooling)
+        cond = tempo_tokens.build_condition(tokens, comp.pooling)
     media_io.write_condition(cond, args.out)
     print(f"tokens_per_frame={cond.tokens_per_frame}")
     return EXIT_OK
 
 
 def cmd_gen_synth(args):
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     config = synthgen.SynthConfig(
         width=args.width, height=args.height, fps=args.fps,
         duration=args.duration, sample_rate=args.sample_rate,
@@ -312,7 +304,11 @@ def cmd_gen_synth(args):
 
 
 def cmd_train_toy(args):
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
+    config = diffusion_toy.TrainConfig(
+        batch_videos=args.batch, frames_per_video=args.frames,
+        steps=args.steps, learning_rate=args.lr,
+        lambda_l1=args.lambda_l1, seed=seed)
     clips = synthgen.read_corpus(os.path.join(args.corpus, "manifest.txt")
                                  if os.path.isdir(args.corpus)
                                  else args.corpus)
@@ -323,10 +319,6 @@ def cmd_train_toy(args):
     items = [diffusion_toy.prepare_item(pair, comp.codec, dims.embed_layers,
                                         dims.embed_dim)
              for pair, _ in clips]
-    config = diffusion_toy.TrainConfig(
-        batch_videos=args.batch, frames_per_video=args.frames,
-        steps=args.steps, learning_rate=args.lr,
-        lambda_l1=args.lambda_l1, seed=seed)
     history = diffusion_toy.train(items, config, comp.mapper, comp.pooling,
                                   comp.denoiser, comp.schedule)
     diffusion_toy.save_checkpoint(comp, args.ckpt)
@@ -345,7 +337,7 @@ def cmd_train_toy(args):
 
 
 def cmd_generate(args):
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     comp = diffusion_toy.load_checkpoint(args.ckpt)
     audio = media_io.read_wav(args.audio)
     emb = toy_audio_features(audio, comp.dims.frames_per_video,

@@ -27,9 +27,10 @@ import numpy as np
 from .errors import NumericError, ShapeError, ValidationError
 from .media_io import Video, read_named_tensors, write_named_tensors
 from .numerics import LinearLayer, Rng, gelu, gelu_grad
-from .tempo_tokens import (MapperParams, PoolingParams, condition_backward,
-                           condition_values, mapper_backward, mapper_forward,
-                           pool_backward, pool_forward)
+from .tempo_tokens import (MapperParams, PoolingParams, build_condition,
+                           condition_backward, condition_values, map_audio,
+                           mapper_backward, mapper_forward, pool_backward,
+                           pool_forward)
 
 _KEY_MAPPER = 1
 _KEY_POOLING = 2
@@ -52,9 +53,13 @@ MAX_GRAD_NORM = 1000.0
 
 @dataclass
 class NoiseSchedule:
+    """Noise variance per step; alphas and alpha_bars follow from it."""
+
     betas: np.ndarray
-    alphas: np.ndarray
-    alpha_bars: np.ndarray
+
+    def __post_init__(self):
+        self.alphas = 1.0 - self.betas
+        self.alpha_bars = np.cumprod(self.alphas)
 
     @property
     def timesteps(self):
@@ -67,11 +72,10 @@ def make_schedule(timesteps=100, beta_start=1e-4, beta_end=0.02):
     betas = np.linspace(beta_start, beta_end, timesteps)
     if not np.all((betas > 0) & (betas < 1)):
         raise ValidationError("betas must lie strictly in (0, 1)")
-    alphas = 1.0 - betas
-    alpha_bars = np.cumprod(alphas)
-    if not np.all(np.diff(alpha_bars) < 0):
+    schedule = NoiseSchedule(betas)
+    if not np.all(np.diff(schedule.alpha_bars) < 0):
         raise ValidationError("cumulative alphas must strictly decrease")
-    return NoiseSchedule(betas, alphas, alpha_bars)
+    return schedule
 
 
 def forward_noise(z0, t, eps, schedule):
@@ -298,17 +302,6 @@ def sample_step_noise(latents, schedule, rng):
     return t, eps
 
 
-def _tokens_and_condition(embeddings, mapper, pooling):
-    """Tokens and per-frame conditions of one clip's (L, H_layers, d)
-    embeddings, or of each clip of a (B, L, H_layers, d) stack."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    flat_in = emb.reshape(emb.shape[:-2] + (-1,))
-    tokens_flat, mapper_cache = mapper_forward(flat_in, mapper)
-    pooled, _, pool_cache = pool_forward(tokens_flat, pooling)
-    cond = condition_values(tokens_flat, pooled)
-    return tokens_flat, cond, mapper_cache, pool_cache
-
-
 def _sum_clips(per_clip):
     """Sum over the leading clip axis, adding clip after clip in batch
     order: the additions of a running per-clip total."""
@@ -350,8 +343,11 @@ def total_loss_and_grads(batch, noises, mapper, pooling, denoiser, schedule,
 
     timesteps = np.array([t for t, _ in noises])
     eps = np.stack([noise for _, noise in noises])
-    tokens_flat, cond, mapper_cache, pool_cache = _tokens_and_condition(
-        np.stack([embeddings for _, embeddings in batch]), mapper, pooling)
+    emb = np.stack([embeddings for _, embeddings in batch])
+    tokens_flat, mapper_cache = mapper_forward(
+        emb.reshape(emb.shape[:-2] + (-1,)), mapper)
+    pooled, _, pool_cache = pool_forward(tokens_flat, pooling)
+    cond = condition_values(tokens_flat, pooled)
     z_t = np.stack([forward_noise(latents, t, noise, schedule)
                     for (latents, _), (t, noise) in zip(batch, noises)])
     pred, cache = _denoiser_forward(denoiser, z_t, timesteps, cond)
@@ -392,7 +388,8 @@ class TrainConfig:
             raise ValidationError("batch and frame counts must be >= 1")
         if self.steps < 0:
             raise ValidationError("steps must be >= 0")
-        if self.learning_rate <= 0 or self.lambda_l1 < 0:
+        if not (0 < self.learning_rate < np.inf
+                and 0 <= self.lambda_l1 < np.inf):  # NaN fails too
             raise ValidationError("bad learning_rate or lambda_l1")
 
 
@@ -506,9 +503,8 @@ def generate(embeddings, mapper, pooling, denoiser, codec, schedule, rng,
     then yield identical frames), so any frame-to-frame change traces
     back to the conditioning. Deterministic given the rng.
     """
-    values = np.asarray(embeddings.values, dtype=np.float64)
-    _, cond, _, _ = _tokens_and_condition(values, mapper, pooling)
-    length = values.shape[0]
+    cond = build_condition(map_audio(embeddings, mapper), pooling).values
+    length = embeddings.segments
     timesteps = schedule.timesteps
 
     z_init = rng.normal(codec.latent_dim)
@@ -666,8 +662,7 @@ def load_checkpoint(path):
     except KeyError as exc:
         raise ValidationError(f"checkpoint missing record {exc}") from exc
 
-    alphas = 1.0 - betas
-    schedule = NoiseSchedule(betas, alphas, np.cumprod(alphas))
+    schedule = NoiseSchedule(betas)
     dims = ModelDims(
         **meta_dims,
         mapper_hidden=tuple(l.out_dim for l in layers[:3]),

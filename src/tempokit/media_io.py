@@ -8,7 +8,8 @@ All custom containers are little-endian with IEEE-754 binary32 payloads:
   TTE1     magic "TTE1", u32 L, H_layers, d, then L*H_layers*d float32
            values in (segment, layer, channel) order.
   TTC1     magic "TTC1", u32 L, tokens_per_frame, token_dim, then values
-           in (frame, token, channel) order.
+           in (frame, token, channel) order. TTE1 and TTC1 differ only in
+           their magic and share one codec (_read/_write_tensor3).
   TTCKPT1  magic "TTCKPT1", u32 record_count, then per record:
            u32 name_len, UTF-8 name, u32 ndim, u32 dims..., float32
            values in C order. Used for named parameter checkpoints.
@@ -17,12 +18,13 @@ WAV support is limited to RIFF/WAVE PCM 16-bit, mono or stereo. Decoding
 normalizes by 32768 (stereo is averaged to mono before normalization).
 
 read_video also accepts a directory of binary PPM (P6) frames listed by
-a manifest.txt whose first line is "fps <num> <den>" followed by one
-frame filename per line.
+a UTF-8 manifest.txt whose first line is "fps <num> <den>" followed by
+one frame filename per line.
 """
 
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -97,26 +99,26 @@ class AVPair:
 
 @dataclass
 class AudioEmbeddings:
-    """Encoder activations per temporal segment: (L, H_layers, d)."""
+    """Per-segment tensors (L, H_layers, d): encoder activations, and
+    the pseudo text tokens the adapter maps them to (tempo_tokens)."""
 
     values: np.ndarray
 
     def __post_init__(self):
         self.values = require_finite(self.values, "embeddings")
-        if self.values.ndim != 3 or self.values.shape[0] < 1:
+        if self.values.ndim != 3:
             raise ShapeError("embeddings must have shape (L, H_layers, d)")
+        if self.segments < 1:
+            raise ValidationError("embeddings need at least one segment")
 
     @property
     def segments(self):
         return self.values.shape[0]
 
     @property
-    def layers(self):
-        return self.values.shape[1]
-
-    @property
-    def dim(self):
-        return self.values.shape[2]
+    def flat(self):
+        """(L, H_layers*d) view used by pooling and conditioning."""
+        return self.values.reshape(self.segments, -1)
 
 
 @dataclass
@@ -139,10 +141,6 @@ class ConditionFile:
     def tokens_per_frame(self):
         return self.values.shape[1]
 
-    @property
-    def token_dim(self):
-        return self.values.shape[2]
-
 
 def _read_exact(fh, n, what):
     """Read n bytes in pieces of at most READ_PIECE, so a size declared
@@ -156,6 +154,15 @@ def _read_exact(fh, n, what):
         pieces.append(piece)
         n -= len(piece)
     return b"".join(pieces)
+
+
+def read_text_lines(path, encoding):
+    """The stripped nonblank lines of a text file in encoding."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError:
+        raise FormatError(f"{path} is not {encoding} text") from None
 
 
 def _skip(fh, n):
@@ -273,18 +280,19 @@ def read_video(path):
 
 
 def _read_ppm(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    parts = blob.split(maxsplit=4)
-    if len(parts) != 5 or parts[0] != b"P6":
-        raise FormatError(f"{path}: not a binary P6 PPM")
     try:
-        width, height, maxval = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad PPM header") from exc
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+        raise FormatError(f"{path}: cannot read PPM frame: {exc}") from None
+    # exactly one whitespace byte ends the header: pixels may be any byte
+    header = re.match(rb"P6\s+(\d{1,9})\s+(\d{1,9})\s+(\d{1,9})\s", blob)
+    if header is None:
+        raise FormatError(f"{path}: not a binary P6 PPM")
+    width, height, maxval = (int(field) for field in header.groups())
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported")
-    pixels = parts[4]
+    pixels = blob[header.end():]
     if len(pixels) != width * height * 3:
         raise FormatError(f"{path}: PPM payload length mismatch")
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3)
@@ -294,8 +302,7 @@ def _read_video_ppm_dir(dirpath):
     manifest = os.path.join(dirpath, "manifest.txt")
     if not os.path.exists(manifest):
         raise FormatError(f"{dirpath}: missing manifest.txt")
-    with open(manifest, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = read_text_lines(manifest, "utf-8")
     if not lines or not lines[0].startswith("fps "):
         raise FormatError("manifest must start with 'fps <num> <den>'")
     try:
@@ -330,75 +337,58 @@ def write_video_ppm(video, dirpath):
 
 
 # ---------------------------------------------------------------------------
-# TTE1 embeddings
+# TTE1 embeddings and TTC1 conditioning tokens
 # ---------------------------------------------------------------------------
 
-def write_embeddings(emb, path):
-    values = np.asarray(emb.values, dtype="<f4")
+def _write_tensor3(values, magic, path):
+    """Write a 3-d float32 tensor after its magic and three u32 sizes."""
+    try:
+        values = np.asarray(values, dtype="<f4")
+    except ValueError as exc:
+        raise ValidationError("tensor rows differ in length") from exc
+    if values.ndim != 3:
+        raise ValidationError(f"tensor must be 3-d, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
-        raise ValidationError("embeddings contain non-finite values")
-    length, layers, dim = values.shape
+        raise ValidationError("tensor contains non-finite values")
     with open(path, "wb") as fh:
-        fh.write(b"TTE1" + struct.pack("<3I", length, layers, dim))
+        fh.write(magic + struct.pack("<3I", *values.shape))
         fh.write(np.ascontiguousarray(values).tobytes())
 
 
-def read_embeddings(path):
+def _read_tensor3(path, magic):
+    """The float64 values of a file written by _write_tensor3; the
+    caller's container rejects non-finite values."""
+    name = magic.decode()
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != b"TTE1":
-            raise FormatError(f"bad magic {magic!r}, expected b'TTE1'")
-        length, layers, dim = struct.unpack("<3I",
-                                            _read_exact(fh, 12, "TTE1 header"))
+        found = _read_exact(fh, 4, "magic")
+        if found != magic:
+            raise FormatError(f"bad magic {found!r}, expected {magic!r}")
+        shape = struct.unpack("<3I", _read_exact(fh, 12, f"{name} header"))
         payload = fh.read()
-    expected = 4 * length * layers * dim
+    expected = 4 * math.prod(shape)
     if len(payload) != expected:
         raise FormatError(
-            f"TTE1 payload is {len(payload)} bytes, expected {expected}")
+            f"{name} payload is {len(payload)} bytes, expected {expected}")
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("TTE1 payload contains non-finite values")
-    return AudioEmbeddings(values.reshape(length, layers, dim))
+    return values.reshape(shape)
 
 
-# ---------------------------------------------------------------------------
-# TTC1 conditioning tokens
-# ---------------------------------------------------------------------------
+def write_embeddings(emb, path):
+    _write_tensor3(emb.values, b"TTE1", path)
+
+
+def read_embeddings(path):
+    return AudioEmbeddings(_read_tensor3(path, b"TTE1"))
+
 
 def write_condition(cond, path):
     """Write per-frame conditioning tokens (anything with .values, or a
     raw nested sequence) as a TTC1 file."""
-    values = getattr(cond, "values", cond)
-    try:
-        values = np.asarray(values, dtype="<f4")
-    except ValueError as exc:
-        raise ValidationError(
-            "inconsistent per-frame token counts") from exc
-    if values.ndim != 3:
-        raise ValidationError(
-            f"condition values must be 3-d, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("condition values contain non-finite entries")
-    length, tokens, dim = values.shape
-    with open(path, "wb") as fh:
-        fh.write(b"TTC1" + struct.pack("<3I", length, tokens, dim))
-        fh.write(np.ascontiguousarray(values).tobytes())
+    _write_tensor3(getattr(cond, "values", cond), b"TTC1", path)
 
 
 def read_condition(path):
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != b"TTC1":
-            raise FormatError(f"bad magic {magic!r}, expected b'TTC1'")
-        length, tokens, dim = struct.unpack("<3I",
-                                            _read_exact(fh, 12, "TTC1 header"))
-        payload = fh.read()
-    expected = 4 * length * tokens * dim
-    if len(payload) != expected:
-        raise FormatError(
-            f"TTC1 payload is {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return ConditionFile(values.reshape(length, tokens, dim))
+    return ConditionFile(_read_tensor3(path, b"TTC1"))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +424,10 @@ def read_named_tensors(path):
         records = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name size"))
-            name = _read_exact(fh, name_len, "record name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, "record name").decode()
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: record name not UTF-8") from None
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             shape = struct.unpack(f"<{ndim}I",
                                   _read_exact(fh, 4 * ndim, "dims"))

@@ -57,8 +57,8 @@ class FlowParams:
     iterations: int = 100
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValidationError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:  # NaN fails too
+            raise ValidationError("alpha must be positive and finite")
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
 

@@ -21,8 +21,8 @@ class PeakPickParams:
     smoothing: int = 5  # moving median/MAD window length
 
     def __post_init__(self):
-        if self.threshold_k <= 0:
-            raise ValidationError("threshold_k must be positive")
+        if not 0 < self.threshold_k < np.inf:  # NaN fails too
+            raise ValidationError("threshold_k must be positive and finite")
         if self.smoothing < 1:
             raise ValidationError("smoothing window must be >= 1")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 from .media_io import (AudioSignal, AVPair, Video, write_video, write_wav)
 from .numerics import Rng
 
@@ -248,18 +248,21 @@ def corpus(config, n_clips, out_dir):
 
 def read_corpus(manifest_path):
     """Load a corpus manifest; yields (AVPair, events) per clip."""
-    from .media_io import read_video, read_wav
+    from .media_io import read_text_lines, read_video, read_wav
 
     base = os.path.dirname(manifest_path)
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        rows = [line.split() for line in fh if line.strip()]
+    rows = [line.split() for line in read_text_lines(manifest_path, "ascii")]
     clips = []
     for row in rows:
         if len(row) != 3:
             raise ValidationError(f"bad manifest row: {' '.join(row)}")
         video = read_video(os.path.join(base, row[0]))
         audio = read_wav(os.path.join(base, row[1]))
-        with open(os.path.join(base, row[2]), "r", encoding="ascii") as fh:
-            events = tuple(int(line) for line in fh if line.strip())
+        events_path = os.path.join(base, row[2])
+        try:
+            events = tuple(map(int, read_text_lines(events_path, "ascii")))
+        except ValueError:
+            raise FormatError(
+                f"{events_path}: an event is not an integer") from None
         clips.append((AVPair(video, audio), events))
     return clips

@@ -7,12 +7,16 @@ plus one global attentive token pooled over all segments with learned
 local and cross potentials.
 
 Each trainable op has one forward that also returns what its
-hand-written backward needs (mapper_forward, pool_forward); the public
-ops (map_audio, attentive_pool, build_condition) are thin wrappers over
-them. The context windows are one linear operator, the cached
-averaging matrix window_matrix(L): window_stack applies it and
-condition_backward applies its transpose. All analytic gradients here
-are validated against central finite differences in the test suite.
+hand-written backward needs (mapper_forward, pool_forward). Without
+gradients the adapter is build_condition(map_audio(embeddings, mapper),
+pooling), which the tokens and generate commands run; training runs the
+same ops and keeps their caches (diffusion_toy.total_loss_and_grads).
+Tokens are TempoTokens, another name for media_io.AudioEmbeddings: they
+have the (L, H_layers, d) layout of the activations. The context
+windows are one linear operator, the cached averaging matrix
+window_matrix(L): window_stack applies it and condition_backward
+applies its transpose. All analytic gradients here are validated
+against central finite differences in the test suite.
 
 The forward and backward ops take one clip, (L, ...), or a stack of
 clips of one length, (B, L, ...). A stack is B independent problems:
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .media_io import ConditionFile
+from .media_io import AudioEmbeddings, ConditionFile
 from .numerics import (gelu, gelu_grad, linear_forward, linear_init,
                        softmax)
 
@@ -137,26 +141,7 @@ def create_pooling(token_dim, hidden=16, cross_dim=16, rng=None):
     )
 
 
-@dataclass
-class TempoTokens:
-    """Pseudo text tokens per segment: (L, H_layers, d_t)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3 or self.values.shape[0] < 1:
-            raise ShapeError("tokens must have shape (L, H_layers, d_t)")
-
-    @property
-    def segments(self):
-        return self.values.shape[0]
-
-    @property
-    def flat(self):
-        """(L, H_layers*d_t) view used by pooling and conditioning."""
-        length = self.values.shape[0]
-        return self.values.reshape(length, -1)
+TempoTokens = AudioEmbeddings  # tokens keep the (L, H_layers, d) layout
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,15 @@ class TestGenSynth:
         assert (tmp_path / "env" / "clip_0000.rvid").read_bytes() == \
             (tmp_path / "flag" / "clip_0000.rvid").read_bytes()
 
+    @pytest.mark.parametrize("value", ["x", "-3", "1.5", ""])
+    def test_tempo_seed_that_is_no_seed_exits_2(self, value, tmp_path,
+                                                monkeypatch, capsys):
+        monkeypatch.setenv("TEMPO_SEED", value)
+        assert main(["gen-synth", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error: seed" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrainAndGenerate:
     def test_zero_steps_checkpoint_equals_initialization(self, corpus_dir,
@@ -604,6 +613,33 @@ BAD_INPUTS = {
     "tokens segment dim the mapper does not take": [
         "tokens", "--audio", "{corpus}/clip_0000.wav", "--toy-encoder",
         "--dim", "5", "--out", "{tmp}/t.ttc"],
+    "negative seed": ["gen-synth", "--out", "{tmp}/o", "--seed", "-1"],
+    "checkpoint record name not UTF-8": [
+        "generate", "--ckpt", "{tmp}/bad_name.ckpt", "--audio",
+        "{corpus}/clip_0000.wav", "--out", "{tmp}/g.rvid"],
+    "corpus manifest not ASCII": ["train-toy", "--corpus",
+                                  "{tmp}/not_ascii.txt", "--ckpt",
+                                  "{tmp}/n.ckpt"],
+    "PPM manifest not UTF-8": ["av-align", "--video", "{tmp}/ppm",
+                               "--audio", "{corpus}/clip_0000.wav"],
+    "event line not an integer": ["train-toy", "--corpus",
+                                  "{tmp}/bad_events.txt", "--ckpt",
+                                  "{tmp}/n.ckpt"],
+    "output path under a regular file": ["gen-synth", "--out",
+                                         "{tmp}/bad_key.cfg/o"],
+    "input path under a regular file": [
+        "av-align", "--video", "{tmp}/bad_key.cfg/v.rvid", "--audio",
+        "{corpus}/clip_0000.wav"],
+    "NaN threshold k": ["av-align", "{clip}", "--threshold-k", "nan"],
+    "NaN flow alpha": ["av-align", "{clip}", "--flow-alpha", "nan"],
+    "NaN learning rate": ["train-toy", "--corpus", "{corpus}", "--ckpt",
+                          "{tmp}/n.ckpt", "--lr", "nan"],
+    "NaN L1 weight": ["train-toy", "--corpus", "{corpus}", "--ckpt",
+                      "{tmp}/n.ckpt", "--lambda-l1", "nan"],
+    "infinite threshold k": ["av-align", "{clip}", "--threshold-k", "inf"],
+    "infinite flow alpha": ["av-align", "{clip}", "--flow-alpha", "inf"],
+    "infinite learning rate": ["train-toy", "--corpus", "{corpus}",
+                               "--ckpt", "{tmp}/n.ckpt", "--lr", "inf"],
 }
 
 
@@ -631,6 +667,17 @@ def test_bad_input_exits_2_with_error_line(argv, corpus_dir, tmp_path,
     records = read_named_tensors(short_bias)
     records["mapper.0.bias"] = records["mapper.0.bias"][:-1]
     write_named_tensors(records, short_bias)
+    (tmp_path / "bad_name.ckpt").write_bytes(
+        b"TTCKPT1" + struct.pack("<2I", 1, 2) + b"\xff\xfe")
+    (tmp_path / "not_ascii.txt").write_bytes(
+        b"clip_\xe9.rvid clip.wav clip.events.txt\n")
+    (tmp_path / "ppm").mkdir()
+    (tmp_path / "ppm" / "manifest.txt").write_bytes(
+        b"fps 24 1\nframe_\xff.ppm\n")
+    (tmp_path / "x.events.txt").write_text("12\ntwelve\n")
+    (tmp_path / "bad_events.txt").write_text(
+        f"{corpus_dir}/clip_0000.rvid {corpus_dir}/clip_0000.wav "
+        f"x.events.txt\n")
     clip = ["--video", str(corpus_dir / "clip_0000.rvid"),
             "--audio", str(corpus_dir / "clip_0000.wav")]
     expanded = []

@@ -1,17 +1,21 @@
 import os
+import pathlib
 import struct
+import tempfile
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tempokit.errors import FormatError, ValidationError
-from tempokit.media_io import (AudioEmbeddings, AudioSignal, ConditionFile,
-                               Video, read_condition, read_embeddings,
-                               read_named_tensors, read_video, read_wav,
-                               write_condition, write_embeddings,
-                               write_named_tensors, write_video,
-                               write_video_ppm, write_wav)
+from tempokit.media_io import (READ_PIECE, AudioEmbeddings, AudioSignal,
+                               ConditionFile, Video, read_condition,
+                               read_embeddings, read_named_tensors,
+                               read_video, read_wav, write_condition,
+                               write_embeddings, write_named_tensors,
+                               write_video, write_video_ppm, write_wav)
 
 
 def craft_wav(path, pcm, channels=1, sample_rate=16000, audio_format=1,
@@ -152,15 +156,30 @@ class TestRvid:
         with pytest.raises(FormatError):
             read_video(p)
 
-    def test_ppm_directory_round_trip(self, tmp_path):
+    # the first pixel byte of every frame; 9, 10, 13 and 32 are ASCII
+    # whitespace, which must not be taken for part of the header
+    @pytest.mark.parametrize("first", [0, 9, 10, 13, 32, 255])
+    def test_ppm_directory_round_trip(self, first, tmp_path):
         rng = np.random.default_rng(3)
         video = Video(rng.integers(0, 256, (5, 6, 7, 3), dtype=np.uint8),
                       25, 2)
+        video.frames[:, 0, 0, 0] = first
         d = tmp_path / "frames"
         write_video_ppm(video, d)
         back = read_video(d)
         np.testing.assert_array_equal(back.frames, video.frames)
         assert (back.fps_num, back.fps_den) == (25, 2)
+
+    @pytest.mark.parametrize("header", [b"P6\n-2 -2\n255\n",
+                                        b"P6\n2 2\n-255\n",
+                                        b"P6\n2 2\n255"])
+    def test_ppm_bad_header_rejected(self, header, tmp_path):
+        d = tmp_path / "frames"
+        d.mkdir()
+        (d / "manifest.txt").write_text("fps 24 1\nf.ppm\n")
+        (d / "f.ppm").write_bytes(header + bytes(12))
+        with pytest.raises(FormatError):
+            read_video(d)
 
 
 class TestEmbeddings:
@@ -266,3 +285,95 @@ class TestDomainTypes:
     def test_video_duration(self):
         v = Video(np.zeros((48, 2, 2, 3), dtype=np.uint8), 24, 1)
         assert v.duration == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# Damaged inputs
+# ---------------------------------------------------------------------------
+
+def _valid_inputs():
+    """One small valid input per reader: kind -> (reader, {file name:
+    bytes}). A "ppm" input is the directory that holds its files; any
+    other input is its one file."""
+    rng = np.random.default_rng(12)
+    writes = {
+        "rvid": (read_video, lambda d: write_video(
+            Video(rng.integers(0, 256, (3, 4, 5, 3), dtype=np.uint8), 24),
+            os.path.join(d, "v.rvid"))),
+        "ppm": (read_video, lambda d: write_video_ppm(
+            Video(rng.integers(0, 256, (2, 3, 4, 3), dtype=np.uint8), 24),
+            d)),
+        "wav": (read_wav, lambda d: craft_wav(
+            pathlib.Path(d) / "a.wav",
+            rng.integers(-2000, 2000, 400).astype(np.int16))),
+        "tte1": (read_embeddings, lambda d: write_embeddings(
+            AudioEmbeddings(rng.normal(size=(4, 2, 3))),
+            os.path.join(d, "e.tte"))),
+        "ttc1": (read_condition, lambda d: write_condition(
+            ConditionFile(rng.normal(size=(4, 3, 2))),
+            os.path.join(d, "c.ttc"))),
+        "ttckpt1": (read_named_tensors, lambda d: write_named_tensors(
+            {"mapper.0.weight": rng.normal(size=(3, 2)),
+             "pooling.alpha_local": np.array(1.0),
+             "meta.dims": np.arange(9.0)}, os.path.join(d, "k.ckpt"))),
+    }
+    inputs = {}
+    for kind, (reader, write) in writes.items():
+        with tempfile.TemporaryDirectory() as d:
+            write(d)
+            inputs[kind] = (reader, {
+                path.name: path.read_bytes()
+                for path in sorted(pathlib.Path(d).iterdir())})
+    return inputs
+
+
+VALID_INPUTS = _valid_inputs()
+# A valid file costs several times its size while it is read, because
+# the readers widen to float64: a 16-bit WAV sample becomes 8 bytes,
+# and read_wav holds up to three such arrays at once (the widened
+# samples, the normalized copy and AudioSignal's range check) beside
+# the raw bytes, about 13 times the file. A damaged input may cost no
+# more than that plus one READ_PIECE, the most that _read_exact asks
+# for ahead of data it has not yet seen, whatever size a header claims.
+MEMORY_MULTIPLE = 16
+# what any read allocates whatever the input: the exception, its
+# traceback and interpreter caches (about 5 KB measured)
+MEMORY_SLACK = 64 * 1024
+
+
+@st.composite
+def damaged(draw, blob):
+    """blob truncated, or with one to four bits flipped (mostly within
+    the first 32 bytes, where the headers are)."""
+    if not blob or draw(st.booleans()):
+        return blob[:draw(st.integers(0, max(len(blob) - 1, 0)))]
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.one_of(st.integers(0, min(31, len(out) - 1)),
+                             st.integers(0, len(out) - 1)))
+        out[pos] ^= 1 << draw(st.integers(0, 7))
+    return bytes(out)
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_INPUTS))
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(data=st.data())
+def test_damaged_input_fails_cleanly_in_bounded_memory(kind, data):
+    reader, files = VALID_INPUTS[kind]
+    files = dict(files)
+    name = data.draw(st.sampled_from(sorted(files)))
+    files[name] = data.draw(damaged(files[name]))
+    with tempfile.TemporaryDirectory() as d:
+        for fname, blob in files.items():
+            with open(os.path.join(d, fname), "wb") as fh:
+                fh.write(blob)
+        tracemalloc.start()
+        try:
+            reader(d if kind == "ppm" else os.path.join(d, name))
+        except (FormatError, ValidationError):
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    size = sum(len(blob) for blob in files.values())
+    assert peak <= MEMORY_MULTIPLE * size + READ_PIECE + MEMORY_SLACK

@@ -43,6 +43,12 @@ class TestMapAudio:
             emb = AudioEmbeddings(np.ones((length, 2, 3)))
             assert map_audio(emb, mapper).values.shape == (length, 2, 2)
 
+    def test_tokens_share_the_embeddings_container(self):
+        assert TempoTokens is AudioEmbeddings
+        tokens = map_audio(AudioEmbeddings(np.ones((3, 2, 3))), small_mapper())
+        assert type(tokens) is AudioEmbeddings
+        assert tokens.flat.shape == (3, 4)
+
     def test_matches_hand_composed_layer_chain(self):
         mapper = small_mapper(seed=4)
         rng = np.random.default_rng(0)
