@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
 from .media_io import Video, read_named_tensors, write_named_tensors
-from .numerics import LinearLayer, Rng, gelu, gelu_grad
+from .numerics import LinearLayer, Rng, gelu_grad, normal_cdf
 from .tempo_tokens import (MapperParams, PoolingParams, build_condition,
                            condition_backward, condition_values, map_audio,
                            mapper_backward, mapper_forward, pool_backward,
@@ -263,11 +263,13 @@ def _denoiser_forward(den, z_t, t, cond_tokens):
 
     mlp_in = np.concatenate([z_t, temb, summary], axis=-1)
     pre1 = mlp_in @ den.mlp1.T + den.mlp1_bias
-    h1 = gelu(pre1)
+    cdf1 = normal_cdf(pre1)  # kept for the backward's gelu_grad
+    h1 = pre1 * cdf1  # gelu(pre1)
     pre2 = h1 @ den.mlp2.T + den.mlp2_bias
-    h2 = h1 + gelu(pre2)
+    cdf2 = normal_cdf(pre2)
+    h2 = h1 + pre2 * cdf2  # h1 + gelu(pre2)
     pred = h2 @ den.out.T + summary @ den.summary_skip.T + den.out_bias
-    cache = (query, values, weights, pre1, pre2)
+    cache = (query, values, weights, pre1, pre2, cdf1, cdf2)
     return pred, cache
 
 
@@ -275,10 +277,10 @@ def _denoiser_backward_to_cond(den, d_pred, cache):
     """Gradient of the batched prediction w.r.t. the condition tokens
     only (the denoiser itself is frozen): (..., N, latent) ->
     (..., N, T, D)."""
-    query, values, weights, pre1, pre2 = cache
+    query, values, weights, pre1, pre2, cdf1, cdf2 = cache
     d_h2 = d_pred @ den.out
-    d_h1 = d_h2 + (gelu_grad(pre2) * d_h2) @ den.mlp2
-    d_in = (gelu_grad(pre1) * d_h1) @ den.mlp1
+    d_h1 = d_h2 + (gelu_grad(pre2, cdf2) * d_h2) @ den.mlp2
+    d_in = (gelu_grad(pre1, cdf1) * d_h1) @ den.mlp1
     d_summary = d_in[..., -values.shape[-1]:] + d_pred @ den.summary_skip
 
     d_weights = np.einsum("...tv,...v->...t", values, d_summary)

@@ -50,7 +50,7 @@ class AudioSignal:
             raise ValidationError("audio must be a nonempty 1-d array")
         if self.sample_rate <= 0:
             raise ValidationError("sample rate must be positive")
-        if np.abs(self.samples).max() > 1.0:
+        if max(self.samples.max(), -self.samples.min()) > 1.0:
             raise ValidationError("audio samples must lie in [-1, 1]")
 
     @property
@@ -220,10 +220,14 @@ def read_wav(path):
     if len(data) == 0 or len(data) % frame_bytes != 0:
         raise FormatError("data chunk length inconsistent with frame size")
 
-    raw = np.frombuffer(data, dtype="<i2").astype(np.float64)
+    # peak memory: the raw bytes are dropped once widened, and the
+    # scaling is in place
+    samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
+    del data
     if channels == 2:
-        raw = raw.reshape(-1, 2).mean(axis=1)
-    return AudioSignal(raw / PCM_SCALE, int(sample_rate))
+        samples = samples.reshape(-1, 2).mean(axis=1)
+    samples /= PCM_SCALE
+    return AudioSignal(samples, int(sample_rate))
 
 
 def write_wav(signal, path):

@@ -3,12 +3,17 @@
 Everything here operates on plain float64 numpy arrays. Training and
 gradient checking stay in 64-bit precision throughout; 32-bit only
 appears at the file-format boundary (see tempokit.media_io).
+
+scipy.special, which supplies the normal CDF, is imported by
+normal_cdf on first use, not with this module: it is most of tempokit's
+import time and about 25 MB of memory, and only the commands that run
+the adapter or the denoiser (train-toy, generate, tokens) evaluate a
+GELU.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import NumericError, ShapeError, ValidationError
 
@@ -95,21 +100,33 @@ def linear_forward(x, layer):
     return x @ layer.weight.T + layer.bias
 
 
+def normal_cdf(x):
+    """Phi(x), the standard normal CDF, elementwise (scipy's ndtr)."""
+    from scipy.special import ndtr
+
+    return ndtr(np.asarray(x, dtype=np.float64))
+
+
 def gelu(x):
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF.
 
     Uses the erf-based CDF, not the tanh approximation, so tests can pin
-    values against a high-precision oracle.
+    values against a high-precision oracle. A forward pass that needs
+    the gradient later computes cdf = normal_cdf(x) and x * cdf itself,
+    and hands the cdf to gelu_grad.
     """
     x = np.asarray(x, dtype=np.float64)
-    return x * ndtr(x)
+    return x * normal_cdf(x)
 
 
-def gelu_grad(x):
-    """d/dx of gelu: Phi(x) + x * phi(x)."""
+def gelu_grad(x, cdf=None):
+    """d/dx of gelu: Phi(x) + x * phi(x). cdf, when given, is
+    normal_cdf(x) as the forward computed it, and is not recomputed."""
     x = np.asarray(x, dtype=np.float64)
+    if cdf is None:
+        cdf = normal_cdf(x)
     pdf = np.exp(-0.5 * x * x) / _SQRT_2PI
-    return ndtr(x) + x * pdf
+    return cdf + x * pdf
 
 
 def softmax(v):

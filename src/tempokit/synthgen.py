@@ -5,7 +5,9 @@ follows parabolic arcs that hit the floor exactly at the event frames;
 each impact also applies a one-frame horizontal recoil jolt so the mean
 flow magnitude has a sharp, unambiguous maximum at the impact frame. In
 "flash" mode a stationary disk lights up at the event frame and decays
-over the next two.
+over the next two. A frame starts as BACKGROUND and only the disk's
+bounding box is blended: beyond the soft edge a pixel keeps BACKGROUND
+exactly, so the bytes are those of a blend over the whole frame.
 
 Audio is a 2 kHz exponentially decaying click (30 ms, -6 dBFS) per
 event. Clicks are centered half a frame after the visual event so the
@@ -143,24 +145,39 @@ def _ball_positions(config, events, rng):
     return x, floor_y - y
 
 
+def _span(center, reach, size):
+    """The pixels within reach of center along one axis, clipped to
+    [0, size), as a slice."""
+    lo = min(max(int(np.floor(center - reach)), 0), size)
+    hi = min(max(int(np.ceil(center + reach)) + 1, lo), size)
+    return slice(lo, hi)
+
+
 def _paint_disk(frame, cx, cy, radius, color):
+    """Blend a soft-edged disk into a uint8 frame that holds BACKGROUND.
+
+    Beyond radius + BALL_SOFT_EDGE alpha clips to 0 and the blend leaves
+    BACKGROUND exactly, so only the disk's bounding box, clipped to the
+    frame, is computed and written.
+    """
     h, w, _ = frame.shape
-    yy, xx = np.mgrid[0:h, 0:w]
-    dist = np.sqrt((xx - cx) ** 2 + (yy - cy) ** 2)
-    alpha = np.clip((radius + BALL_SOFT_EDGE - dist) / BALL_SOFT_EDGE, 0, 1)
-    blended = frame + alpha[..., None] * (color - frame)
-    return blended
+    reach = radius + BALL_SOFT_EDGE
+    rows, cols = _span(cy, reach, h), _span(cx, reach, w)
+    dist = np.sqrt((np.arange(cols.start, cols.stop) - cx) ** 2
+                   + ((np.arange(rows.start, rows.stop) - cy) ** 2)[:, None])
+    alpha = np.clip((reach - dist) / BALL_SOFT_EDGE, 0, 1)
+    background = float(BACKGROUND)
+    blended = background + alpha[..., None] * (color - background)
+    frame[rows, cols] = np.clip(np.rint(blended), 0, 255).astype(np.uint8)
 
 
 def _render_bounce(config, events, rng):
     xs, ys = _ball_positions(config, events, rng)
     color = np.array([235.0, 225.0, 200.0])
-    frames = np.empty((config.frame_count, config.height, config.width, 3),
-                      dtype=np.uint8)
-    base = np.full((config.height, config.width, 3), float(BACKGROUND))
+    frames = np.full((config.frame_count, config.height, config.width, 3),
+                     BACKGROUND, dtype=np.uint8)
     for f in range(config.frame_count):
-        painted = _paint_disk(base, xs[f], ys[f], BALL_RADIUS, color)
-        frames[f] = np.clip(np.rint(painted), 0, 255).astype(np.uint8)
+        _paint_disk(frames[f], xs[f], ys[f], BALL_RADIUS, color)
     return frames
 
 
@@ -174,13 +191,11 @@ def _render_flash(config, events, rng):
             brightness[e + 1] = 160.0
         if e + 2 < config.frame_count:
             brightness[e + 2] = 100.0
-    frames = np.empty((config.frame_count, config.height, config.width, 3),
-                      dtype=np.uint8)
-    base = np.full((config.height, config.width, 3), float(BACKGROUND))
+    frames = np.full((config.frame_count, config.height, config.width, 3),
+                     BACKGROUND, dtype=np.uint8)
     for f in range(config.frame_count):
         color = np.array([1.0, 0.95, 0.8]) * brightness[f]
-        painted = _paint_disk(base, cx, cy, 8.0, color)
-        frames[f] = np.clip(np.rint(painted), 0, 255).astype(np.uint8)
+        _paint_disk(frames[f], cx, cy, 8.0, color)
     return frames
 
 
@@ -247,12 +262,17 @@ def corpus(config, n_clips, out_dir):
 
 
 def read_corpus(manifest_path):
-    """Load a corpus manifest; yields (AVPair, events) per clip."""
+    """Load a corpus manifest; yields (AVPair, events) per clip.
+
+    Each clip's files are read only when the clip is asked for, so a
+    caller that is done with a clip before it asks for the next never
+    holds the whole corpus. The manifest itself is read at the first
+    clip.
+    """
     from .media_io import read_text_lines, read_video, read_wav
 
     base = os.path.dirname(manifest_path)
     rows = [line.split() for line in read_text_lines(manifest_path, "ascii")]
-    clips = []
     for row in rows:
         if len(row) != 3:
             raise ValidationError(f"bad manifest row: {' '.join(row)}")
@@ -264,5 +284,4 @@ def read_corpus(manifest_path):
         except ValueError:
             raise FormatError(
                 f"{events_path}: an event is not an integer") from None
-        clips.append((AVPair(video, audio), events))
-    return clips
+        yield AVPair(video, audio), events

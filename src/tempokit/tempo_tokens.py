@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .media_io import AudioEmbeddings, ConditionFile
-from .numerics import (gelu, gelu_grad, linear_forward, linear_init,
+from .numerics import (gelu_grad, linear_forward, linear_init, normal_cdf,
                        softmax)
 
 COSINE_NORM_FLOOR = 1e-12
@@ -153,24 +153,29 @@ def mapper_forward(flat_in, params):
     output and a cache for mapper_backward."""
     activations = [np.asarray(flat_in, dtype=np.float64)]
     pre_acts = []
+    cdfs = []  # Phi(pre) of each GELU layer, reused by the backward
     x = activations[0]
     for i, layer in enumerate(params.layers):
         pre = linear_forward(x, layer)
         pre_acts.append(pre)
-        x = gelu(pre) if i < 3 else pre
+        if i < 3:
+            cdfs.append(normal_cdf(pre))
+            x = pre * cdfs[i]  # gelu(pre)
+        else:
+            x = pre
         activations.append(x)
-    return x, (activations, pre_acts)
+    return x, (activations, pre_acts, cdfs)
 
 
 def mapper_backward(d_out, cache, params):
     """Backprop through the segment MLP. Returns (d_input, grads); for a
     (B, L, ·) stack each gradient has a leading axis of B clips."""
-    activations, pre_acts = cache
+    activations, pre_acts, cdfs = cache
     grads = {}
     delta = np.asarray(d_out, dtype=np.float64)
     for i in reversed(range(4)):
         if i < 3:
-            delta = delta * gelu_grad(pre_acts[i])
+            delta = delta * gelu_grad(pre_acts[i], cdfs[i])
         grads[f"mapper.{i}.weight"] = _t(delta) @ activations[i]
         grads[f"mapper.{i}.bias"] = delta.sum(axis=-2)
         delta = delta @ params.layers[i].weight

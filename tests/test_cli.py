@@ -1,7 +1,11 @@
 import io
 import json
 import multiprocessing
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -432,6 +436,38 @@ class TestGenSynth:
         err = capsys.readouterr().err
         assert "error: seed" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+
+START_UP_SCRIPT = """
+import sys
+from tempokit.cli import main
+out = sys.argv[1]
+clip = out + "/clip_0000"
+assert main(["gen-synth", "--out", out, "--clips", "1", "--duration", "2",
+             "--events", "3", "--seed", "6"]) == 0
+assert main(["av-align", "--video", clip + ".rvid",
+             "--audio", clip + ".wav"]) == 0
+print("after-align", "scipy.special" in sys.modules)
+assert main(["train-toy", "--corpus", out, "--steps", "2", "--ckpt",
+             out + "/c.ckpt", "--seed", "6"]) == 0
+assert main(["generate", "--ckpt", out + "/c.ckpt", "--audio",
+             clip + ".wav", "--out", out + "/g.rvid", "--seed", "6"]) == 0
+print("after-generate", "scipy.special" in sys.modules)
+"""
+
+
+class TestStartUp:
+    def test_only_the_learning_commands_import_scipy_special(self, tmp_path):
+        # a fresh interpreter, so that no other test has imported it
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", START_UP_SCRIPT, str(tmp_path / "c")],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        lines = [ln for ln in done.stdout.splitlines()
+                 if ln.startswith("after-")]
+        assert lines == ["after-align False", "after-generate True"]
 
 
 class TestTrainAndGenerate:

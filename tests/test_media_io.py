@@ -329,16 +329,33 @@ def _valid_inputs():
 
 VALID_INPUTS = _valid_inputs()
 # A valid file costs several times its size while it is read, because
-# the readers widen to float64: a 16-bit WAV sample becomes 8 bytes,
-# and read_wav holds up to three such arrays at once (the widened
-# samples, the normalized copy and AudioSignal's range check) beside
-# the raw bytes, about 13 times the file. A damaged input may cost no
-# more than that plus one READ_PIECE, the most that _read_exact asks
-# for ahead of data it has not yet seen, whatever size a header claims.
+# the readers widen to float64: a 16-bit WAV sample becomes 8 bytes.
+# read_wav holds the raw bytes and the widened samples, about 5 times
+# the file (6 for stereo, whose channel mean is one more array);
+# test_valid_wav_costs_under_seven_times_its_size pins that. A damaged
+# input may cost no more than 16 times its size plus one READ_PIECE, the
+# most that _read_exact asks for ahead of data it has not yet seen,
+# whatever size a header claims.
 MEMORY_MULTIPLE = 16
 # what any read allocates whatever the input: the exception, its
 # traceback and interpreter caches (about 5 KB measured)
 MEMORY_SLACK = 64 * 1024
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_valid_wav_costs_under_seven_times_its_size(tmp_path, channels):
+    # 4 s at 16 kHz: large enough that MEMORY_SLACK is a small share
+    path = tmp_path / "long.wav"
+    pcm = np.random.default_rng(3).integers(-32768, 32768, 64000 * channels)
+    craft_wav(path, pcm, channels=channels)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        read_wav(path)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak <= 7 * size + MEMORY_SLACK
 
 
 @st.composite

@@ -5,9 +5,11 @@ import pytest
 
 from tempokit.audio_analysis import detect_onsets
 from tempokit.av_align import av_align_from_media
+from tempokit import synthgen
 from tempokit.errors import ValidationError
 from tempokit.motion_analysis import detect_motion_peaks, motion_curve
-from tempokit.synthgen import SynthConfig, corpus, generate, read_corpus
+from tempokit.synthgen import (BACKGROUND, BALL_SOFT_EDGE, SynthConfig,
+                               corpus, generate, read_corpus)
 
 
 def file_digest(path):
@@ -79,6 +81,52 @@ class TestGenerate:
             SynthConfig(seed=0, event_kind="sparkle")
 
 
+def full_frame_disk(frame, cx, cy, radius, color):
+    """The disk painter as it was before it painted only the disk's
+    bounding box: it blends every pixel of a float frame. The oracle for
+    synthgen._paint_disk."""
+    h, w, _ = frame.shape
+    yy, xx = np.mgrid[0:h, 0:w]
+    dist = np.sqrt((xx - cx) ** 2 + (yy - cy) ** 2)
+    alpha = np.clip((radius + BALL_SOFT_EDGE - dist) / BALL_SOFT_EDGE, 0, 1)
+    blended = frame + alpha[..., None] * (color - frame)
+    return blended
+
+
+def paint_full_frame(frame, cx, cy, radius, color):
+    """synthgen._paint_disk's contract, met by the oracle."""
+    base = np.full(frame.shape, float(BACKGROUND))
+    painted = full_frame_disk(base, cx, cy, radius, color)
+    frame[...] = np.clip(np.rint(painted), 0, 255).astype(np.uint8)
+
+
+class TestDiskPainter:
+    @pytest.mark.parametrize("kind", ["bounce", "flash"])
+    @pytest.mark.parametrize("width, height", [
+        (64, 64), (128, 96), (24, 24), (25, 200), (97, 61)])
+    def test_rendered_frames_equal_the_full_frame_painter(
+            self, kind, width, height, monkeypatch):
+        for seed in range(4):
+            config = SynthConfig(width=width, height=height,
+                                 event_kind=kind, seed=seed)
+            box, _ = generate(config)
+            with monkeypatch.context() as patch:
+                patch.setattr(synthgen, "_paint_disk", paint_full_frame)
+                oracle, _ = generate(config)
+            assert box.video.frames.tobytes() == oracle.video.frames.tobytes()
+
+    @pytest.mark.parametrize("cx, cy", [
+        (0.0, 0.0), (-3.2, 12.5), (27.9, 5.5), (12.25, -7.5), (-8.0, 12.0),
+        (40.0, 40.0), (12.0, 31.5), (12.0, -30.0), (12.5, 12.5)])
+    def test_disks_at_and_beyond_the_edges(self, cx, cy):
+        color = np.array([250.0, 120.0, 5.0])
+        box = np.full((24, 24, 3), BACKGROUND, dtype=np.uint8)
+        oracle = box.copy()
+        synthgen._paint_disk(box, cx, cy, 8.0, color)
+        paint_full_frame(oracle, cx, cy, 8.0, color)
+        assert box.tobytes() == oracle.tobytes()
+
+
 class TestAlignmentDegradation:
     def test_shift_strictly_degrades_score(self):
         for seed in (0, 1):
@@ -94,7 +142,7 @@ class TestCorpus:
         manifest = corpus(SynthConfig(seed=2), 4, tmp_path / "c")
         lines = (tmp_path / "c" / "manifest.txt").read_text().splitlines()
         assert len(lines) == 4
-        clips = read_corpus(manifest)
+        clips = list(read_corpus(manifest))
         assert len(clips) == 4
         for pair, events in clips:
             assert pair.video.frame_count == 96
@@ -113,6 +161,15 @@ class TestCorpus:
         a = (tmp_path / "c" / "clip_0000.rvid").read_bytes()
         b = (tmp_path / "c" / "clip_0001.rvid").read_bytes()
         assert a != b
+
+    def test_reads_each_clip_when_it_is_asked_for(self, tmp_path):
+        manifest = corpus(SynthConfig(seed=2), 2, tmp_path / "c")
+        (tmp_path / "c" / "clip_0001.rvid").unlink()
+        clips = read_corpus(manifest)
+        pair, _ = next(clips)
+        assert pair.video.frame_count == 96
+        with pytest.raises(FileNotFoundError):
+            next(clips)
 
     def test_detected_onsets_match_recorded_ground_truth(self, tmp_path):
         manifest = corpus(SynthConfig(seed=13), 3, tmp_path / "c")
