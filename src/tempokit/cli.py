@@ -10,8 +10,9 @@ Subcommands:
 av-align checks every pair (files, frame shapes, durations) before it
 solves any flow. It then splits the optical flow of the distinct videos
 into frame-pair ranges across one process per core in its affinity mask
-(see worker_count; taskset restricts it); the output is byte-identical
-for any number of processes.
+(see worker_count; taskset restricts it), balanced on the pixels of the
+pairs that move; still pairs have exactly zero flow and are not solved.
+The output is byte-identical for any number of processes.
 
 Exit codes: 0 success, 2 format or input error, 3 duration mismatch
 beyond the truncation policy, 4 numeric failure (non-finite loss).
@@ -76,6 +77,8 @@ def _parse_fps(text):
             value = float(text)
             num, den = ((int(value), 1) if value == int(value)
                         else (int(round(value * 1000)), 1000))
+            if num == 0 < value:  # decimal rates are kept to 1/1000
+                raise ValidationError(f"frame rate {text!r} rounds to 0")
     except (ValueError, OverflowError):
         raise ValidationError(f"bad frame rate {text!r}") from None
     if num <= 0 or den <= 0:
@@ -121,60 +124,57 @@ def worker_count():
 
 
 def plan_flow(videos, workers):
-    """Deal the frame pairs of videos, (key, frame_count, height, width)
-    tuples, into at most `workers` bins of about equal cost, counted as
-    pairs x height x width.
+    """Deal the frame pairs of videos, (key, frame_count, height, width,
+    moving) tuples, into at most `workers` bins of about equal cost: a
+    pair in moving (motion_analysis.moving_pairs) costs height x width,
+    a still pair 0, as motion_curve skips it.
 
     The pairs of all videos are laid end to end in the order given and
     cut at the pair boundaries nearest to each equal share. So every
-    pair lands in exactly one bin, each bin's cost is within one pair of
-    its share, and a bin holds at most one range of each video. A bin is
-    a list of (key, start, stop) ranges, the pairs that end at frames
-    start..stop-1 (1 <= start < stop <= frame_count); empty bins are
-    dropped, so the first bin holds the first pair.
+    moving pair lands in exactly one bin, each bin's cost is within one
+    pair of its share, and a bin holds at most one range of each video.
+    A bin is a list of (key, start, stop) ranges, the pairs that end at
+    frames start..stop-1 (1 <= start < stop <= frame_count); ranges with
+    no moving pair and empty bins are dropped, so still videos get none.
     """
-    total = sum((n - 1) * h * w for _, n, h, w in videos)
-    bounds = [0]
-    for j in range(1, workers if total else 0):
-        share = total * j / workers
-        done = pairs = 0
-        for _, n, h, w in videos:
-            if done + (n - 1) * h * w >= share:
-                break
-            done += (n - 1) * h * w
-            pairs += n - 1
-        bounds.append(pairs + round((share - done) / (h * w)))
-    bounds.append(sum(n - 1 for _, n, _, _ in videos))
+    ends = np.cumsum(np.concatenate([[0]] + [  # cost before each boundary
+        np.isin(np.arange(1, n), moving) * (h * w)
+        for _, n, h, w, moving in videos]))
+    shares = ends[-1] * np.arange(1, workers if ends[-1] else 0) / workers
+    cuts = np.searchsorted(ends, shares)
+    cuts -= shares - ends[cuts - 1] < ends[cuts] - shares
+    bounds = [0, *cuts.tolist(), len(ends) - 1]
     bins = [[] for _ in bounds[1:]]
     first = 0  # index of each video's first pair in the whole sequence
-    for key, n, _, _ in videos:
+    for key, n, *_ in videos:
         for ranges, lo, hi in zip(bins, bounds, bounds[1:]):
             lo, hi = max(lo, first), min(hi, first + n - 1)
-            if lo < hi:
+            if lo < hi and ends[lo] < ends[hi]:
                 ranges.append((key, lo - first + 1, hi - first + 1))
         first += n - 1
     return [ranges for ranges in bins if ranges]
 
 
+def _solve_range(path, start, stop, flow):
+    video = media_io.read_video(path)
+    # the flow of a frame pair depends only on that pair
+    part = Video(video.frames[start - 1:stop], video.fps_num, video.fps_den)
+    return motion_analysis.motion_curve(part, flow)[1:]
+
+
 def solve_ranges(ranges, flow):
     """The motion-curve pieces curve[start:stop] of the video file at
     each (path, start, stop) range. Pool workers run this too: it gets
-    only paths, ranges and FlowParams, and returns float64 arrays."""
-    pieces = []
-    for path, start, stop in ranges:
-        video = media_io.read_video(path)
-        # the flow of a frame pair depends only on that pair
-        part = Video(video.frames[start - 1:stop], video.fps_num,
-                     video.fps_den)
-        pieces.append(motion_analysis.motion_curve(part, flow)[1:])
-    return pieces
+    only paths, ranges and FlowParams, and returns float64 arrays. Each
+    video is freed before the next one is read."""
+    return [_solve_range(*where, flow) for where in ranges]
 
 
 def solve_curves(videos, flow, workers):
-    """Full-length motion curves of videos, (path, frame_count, height,
-    width) tuples, keyed by path: the flow is split by plan_flow, this
-    process solves the first bin and a multiprocessing pool the rest.
-    The curves are bit-identical for any number of workers."""
+    """Full-length motion curves of videos, plan_flow's tuples keyed by
+    path: the flow is split by plan_flow, this process solves the first
+    bin and a multiprocessing pool the rest. The curves are bit-identical
+    for any number of workers."""
     bins = plan_flow(videos, workers)
     if len(bins) > 1:
         import multiprocessing  # only a command that starts a pool pays
@@ -184,7 +184,7 @@ def solve_curves(videos, flow, workers):
             results = [solve_ranges(bins[0], flow)] + pending.get()
     else:
         results = [solve_ranges(ranges, flow) for ranges in bins]
-    curves = {path: np.zeros(n) for path, n, _, _ in videos}
+    curves = {path: np.zeros(n) for path, n, *_ in videos}
     for ranges, pieces in zip(bins, results):
         for (path, start, stop), piece in zip(ranges, pieces):
             curves[path][start:stop] = piece
@@ -201,9 +201,9 @@ def cmd_av_align(args):
         fps = num / den
 
     # Every pair is checked, in input order, before any flow is solved.
-    # Only the shape of each video (by path, as written) is kept: a video
-    # listed on several --batch lines has its flow solved once.
-    pairs, shapes = [], {}
+    # Only the shape and moving pairs of each video (by path, as written)
+    # are kept: a video listed on several --batch lines is solved once.
+    pairs, videos = [], {}
 
     def check_pair(video_path, audio_path):
         video = media_io.read_video(video_path)
@@ -213,7 +213,9 @@ def cmd_av_align(args):
         av_align._reconcile_durations(
             video, audio, fps if fps is not None else video.fps)
         pairs.append((video_path, audio_path))
-        shapes.setdefault(video_path, video.frames.shape[:3])
+        if video_path not in videos:
+            videos[video_path] = (*video.frames.shape[:3],
+                                  motion_analysis.moving_pairs(video.frames))
 
     if args.batch:
         for lineno, raw in enumerate(sys.stdin, 1):
@@ -230,7 +232,7 @@ def cmd_av_align(args):
     else:
         check_pair(args.video, args.audio)
 
-    curves = solve_curves([(path, *shape) for path, shape in shapes.items()],
+    curves = solve_curves([(path, *video) for path, video in videos.items()],
                           flow, worker_count())
     reports = []
     with warnings.catch_warnings():

@@ -35,9 +35,9 @@ _LUMA = np.array([0.299, 0.587, 0.114])
 # order of its 3x3 kernel, which is the order scipy.ndimage adds them in.
 _AVG_TAPS = [((dy, dx), 1 / 12 if dy and dx else 1 / 6)
              for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
-# Pixels per chunk of frame pairs in motion_curve: 2 pairs at 64x64,
-# 1 at 128x96. About 120 bytes per pixel of working arrays then stay
-# within a 2 MB cache; larger chunks ran slower.
+# Pixels per chunk of moving frame pairs in motion_curve: 2 pairs at
+# 64x64, 1 at 128x96. About 120 bytes per pixel of working arrays then
+# stay within a 2 MB cache; larger chunks ran slower.
 PIXELS = 8192
 
 
@@ -174,18 +174,31 @@ def optical_flow(frame1, frame2, params=None):
     return FlowField(u.reshape(f1.shape), v.reshape(f1.shape))
 
 
+def moving_pairs(frames):
+    """Indices k >= 1 of the frame pairs whose frames k-1 and k differ
+    as bytes. Any other pair has a zero temporal derivative, and its
+    flow, solved from zero, is exactly +0.0 everywhere."""
+    return np.flatnonzero([frames[k - 1].tobytes() != frames[k].tobytes()
+                           for k in range(1, len(frames))]) + 1
+
+
 def motion_curve(video, params=None):
-    """Mean flow magnitude per frame; index 0 has no predecessor and is 0."""
+    """Mean flow magnitude per frame; index 0 has no predecessor and is 0.
+    Only moving_pairs are solved, in chunks of about PIXELS pixels with
+    grays made per chunk; a still pair keeps an exact 0.0."""
     check_video(video)
     height, width = video.frames.shape[1:3]
     chunk = max(1, PIXELS // (height * width))
     curve = np.zeros(video.frame_count)
-    grays = [to_grayscale(f) for f in video.frames]
-    for start in range(1, video.frame_count, chunk):
-        stop = min(start + chunk, video.frame_count)
-        stack = np.stack(grays[start - 1:stop])
-        flow = optical_flow(stack[:-1], stack[1:], params)
-        curve[start:stop] = [m.mean() for m in flow.magnitude]
+    moving = moving_pairs(video.frames)
+    grays = {}
+    for start in range(0, len(moving), chunk):
+        ks = moving[start:start + chunk]
+        grays = {i: grays[i] if i in grays else to_grayscale(video.frames[i])
+                 for i in {*(ks - 1), *ks}}
+        flow = optical_flow(np.stack([grays[k - 1] for k in ks]),
+                            np.stack([grays[k] for k in ks]), params)
+        curve[ks] = [m.mean() for m in flow.magnitude]
     return curve
 
 

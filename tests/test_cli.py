@@ -6,14 +6,15 @@ import pathlib
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from tempokit import cli, diffusion_toy, motion_analysis
+from tempokit import av_align, cli, diffusion_toy, motion_analysis
 from tempokit.cli import build_parser, main
-from tempokit.errors import FormatError
+from tempokit.errors import FormatError, ValidationError
 from tempokit.media_io import (AudioSignal, Video, read_condition,
                                read_named_tensors, read_video, read_wav,
                                write_named_tensors, write_video, write_wav)
@@ -249,27 +250,43 @@ class TestFlowPlan:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7, 64])
     @pytest.mark.parametrize("count", [1, 2, 5])
     def test_every_pair_solved_once_in_balanced_bins(self, workers, count):
-        videos = self.SHAPES[:count]
+        rng = np.random.default_rng([workers, count])
+        # every pair moving, then random still masks, then all still
+        for still in (0.0, 0.3, 0.7, 0.95, 1.0):
+            videos = [(key, n, h, w,
+                       np.flatnonzero(rng.random(n - 1) >= still) + 1)
+                      for key, n, h, w in self.SHAPES[:count]]
+            self.check_plan(videos, workers)
+
+    @staticmethod
+    def check_plan(videos, workers):
         bins = cli.plan_flow(videos, workers)
         assert bins == cli.plan_flow(videos, workers)
-        assert 1 <= len(bins) <= workers
-        for key, n, _, _ in videos:
+        assert len(bins) <= workers
+        assert bool(bins) == any(len(moving) for *_, moving in videos)
+        for key, n, _, _, moving in videos:
             ranges = sorted((start, stop) for ranges in bins
                             for k, start, stop in ranges if k == key)
-            assert ranges[0][0] == 1 and ranges[-1][1] == n
-            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-            assert all(start < stop for start, stop in ranges)
-        size = {key: h * w for key, _, h, w in videos}
-        share = sum((n - 1) * h * w for _, n, h, w in videos) / workers
+            assert all(1 <= start < stop <= n for start, stop in ranges)
+            assert all(a[1] <= b[0] for a, b in zip(ranges, ranges[1:]))
+            # each moving pair in exactly one range, no range without one
+            hits = [sum(start <= k < stop for k in moving)
+                    for start, stop in ranges]
+            assert sum(hits) == len(moving) and 0 not in hits
+        size = {key: h * w for key, _, h, w, _ in videos}
+        moving = {key: moving for key, *_, moving in videos}
+        share = sum(size[key] * len(moving[key]) for key in size) / workers
         for ranges in bins:
             assert len({key for key, _, _ in ranges}) == len(ranges)
-            cost = sum((stop - start) * size[key]
+            cost = sum(size[key] * np.sum((start <= moving[key])
+                                          & (moving[key] < stop))
                        for key, start, stop in ranges)
             assert abs(cost - share) <= max(size.values())
 
     def test_align_distinct_shapes_split_without_cutting_a_video(self):
-        videos = [("s0", 96, 64, 64), ("s1", 96, 64, 64),
-                  ("s2", 96, 64, 64), ("big", 96, 96, 128)]
+        videos = [(key, 96, h, w, np.arange(1, 96))
+                  for key, h, w in [("s0", 64, 64), ("s1", 64, 64),
+                                    ("s2", 64, 64), ("big", 96, 128)]]
         assert cli.plan_flow(videos, 2) == [
             [("s0", 1, 96), ("s1", 1, 96), ("s2", 1, 96)],
             [("big", 1, 96)]]
@@ -302,8 +319,10 @@ class TestParallelFlow:
     def test_spawned_workers_give_the_serial_curves(self, mixed_clips):
         # spawn is the default start method on macOS; it and forkserver
         # (the Linux default from Python 3.14) pickle the work
-        videos = [(path, *read_video(path).frames.shape[:3])
-                  for path, _ in mixed_clips.values()]
+        frames = {path: read_video(path).frames
+                  for path, _ in mixed_clips.values()}
+        videos = [(path, *f.shape[:3], motion_analysis.moving_pairs(f))
+                  for path, f in frames.items()]
         flow = FlowParams(iterations=20)
         default = multiprocessing.get_start_method()
         multiprocessing.set_start_method("spawn", force=True)
@@ -312,7 +331,7 @@ class TestParallelFlow:
         finally:
             multiprocessing.set_start_method(default, force=True)
         assert multiprocessing.active_children() == []
-        for path, _, _, _ in videos:
+        for path, *_ in videos:
             assert np.array_equal(spawned[path], motion_analysis.motion_curve(
                 read_video(path), flow))
 
@@ -326,7 +345,11 @@ class TestParallelFlow:
         plan = cli.plan_flow
 
         def plan_with_a_broken_worker(videos, workers):
+            [(path, n, h, w, moving)] = videos
+            assert np.array_equal(moving, motion_analysis.moving_pairs(
+                read_video(path).frames))
             bins = plan(videos, workers)
+            assert len(bins) == 2
             bins[1] = [(str(broken), start, stop)
                        for _, start, stop in bins[1]]
             return bins
@@ -339,6 +362,62 @@ class TestParallelFlow:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {raised.value}\n"
+        assert multiprocessing.active_children() == []
+
+    def test_solving_a_bin_holds_one_video_at_a_time(self, corpus_dir,
+                                                     tmp_path):
+        # 4-s clips: reading the 128x96 one while the 64x64 one is alive
+        # would peak above solving the 128x96 one alone
+        assert main(["gen-synth", "--out", str(tmp_path), "--clips", "1",
+                     "--width", "128", "--height", "96"]) == 0
+        small = str(corpus_dir / "clip_0000.rvid")
+        large = str(tmp_path / "clip_0000.rvid")
+        flow = FlowParams(iterations=1)
+        peaks = []
+        for ranges in ([(large, 1, 96)], [(small, 1, 96), (large, 1, 96)]):
+            tracemalloc.start()
+            try:
+                cli.solve_ranges(ranges, flow)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_still_batch_starts_no_pool(self, mixed_clips, tmp_path,
+                                        monkeypatch, capsys):
+        lines = []
+        for name, (video, audio) in mixed_clips.items():
+            frames = read_video(video).frames
+            still = tmp_path / f"{name}_still.rvid"
+            write_video(Video(np.repeat(frames[-1:], len(frames), axis=0),
+                              24), still)
+            lines.append((str(still), audio))
+        lines.append(lines[0])
+        # scored with the curves motion_curve solves in this process
+        scores = [av_align.av_align_from_media(read_video(video),
+                                               read_wav(audio)).score
+                  for video, audio in lines]
+        expected = "".join(f"{video} score={score:.6f}\n"
+                           for (video, _), score in zip(lines, scores))
+        expected += f"mean_score={np.mean(scores):.6f}\n"
+        reads = []
+
+        def counting_read(path):
+            reads.append(path)
+            return read_video(path)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a still batch started a pool")
+
+        monkeypatch.setattr(cli, "worker_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(cli.media_io, "read_video", counting_read)
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "".join(f"{video} {audio}\n" for video, audio in lines)))
+        assert main(["av-align", "--batch"]) == 0
+        assert capsys.readouterr().out == expected
+        # once to check each line, once to score it: never for flow
+        assert len(reads) == 2 * len(lines)
         assert multiprocessing.active_children() == []
 
 
@@ -617,6 +696,8 @@ BAD_INPUTS = {
     "zero fps denominator": ["av-align", "{clip}", "--fps-override", "30/0"],
     "negative fps": ["av-align", "{clip}", "--fps-override", "-24"],
     "non-numeric fps": ["av-align", "{clip}", "--fps-override", "abc"],
+    "decimal fps that rounds to 0": ["av-align", "{clip}", "--fps-override",
+                                     "0.0004"],
     "config flag without a path": ["--config"],
     "config value of the wrong type": ["--config", "{tmp}/bad_value.cfg",
                                        "gen-synth", "--out", "{tmp}/o"],
@@ -677,6 +758,11 @@ BAD_INPUTS = {
     "infinite learning rate": ["train-toy", "--corpus", "{corpus}",
                                "--ckpt", "{tmp}/n.ckpt", "--lr", "inf"],
 }
+
+
+def test_decimal_fps_that_rounds_to_zero_says_so():
+    with pytest.raises(ValidationError, match="'0.0004' rounds to 0"):
+        cli._parse_fps("0.0004")
 
 
 def lying_checkpoint(*dims):

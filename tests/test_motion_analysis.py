@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.ndimage import convolve
@@ -6,7 +8,8 @@ from tempokit.errors import ShapeError
 from tempokit.media_io import Video
 from tempokit.motion_analysis import (PIXELS, FlowParams,
                                       detect_motion_peaks, motion_curve,
-                                      optical_flow, to_grayscale)
+                                      moving_pairs, optical_flow,
+                                      to_grayscale)
 from tempokit.synthgen import SynthConfig, generate
 
 
@@ -225,3 +228,60 @@ class TestStencilMatchesConvolution:
         for params in (self.params, FlowParams()):
             assert np.array_equal(motion_curve(reference_clip, params),
                                   reference_curve(reference_clip, params))
+
+
+# ---------------------------------------------------------------------------
+# Still pairs: skipped by motion_curve, exactly zero when solved
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [1e-3, 10.0, 1e3])
+@pytest.mark.parametrize("iterations", [1, 7, 100])
+def test_identical_grays_give_only_positive_zero(alpha, iterations):
+    grays = np.random.default_rng(iterations).uniform(0, 1, (3, 12, 16))
+    params = FlowParams(alpha=alpha, iterations=iterations)
+    flow = optical_flow(grays, grays, params)
+    reference = reference_flow(grays[0], grays[0], params)
+    for field in (flow.u, flow.v, *reference):
+        assert not field.any()
+        assert not np.signbit(field).any()
+
+
+# frame indices into a pool of distinct random frames, 10 per video
+STILL_PATTERNS = {
+    "still head": [0, 0, 0, 0, 1, 2, 3, 4, 5, 6],
+    "still tail": [0, 1, 2, 3, 4, 4, 4, 4, 4, 4],
+    "alternating": [0, 0, 1, 1, 2, 2, 3, 3, 4, 4],
+    "only still": [0] * 10,
+    "one moving pair": [0, 0, 0, 0, 0, 1, 1, 1, 1, 1],
+}
+
+
+@pytest.mark.parametrize("width, height", [(64, 64), (128, 96)],
+                         ids=["64x64", "128x96"])
+@pytest.mark.parametrize("pattern", STILL_PATTERNS.values(),
+                         ids=STILL_PATTERNS.keys())
+def test_motion_curve_with_still_pairs_is_bit_exact(pattern, width, height):
+    pool = np.random.default_rng(width).integers(
+        0, 256, (max(pattern) + 1, height, width, 3), dtype=np.uint8)
+    video = Video(pool[pattern], 24)
+    moving = [k for k in range(1, 10) if pattern[k] != pattern[k - 1]]
+    assert moving_pairs(video.frames).tolist() == moving
+    params = FlowParams(alpha=7.0, iterations=40)
+    curve = motion_curve(video, params)
+    assert np.array_equal(curve, reference_curve(video, params))
+    assert np.flatnonzero(curve).tolist() == moving
+
+
+def test_motion_curve_memory_does_not_grow_with_frames():
+    config = SynthConfig(width=128, height=96, event_kind="bounce", seed=3)
+    frames = generate(config)[0].video.frames
+    assert len(frames) == 96
+    peaks = []
+    for video in (Video(frames, 24), Video(np.concatenate([frames] * 2), 24)):
+        tracemalloc.start()
+        try:
+            motion_curve(video, FlowParams(iterations=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
