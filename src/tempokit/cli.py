@@ -281,7 +281,8 @@ def cmd_tokens(args):
         if not args.toy_encoder:
             raise ValidationError("--audio requires --toy-encoder")
         audio = media_io.read_wav(args.audio)
-        emb = toy_audio_features(audio, args.length, args.layers, args.dim)
+        emb = toy_audio_features(audio, args.length, comp.dims.embed_layers,
+                                 comp.dims.embed_dim)
 
     tokens = tempo_tokens.map_audio(emb, comp.mapper)
     if args.mode == "vec":
@@ -407,8 +408,6 @@ def build_parser(config=None):
     p.add_argument("--toy-encoder", action="store_true")
     p.add_argument("--L", dest="length", default=24, type=int,
                    help="segments for the toy encoder")
-    p.add_argument("--layers", default=2, type=int)
-    p.add_argument("--dim", default=12, type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=("windows", "vec"), default="windows")
     p.add_argument("--ckpt", help="optional trained checkpoint")

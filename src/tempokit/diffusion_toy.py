@@ -10,13 +10,17 @@ arrays and makes one forward and one backward through the adapter and
 the denoiser (total_loss_and_grads, the only loss), with the gradients
 of the clips summed in clip order; sampling denoises all frames of a
 clip together. Only the audio mapper and the attentive pooling
-parameters receive gradients; the training loop verifies this by
-hashing the frozen parameters.
+parameters receive gradients; train never updates the frozen ones,
+which the tests and perfbench's frozen digest check by hashing them
+(params_hash).
 
 Checkpoints are TTCKPT1 files (see tempokit.media_io): named float32
 tensor records for every parameter plus two metadata records,
 "schedule.betas" (the noise schedule) and "meta.dims", the integer
 ModelDims fields named by META_DIMS followed by fps_num and fps_den.
+Each component checks its own shapes when it is built, and
+load_checkpoint checks that meta.dims agrees with the tensors, so a
+checkpoint whose parts do not fit together fails as it is loaded.
 """
 
 import hashlib
@@ -58,8 +62,15 @@ class NoiseSchedule:
     betas: np.ndarray
 
     def __post_init__(self):
+        self.betas = np.asarray(self.betas, dtype=np.float64)
+        if self.betas.ndim != 1 or self.betas.size < 1:
+            raise ValidationError("betas must be a nonempty 1-d array")
+        if not np.all((self.betas > 0) & (self.betas < 1)):
+            raise ValidationError("betas must lie strictly in (0, 1)")
         self.alphas = 1.0 - self.betas
         self.alpha_bars = np.cumprod(self.alphas)
+        if not np.all(np.diff(self.alpha_bars) < 0):
+            raise ValidationError("cumulative alphas must strictly decrease")
 
     @property
     def timesteps(self):
@@ -67,15 +78,7 @@ class NoiseSchedule:
 
 
 def make_schedule(timesteps=100, beta_start=1e-4, beta_end=0.02):
-    if timesteps < 1:
-        raise ValidationError("timesteps must be >= 1")
-    betas = np.linspace(beta_start, beta_end, timesteps)
-    if not np.all((betas > 0) & (betas < 1)):
-        raise ValidationError("betas must lie strictly in (0, 1)")
-    schedule = NoiseSchedule(betas)
-    if not np.all(np.diff(schedule.alpha_bars) < 0):
-        raise ValidationError("cumulative alphas must strictly decrease")
-    return schedule
+    return NoiseSchedule(np.linspace(beta_start, beta_end, timesteps))
 
 
 def forward_noise(z0, t, eps, schedule):
@@ -108,9 +111,9 @@ class LatentCodec:
 
     def __post_init__(self):
         self.encoder = np.asarray(self.encoder, dtype=np.float64)
-        if self.encoder.shape[1] != self.width * self.height * 3:
-            raise ShapeError("encoder columns must equal width*height*3")
-        self.init_hash = params_hash(self.arrays())
+        if (self.encoder.ndim != 2
+                or self.encoder.shape[1] != self.width * self.height * 3):
+            raise ShapeError("encoder must have width*height*3 columns")
 
     @property
     def latent_dim(self):
@@ -185,11 +188,35 @@ class DenoiserParams:
     time_dim: int = 8
 
     def __post_init__(self):
-        self.init_hash = params_hash(self.arrays())
+        if self.time_dim < 2 or self.time_dim % 2:
+            raise ValidationError(
+                f"time_dim {self.time_dim} must be even and positive")
+        if {a.ndim for a in (self.query_proj, self.value_proj,
+                             self.mlp1)} != {2}:
+            raise ShapeError("denoiser query_proj, value_proj and mlp1 "
+                             "must be 2-d")
+        attn, latent = self.query_proj.shape
+        value, token = self.value_proj.shape
+        hidden = self.mlp1.shape[0]
+        want = {"query_bias": (attn,), "key_proj": (attn, token),
+                "key_bias": (attn,), "value_bias": (value,),
+                "mlp1": (hidden, latent + self.time_dim + value),
+                "mlp1_bias": (hidden,), "mlp2": (hidden, hidden),
+                "mlp2_bias": (hidden,), "out": (latent, hidden),
+                "out_bias": (latent,), "summary_skip": (latent, value)}
+        for name, shape in want.items():
+            if getattr(self, name).shape != shape:
+                raise ShapeError(
+                    f"denoiser.{name} has shape {getattr(self, name).shape}, "
+                    f"want {shape}")
 
     @property
     def latent_dim(self):
         return self.out.shape[0]
+
+    @property
+    def token_dim(self):
+        return self.key_proj.shape[1]
 
     def arrays(self):
         return [(f"denoiser.{f.name}", getattr(self, f.name))
@@ -644,11 +671,13 @@ def _params_from_records(cls, prefix, records, **scalars):
 def load_checkpoint(path):
     records = read_named_tensors(path)
     try:
-        meta = records["meta.dims"].astype(int)
+        meta = records["meta.dims"]
         want = (len(META_DIMS) + 2,)
         if meta.shape != want:
             raise ValidationError(
                 f"checkpoint meta.dims has shape {meta.shape}, want {want}")
+        if not np.all(meta >= 1):
+            raise ValidationError("checkpoint meta.dims must be positive")
         *sizes, fps_num, fps_den = (int(v) for v in meta)
         meta_dims = dict(zip(META_DIMS, sizes), fps=(fps_num, fps_den))
         betas = records["schedule.betas"]
@@ -674,6 +703,18 @@ def load_checkpoint(path):
         attn_dim=denoiser.query_proj.shape[0],
         value_dim=denoiser.value_proj.shape[0],
         denoiser_hidden=denoiser.mlp1.shape[0],
-        timesteps=betas.size,
+        timesteps=schedule.timesteps,
     )
+    if dims.segment_dim != mapper.in_dim:
+        raise ShapeError(f"meta.dims gives segment size {dims.segment_dim}, "
+                         f"the mapper takes {mapper.in_dim}")
+    for what, size in (("mapper output", mapper.out_dim),
+                       ("pooling", pooling.token_dim),
+                       ("denoiser", denoiser.token_dim)):
+        if size != dims.token_flat_dim:
+            raise ShapeError(f"meta.dims gives token size "
+                             f"{dims.token_flat_dim}, the {what} has {size}")
+    if codec.latent_dim != denoiser.latent_dim:
+        raise ShapeError(f"codec latent dim {codec.latent_dim} != denoiser "
+                         f"latent dim {denoiser.latent_dim}")
     return Components(mapper, pooling, denoiser, codec, schedule, dims)

@@ -20,6 +20,10 @@ normalizes by 32768 (stereo is averaged to mono before normalization).
 read_video also accepts a directory of binary PPM (P6) frames listed by
 a UTF-8 manifest.txt whose first line is "fps <num> <den>" followed by
 one frame filename per line.
+
+Every fixed-layout payload is read by _read_exact into one buffer, so
+an RVID read holds the file plus at most one READ_PIECE, and its frames
+are that buffer; a tensor file also holds its float64 widening.
 """
 
 import math
@@ -143,17 +147,41 @@ class ConditionFile:
 
 
 def _read_exact(fh, n, what):
-    """Read n bytes in pieces of at most READ_PIECE, so a size declared
-    beyond the end of the input fails without being allocated. Pieces
-    rather than a size check keep pipes readable."""
-    pieces = []
-    while n > 0:
-        piece = fh.read(min(n, READ_PIECE))
+    """n bytes of fh as a writable bytearray grown by reads of at most
+    READ_PIECE, so a size declared beyond the end of the input fails
+    before it is allocated, and a pipe reads like a file."""
+    buf = bytearray()
+    while len(buf) < n:
+        piece = fh.read(min(n - len(buf), READ_PIECE))
         if not piece:
-            raise FormatError(f"truncated file while reading {what}")
-        pieces.append(piece)
-        n -= len(piece)
-    return b"".join(pieces)
+            raise FormatError(
+                f"truncated file: {what} has {len(buf)} of {n} bytes")
+        buf += piece
+    return buf
+
+
+def _read_array(fh, dtype, shape, what):
+    """The next bytes of fh as a writable array of dtype and shape, a
+    view of _read_exact's buffer."""
+    buf = _read_exact(fh, np.dtype(dtype).itemsize * math.prod(shape), what)
+    return np.frombuffer(buf, dtype).reshape(shape)
+
+
+def _read_u32(fh, count, what):
+    return struct.unpack(f"<{count}I", _read_exact(fh, 4 * count, what))
+
+
+def _read_header(fh, magic, fields):
+    """The u32 header fields that follow the magic fh must start with."""
+    found = _read_exact(fh, len(magic), "magic")
+    if found != magic:
+        raise FormatError(f"bad magic {bytes(found)!r}, expected {magic!r}")
+    return _read_u32(fh, fields, f"{magic.decode()} header")
+
+
+def _check_end(fh, what):
+    if fh.read(1):
+        raise FormatError(f"trailing bytes after {what}")
 
 
 def read_text_lines(path, encoding):
@@ -234,13 +262,13 @@ def write_wav(signal, path):
     """Encode an AudioSignal as mono PCM-16 RIFF/WAVE."""
     clipped = np.clip(signal.samples, -1.0, 1.0)
     pcm = np.clip(np.rint(clipped * PCM_SCALE), -32768, 32767).astype("<i2")
-    data = pcm.tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, signal.sample_rate,
-                      signal.sample_rate * 2, 2, 16)
-    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-    body += b"data" + struct.pack("<I", len(data)) + data
+    # the canonical 44-byte header: RIFF, a 16-byte fmt chunk, data
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes,
+                         b"WAVE", b"fmt ", 16, 1, 1, signal.sample_rate,
+                         signal.sample_rate * 2, 2, 16, b"data", pcm.nbytes)
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+        fh.write(header)
+        fh.write(pcm)
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +276,11 @@ def write_wav(signal, path):
 # ---------------------------------------------------------------------------
 
 def write_video(video, path):
-    header = b"RVID" + struct.pack(
-        "<5I",
-        video.frames.shape[2],
-        video.frames.shape[1],
-        video.frame_count,
-        video.fps_num,
-        video.fps_den,
-    )
+    count, height, width, _ = video.frames.shape
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(video.frames).tobytes())
+        fh.write(b"RVID" + struct.pack("<5I", width, height, count,
+                                       video.fps_num, video.fps_den))
+        fh.write(np.ascontiguousarray(video.frames))
 
 
 def read_video(path):
@@ -266,21 +288,14 @@ def read_video(path):
     if os.path.isdir(path):
         return _read_video_ppm_dir(path)
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != b"RVID":
-            raise FormatError(f"bad magic {magic!r}, expected b'RVID'")
-        width, height, frame_count, fps_num, fps_den = struct.unpack(
-            "<5I", _read_exact(fh, 20, "RVID header"))
+        width, height, frame_count, fps_num, fps_den = _read_header(
+            fh, b"RVID", 5)
         if min(width, height, frame_count, fps_num, fps_den) < 1:
             raise FormatError("RVID header fields must be positive")
-        payload = fh.read()
-    expected = frame_count * height * width * 3
-    if len(payload) != expected:
-        raise FormatError(
-            f"RVID payload is {len(payload)} bytes, expected {expected}")
-    frames = np.frombuffer(payload, dtype=np.uint8).reshape(
-        frame_count, height, width, 3)
-    return Video(frames.copy(), fps_num, fps_den)
+        frames = _read_array(fh, np.uint8, (frame_count, height, width, 3),
+                             "RVID frames")
+        _check_end(fh, "RVID frames")
+    return Video(frames, fps_num, fps_den)
 
 
 def _read_ppm(path):
@@ -333,7 +348,7 @@ def write_video_ppm(video, dirpath):
         names.append(name)
         with open(os.path.join(dirpath, name), "wb") as fh:
             fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-            fh.write(video.frames[i].tobytes())
+            fh.write(np.ascontiguousarray(video.frames[i]))
     with open(os.path.join(dirpath, "manifest.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(f"fps {video.fps_num} {video.fps_den}\n")
@@ -356,25 +371,18 @@ def _write_tensor3(values, magic, path):
         raise ValidationError("tensor contains non-finite values")
     with open(path, "wb") as fh:
         fh.write(magic + struct.pack("<3I", *values.shape))
-        fh.write(np.ascontiguousarray(values).tobytes())
+        fh.write(np.ascontiguousarray(values))
 
 
 def _read_tensor3(path, magic):
     """The float64 values of a file written by _write_tensor3; the
     caller's container rejects non-finite values."""
-    name = magic.decode()
+    what = f"{magic.decode()} values"
     with open(path, "rb") as fh:
-        found = _read_exact(fh, 4, "magic")
-        if found != magic:
-            raise FormatError(f"bad magic {found!r}, expected {magic!r}")
-        shape = struct.unpack("<3I", _read_exact(fh, 12, f"{name} header"))
-        payload = fh.read()
-    expected = 4 * math.prod(shape)
-    if len(payload) != expected:
-        raise FormatError(
-            f"{name} payload is {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return values.reshape(shape)
+        shape = _read_header(fh, magic, 3)
+        values = _read_array(fh, "<f4", shape, what).astype(np.float64)
+        _check_end(fh, what)
+    return values
 
 
 def write_embeddings(emb, path):
@@ -413,33 +421,24 @@ def write_named_tensors(records, path):
                 raise ValidationError(f"record {name!r} has non-finite values")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)) + encoded)
-            fh.write(struct.pack("<I", array.ndim))
-            fh.write(struct.pack(f"<{array.ndim}I", *array.shape))
-            fh.write(np.ascontiguousarray(array).tobytes())
+            fh.write(struct.pack(f"<{array.ndim + 1}I", array.ndim,
+                                 *array.shape))
+            fh.write(np.ascontiguousarray(array))
 
 
 def read_named_tensors(path):
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, len(CHECKPOINT_MAGIC), "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(
-                f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "record count"))
+        (count,) = _read_header(fh, CHECKPOINT_MAGIC, 1)
         records = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name size"))
+            (name_len,) = _read_u32(fh, 1, "name size")
             try:
                 name = _read_exact(fh, name_len, "record name").decode()
             except UnicodeDecodeError:
                 raise FormatError(f"{path}: record name not UTF-8") from None
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            shape = struct.unpack(f"<{ndim}I",
-                                  _read_exact(fh, 4 * ndim, "dims"))
-            n_values = math.prod(shape)
-            payload = _read_exact(fh, 4 * n_values, f"record {name}")
-            values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-            records[name] = values.reshape(shape)
-        trailing = fh.read()
-    if trailing:
-        raise FormatError("trailing bytes after final record")
+            (ndim,) = _read_u32(fh, 1, "rank")
+            shape = _read_u32(fh, ndim, "dims")
+            records[name] = _read_array(fh, "<f4", shape,
+                                        f"record {name}").astype(np.float64)
+        _check_end(fh, "final record")
     return records

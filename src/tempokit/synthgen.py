@@ -58,8 +58,10 @@ class SynthConfig:
     def __post_init__(self):
         if min(self.width, self.height) < 24:
             raise ValidationError("frames must be at least 24x24")
-        if self.fps <= 0 or self.duration <= 0 or self.sample_rate <= 0:
-            raise ValidationError("fps, duration, sample_rate must be > 0")
+        if (self.fps <= 0 or self.sample_rate <= 0
+                or not 0 < self.duration < np.inf):  # NaN fails too
+            raise ValidationError(
+                "fps, duration, sample_rate must be finite and > 0")
         if self.n_events < 1:
             raise ValidationError("need at least one event")
         if self.event_kind not in ("bounce", "flash"):

@@ -109,6 +109,10 @@ class PoolingParams:
         self.cross_right = np.asarray(self.cross_right, dtype=np.float64)
         self.alpha_local = np.asarray(self.alpha_local, dtype=np.float64)
         self.alpha_cross = np.asarray(self.alpha_cross, dtype=np.float64)
+        if (self.local_proj.ndim, self.local_score.ndim, self.cross_left.ndim,
+                self.alpha_local.ndim, self.alpha_cross.ndim) != (2, 1, 2, 0, 0):
+            raise ShapeError("pooling needs 2-d projections, a 1-d "
+                             "local_score and 0-d alphas")
         if self.local_proj.shape[0] != self.local_score.shape[0]:
             raise ShapeError("local_score length must match local_proj rows")
         if self.cross_left.shape != self.cross_right.shape:

@@ -15,8 +15,9 @@ import pytest
 from tempokit import av_align, cli, diffusion_toy, motion_analysis
 from tempokit.cli import build_parser, main
 from tempokit.errors import FormatError, ValidationError
-from tempokit.media_io import (AudioSignal, Video, read_condition,
-                               read_named_tensors, read_video, read_wav,
+from tempokit.media_io import (AudioEmbeddings, AudioSignal, Video,
+                               read_condition, read_named_tensors,
+                               read_video, read_wav, write_embeddings,
                                write_named_tensors, write_video, write_wav)
 from tempokit.motion_analysis import FlowParams
 
@@ -728,8 +729,7 @@ BAD_INPUTS = {
         "tokens", "--audio", "{corpus}/clip_0000.wav", "--out",
         "{tmp}/t.ttc"],
     "tokens segment dim the mapper does not take": [
-        "tokens", "--audio", "{corpus}/clip_0000.wav", "--toy-encoder",
-        "--dim", "5", "--out", "{tmp}/t.ttc"],
+        "tokens", "--embeddings", "{tmp}/dim5.tte", "--out", "{tmp}/t.ttc"],
     "negative seed": ["gen-synth", "--out", "{tmp}/o", "--seed", "-1"],
     "checkpoint record name not UTF-8": [
         "generate", "--ckpt", "{tmp}/bad_name.ckpt", "--audio",
@@ -757,6 +757,9 @@ BAD_INPUTS = {
     "infinite flow alpha": ["av-align", "{clip}", "--flow-alpha", "inf"],
     "infinite learning rate": ["train-toy", "--corpus", "{corpus}",
                                "--ckpt", "{tmp}/n.ckpt", "--lr", "inf"],
+    "NaN duration": ["gen-synth", "--out", "{tmp}/o", "--duration", "nan"],
+    "infinite duration": ["gen-synth", "--out", "{tmp}/o", "--duration",
+                          "inf"],
 }
 
 
@@ -789,6 +792,8 @@ def test_bad_input_exits_2_with_error_line(argv, corpus_dir, tmp_path,
     records = read_named_tensors(short_bias)
     records["mapper.0.bias"] = records["mapper.0.bias"][:-1]
     write_named_tensors(records, short_bias)
+    write_embeddings(AudioEmbeddings(np.zeros((4, 1, 5))),
+                     tmp_path / "dim5.tte")
     (tmp_path / "bad_name.ckpt").write_bytes(
         b"TTCKPT1" + struct.pack("<2I", 1, 2) + b"\xff\xfe")
     (tmp_path / "not_ascii.txt").write_bytes(
@@ -813,4 +818,69 @@ def test_bad_input_exits_2_with_error_line(argv, corpus_dir, tmp_path,
     err = capsys.readouterr().err
     assert code == 2
     assert any("error:" in line for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def desk_checkpoint(corpus_dir, tmp_path_factory):
+    ckpt = tmp_path_factory.mktemp("desk") / "desk.ckpt"
+    assert main(["train-toy", "--corpus", str(corpus_dir), "--steps", "2",
+                 "--ckpt", str(ckpt), "--seed", "1"]) == 0
+    return read_named_tensors(ckpt)
+
+
+def generate_from(records, corpus_dir, tmp_path, capsys):
+    """Exit code and stderr of generate from a checkpoint of records."""
+    ckpt = tmp_path / "damaged.ckpt"
+    write_named_tensors(records, ckpt)
+    capsys.readouterr()
+    code = main(["generate", "--ckpt", str(ckpt), "--audio",
+                 str(corpus_dir / "clip_0000.wav"), "--out",
+                 str(tmp_path / "g.rvid"), "--seed", "1"])
+    return code, capsys.readouterr().err
+
+
+# Every record of a desk checkpoint but schedule.betas: a schedule one
+# step shorter is a valid schedule of 99 steps.
+_DESK = diffusion_toy.build_components(diffusion_toy.desk_train_dims(), 0)
+DESK_RECORDS = [name for name, _ in _DESK.mapper.arrays()
+                + _DESK.pooling.arrays() + _DESK.denoiser.arrays()
+                + _DESK.codec.arrays()] + ["meta.dims"]
+
+
+@pytest.mark.parametrize("name", DESK_RECORDS)
+def test_checkpoint_record_that_does_not_fit_exits_2(name, desk_checkpoint,
+                                                      corpus_dir, tmp_path,
+                                                      capsys):
+    """The record one entry shorter on its last axis, or a 0-d record
+    with shape (2,)."""
+    records = dict(desk_checkpoint)
+    arr = records[name]
+    records[name] = np.full(2, arr) if arr.ndim == 0 else arr[..., :-1]
+    code, err = generate_from(records, corpus_dir, tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _meta(dims, **changes):
+    dims = dims.copy()
+    for field, value in changes.items():
+        dims[diffusion_toy.META_DIMS.index(field)] = value
+    return dims
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("schedule.betas", lambda betas: betas.reshape(10, 10)),
+    ("schedule.betas", lambda betas: np.full_like(betas, 1.5)),
+    ("meta.dims", lambda dims: _meta(dims, time_dim=6)),
+    ("meta.dims", lambda dims: _meta(dims, token_dim=4)),
+], ids=["betas 10x10", "betas of 1.5", "time_dim 6", "token_dim 4"])
+def test_checkpoint_meta_or_schedule_that_does_not_fit_exits_2(
+        name, damage, desk_checkpoint, corpus_dir, tmp_path, capsys):
+    records = dict(desk_checkpoint)
+    records[name] = damage(records[name])
+    code, err = generate_from(records, corpus_dir, tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
     assert "Traceback" not in err

@@ -433,7 +433,8 @@ class TestTrain:
 
     def test_frozen_parameters_untouched_and_trainables_move(self):
         comp = dt.build_components(TINY, seed=23)
-        frozen_before = (comp.denoiser.init_hash, comp.codec.init_hash)
+        frozen_before = (dt.params_hash(comp.denoiser.arrays()),
+                         dt.params_hash(comp.codec.arrays()))
         mapper_before = dt.params_hash(comp.mapper.arrays())
         items = [dt.TrainItem(Rng(77).normal((6, TINY.latent_dim)),
                               Rng(78).normal((6, 1, 3)))]

@@ -358,6 +358,25 @@ def test_valid_wav_costs_under_seven_times_its_size(tmp_path, channels):
     assert peak <= 7 * size + MEMORY_SLACK
 
 
+def test_valid_rvid_holds_its_frames_once(tmp_path):
+    # 96 frames of 128x96, 3.5 MB: a second copy of the frames would
+    # exceed the slack of two pieces more than once over
+    path = tmp_path / "big.rvid"
+    frames = np.random.default_rng(8).integers(0, 256, (96, 96, 128, 3),
+                                               dtype=np.uint8)
+    write_video(Video(frames, 24), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        video = read_video(path)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak <= size + 2 * READ_PIECE
+    assert video.frames.flags.writeable
+    np.testing.assert_array_equal(video.frames, frames)
+
+
 @st.composite
 def damaged(draw, blob):
     """blob truncated, or with one to four bits flipped (mostly within
