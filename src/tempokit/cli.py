@@ -14,13 +14,15 @@ into frame-pair ranges across one process per core in its affinity mask
 pairs that move; still pairs have exactly zero flow and are not solved.
 The output is byte-identical for any number of processes.
 
-Exit codes: 0 success, 2 format or input error, 3 duration mismatch
-beyond the truncation policy, 4 numeric failure (non-finite loss).
+Exit codes: 0 success, 2 format or input error or any OSError, 3
+duration mismatch beyond the truncation policy, 4 numeric failure
+(non-finite loss). Each error class carries its code (tempokit.errors).
 
 A plain-text config file (--config, key=value per line, keys mirror
-long flag names with '-' or '_') can preset any flag; explicit flags
-win. The TEMPO_SEED environment variable overrides the default seed 0
-for commands that take one; a seed is a nonnegative integer.
+long flag names with '-' or '_') can preset any flag that is not
+required; explicit flags win. The TEMPO_SEED environment variable
+overrides the default seed 0 for commands that take one; a seed is a
+nonnegative integer.
 """
 
 import argparse
@@ -34,28 +36,13 @@ import numpy as np
 from . import (av_align, diffusion_toy, media_io, motion_analysis, synthgen,
                tempo_tokens)
 from .audio_analysis import toy_audio_features
-from .errors import (DurationError, FormatError, NumericError, ShapeError,
-                     ValidationError)
+from .errors import FormatError, TempokitError, ValidationError
 from .media_io import Video
 from .motion_analysis import FlowParams
 from .numerics import Rng
 from .peaks import PeakPickParams
 
 EXIT_OK = 0
-EXIT_FORMAT = 2
-EXIT_DURATION = 3
-EXIT_NUMERIC = 4
-# The exit code of each error class that main reports as an error line.
-EXIT_CODES = {
-    FileNotFoundError: EXIT_FORMAT,
-    IsADirectoryError: EXIT_FORMAT,
-    NotADirectoryError: EXIT_FORMAT,
-    FormatError: EXIT_FORMAT,
-    ValidationError: EXIT_FORMAT,
-    ShapeError: EXIT_FORMAT,
-    DurationError: EXIT_DURATION,
-    NumericError: EXIT_NUMERIC,
-}
 
 
 def _seed(args):
@@ -222,6 +209,8 @@ def cmd_av_align(args):
             line = raw.strip()
             if not line:
                 continue
+            if "\0" in line:
+                raise FormatError(f"--batch line {lineno} holds a NUL byte")
             parts = line.split()
             if len(parts) != 2:
                 raise FormatError(f"--batch line {lineno}: expected "
@@ -472,10 +461,9 @@ def main(argv=None):
         config = _load_config_file(config_path) if config_path else None
         args = build_parser(config).parse_args(argv)
         return args.func(args)
-    except tuple(EXIT_CODES) as exc:
+    except (TempokitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for error, code in EXIT_CODES.items()
-                    if isinstance(exc, error))
+        return getattr(exc, "exit_code", 2)  # 2 for any OSError
 
 
 if __name__ == "__main__":

@@ -124,6 +124,10 @@ class LatentCodec:
 
     def encode(self, frames):
         """uint8 frames (L, H, W, 3) -> latents (L, latent_dim)."""
+        _, height, width, _ = np.shape(frames)
+        if (height, width) != (self.height, self.width):
+            raise ShapeError(f"frames are {width}x{height}, the codec "
+                             f"takes {self.width}x{self.height}")
         flat = np.array(frames, dtype=np.float64)
         flat /= 127.5
         flat -= 1.0

@@ -1,12 +1,18 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes (see tempokit.cli), so library code
-should raise the most specific class that applies.
+Each class carries the exit code the CLI returns for it: 2 for bad
+input (TempokitError and any subclass without its own code), 3 for
+DurationError and 4 for NumericError. tempokit.cli.main prints one
+"error:" line for any of them and returns exit_code; it returns 2 for
+any OSError too. Library code should raise the most specific class
+that applies.
 """
 
 
 class TempokitError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 2
 
 
 class FormatError(TempokitError):
@@ -25,6 +31,10 @@ class ShapeError(TempokitError):
 class NumericError(TempokitError):
     """A computation produced a non-finite value."""
 
+    exit_code = 4
+
 
 class DurationError(TempokitError):
     """Audio and video lengths disagree beyond the truncation policy."""
+
+    exit_code = 3

@@ -185,12 +185,17 @@ def _check_end(fh, what):
 
 
 def read_text_lines(path, encoding):
-    """The stripped nonblank lines of a text file in encoding."""
+    """The stripped nonblank lines of a text file in encoding. A line
+    that holds a NUL byte, which no file name can, is refused."""
     try:
         with open(path, "r", encoding=encoding) as fh:
-            return [line.strip() for line in fh if line.strip()]
+            lines = list(fh)
     except UnicodeDecodeError:
         raise FormatError(f"{path} is not {encoding} text") from None
+    for lineno, line in enumerate(lines, 1):
+        if "\0" in line:
+            raise FormatError(f"{path} line {lineno} holds a NUL byte")
+    return [line.strip() for line in lines if line.strip()]
 
 
 def _skip(fh, n):
@@ -438,7 +443,8 @@ def read_named_tensors(path):
                 raise FormatError(f"{path}: record name not UTF-8") from None
             (ndim,) = _read_u32(fh, 1, "rank")
             shape = _read_u32(fh, ndim, "dims")
-            records[name] = _read_array(fh, "<f4", shape,
-                                        f"record {name}").astype(np.float64)
+            records[name] = require_finite(
+                _read_array(fh, "<f4", shape, f"record {name}").astype(
+                    np.float64), f"record {name!r}")
         _check_end(fh, "final record")
     return records

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import errno
 import io
 import json
 import multiprocessing
@@ -8,9 +11,11 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tempokit import av_align, cli, diffusion_toy, motion_analysis
 from tempokit.cli import build_parser, main
@@ -760,6 +765,18 @@ BAD_INPUTS = {
     "NaN duration": ["gen-synth", "--out", "{tmp}/o", "--duration", "nan"],
     "infinite duration": ["gen-synth", "--out", "{tmp}/o", "--duration",
                           "inf"],
+    "video name too long": ["av-align", "--video", "v" * 5000, "--audio",
+                            "{corpus}/clip_0000.wav"],
+    "checkpoint name too long": ["train-toy", "--corpus", "{corpus}",
+                                 "--steps", "0", "--ckpt", "c" * 5000],
+    "NUL in a --batch line": ["av-align", "--batch"],
+    "NUL in a manifest row": ["train-toy", "--corpus", "{tmp}/nul_row.txt",
+                              "--ckpt", "{tmp}/n.ckpt"],
+    "NUL in a config value": ["--config", "{tmp}/nul_value.cfg", "train-toy",
+                              "--corpus", "{corpus}", "--steps", "0",
+                              "--ckpt", "{tmp}/n.ckpt"],
+    "corpus frames not the codec's size": [
+        "train-toy", "--corpus", "{wide}", "--ckpt", "{tmp}/n.ckpt"],
 }
 
 
@@ -775,9 +792,19 @@ def lying_checkpoint(*dims):
             + struct.pack(f"<{1 + len(dims)}I", len(dims), *dims))
 
 
+@pytest.fixture(scope="module")
+def wide_corpus(tmp_path_factory):
+    """A one-clip 128x96 corpus: the desk codec takes 64x64 frames."""
+    root = tmp_path_factory.mktemp("wide") / "c"
+    assert main(["gen-synth", "--out", str(root), "--clips", "1",
+                 "--width", "128", "--height", "96", "--duration", "1",
+                 "--events", "2", "--seed", "3"]) == 0
+    return root
+
+
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_2_with_error_line(argv, corpus_dir, tmp_path,
-                                           capsys):
+def test_bad_input_exits_2_with_error_line(argv, corpus_dir, wide_corpus,
+                                           tmp_path, monkeypatch, capsys):
     (tmp_path / "bad_value.cfg").write_text("clips=abc\n")
     (tmp_path / "bad_key.cfg").write_text("no_such_flag=1\n")
     (tmp_path / "not_utf8.cfg").write_bytes(b"\xff\xfeclips=2\n")
@@ -805,12 +832,19 @@ def test_bad_input_exits_2_with_error_line(argv, corpus_dir, tmp_path,
     (tmp_path / "bad_events.txt").write_text(
         f"{corpus_dir}/clip_0000.rvid {corpus_dir}/clip_0000.wav "
         f"x.events.txt\n")
+    (tmp_path / "nul_row.txt").write_text(
+        f"{corpus_dir}/clip_0000.rvid\0 {corpus_dir}/clip_0000.wav "
+        f"{corpus_dir}/clip_0000.events.txt\n")
+    (tmp_path / "nul_value.cfg").write_text("loss_log=loss\0.txt\n")
     clip = ["--video", str(corpus_dir / "clip_0000.rvid"),
             "--audio", str(corpus_dir / "clip_0000.wav")]
+    # the stdin of the --batch rows: a valid line, then one with a NUL
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        " ".join(clip[1::2]) + "\n" + "\0 ".join(clip[1::2]) + "\n"))
     expanded = []
     for arg in argv:
         expanded += clip if arg == "{clip}" else [
-            arg.format(tmp=tmp_path, corpus=corpus_dir)]
+            arg.format(tmp=tmp_path, corpus=corpus_dir, wide=wide_corpus)]
     try:
         code = main(expanded)
     except SystemExit as exc:  # argparse usage errors
@@ -884,3 +918,162 @@ def test_checkpoint_meta_or_schedule_that_does_not_fit_exits_2(
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+class FullStream(io.StringIO):
+    """A stdout on a full disk: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_stdout_that_cannot_be_written_exits_2(tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.setattr("sys.stdout", FullStream())
+    code = main(["gen-synth", "--out", str(tmp_path / "o"), "--clips", "1",
+                 "--duration", "1", "--events", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("name", ["codec.encoder", "denoiser.out_bias",
+                                  "mapper.0.weight"])
+def test_checkpoint_record_with_a_nan_exits_2(name, desk_checkpoint,
+                                              corpus_dir, tmp_path, capsys):
+    # the writer refuses NaN, so a marker value is written and replaced
+    records = dict(desk_checkpoint)
+    records[name] = records[name].copy()
+    records[name].flat[0] = 12345.5
+    ckpt = tmp_path / "nan.ckpt"
+    write_named_tensors(records, ckpt)
+    data = ckpt.read_bytes()
+    marker = struct.pack("<f", 12345.5)
+    assert data.count(marker) == 1
+    ckpt.write_bytes(data.replace(marker, struct.pack("<f", np.nan)))
+    capsys.readouterr()
+    code = main(["generate", "--ckpt", str(ckpt), "--audio",
+                 str(corpus_dir / "clip_0000.wav"), "--out",
+                 str(tmp_path / "g.rvid"), "--seed", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: record {name!r} contains non-finite values\n")
+    assert not (tmp_path / "g.rvid").exists()
+
+
+# The CLI fuzz test starts each command from a valid command line of
+# small sizes, then draws up to four flags of the command's parser, each
+# with a value from its own choices, the paths below or FUZZ_VALUES: the
+# edges of each type and text that is no number. TEMPO_SEED is drawn from
+# FUZZ_VALUES too. No size drawn is above 3, so no example allocates
+# more than a few MB. A NUL never reaches argv or the environment from a
+# shell, so it is drawn only into the config file and stdin.
+FUZZ_START = {
+    "av-align": ["--video", "{video}", "--audio", "{audio}",
+                 "--flow-iterations", "2"],
+    "tokens": ["--embeddings", "{embeddings}", "--out", "{out}"],
+    "gen-synth": ["--out", "{out}", "--clips", "1", "--duration", "1",
+                  "--events", "2"],
+    "train-toy": ["--corpus", "{corpus}", "--ckpt", "{out}", "--steps", "1",
+                  "--frames", "4", "--batch", "2"],
+    "generate": ["--ckpt", "{ckpt}", "--audio", "{audio}", "--out",
+                 "{out}"],
+}
+FUZZ_VALUES = ["0", "-1", "1", "2", "3", "0.5", "nan", "inf", "-inf",
+               "1e400", "", "é", "٣", "30000/1001", "1/0", "24/", "/", "x",
+               "2,2,2", "8,8", "0,8,8"]
+FUZZ_CONFIG_LINES = [b"seed=4", b"tolerance=2", b" steps = 2 ", b"clips=1",
+                     b"kind=flash", b"mode=vec", b"# comment", b"clips=x",
+                     b"no_such_key=1", b"loss_log=a\0b", b"hidden=8,8",
+                     b"fps_override=1/0", b"=", b"width", b"out=o",
+                     b"json=0", b"\xff=1"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """The fuzz test's directory, its valid input files, the paths drawn
+    for an input or an output flag, and the lines drawn into stdin."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = root / "corpus"
+    assert main(["gen-synth", "--out", str(corpus), "--clips", "1",
+                 "--duration", "1", "--events", "2", "--seed", "2"]) == 0
+    assert main(["train-toy", "--corpus", str(corpus), "--steps", "0",
+                 "--ckpt", str(root / "desk.ckpt")]) == 0
+    write_embeddings(AudioEmbeddings(np.zeros((4, 2, 12))), root / "e.tte")
+    (root / "junk").write_bytes(b"RVID\1\0")
+    inputs = {"video": str(corpus / "clip_0000.rvid"),
+              "audio": str(corpus / "clip_0000.wav"),
+              "embeddings": str(root / "e.tte"),
+              "ckpt": str(root / "desk.ckpt"), "corpus": str(corpus)}
+    bad = ["", str(root), str(root / "missing"), str(root / "junk"),
+           str(root / "junk" / "o"), str(root / ("n" * 300))]
+    batch = [f"{inputs['video']} {inputs['audio']}",
+             f"{inputs['video']}\0 {inputs['audio']}", inputs["video"],
+             f"{root / 'junk'} {inputs['audio']}", ""]
+    return root, inputs, bad, batch
+
+
+@st.composite
+def command_lines(draw, command, files):
+    """argv for command: maybe --config, FUZZ_START, and up to four drawn
+    flags, which argparse lets override the start."""
+    root, inputs, bad, _ = files
+    # each command writes its own output, never onto an input file
+    out = str(root / f"{command}.out")
+    start = {**inputs, "out": out}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in sub.choices[command]._actions if a.option_strings
+               and not isinstance(a, argparse._HelpAction)]
+    outputs = {"out", "loss_log"}
+    if command == "train-toy":
+        outputs.add("ckpt")
+    argv = []
+    config = draw(st.lists(st.sampled_from(FUZZ_CONFIG_LINES), max_size=2))
+    if config:
+        (root / "fuzz.cfg").write_bytes(b"\n".join(config) + b"\n")
+        argv += ["--config", str(root / "fuzz.cfg")]
+    argv += [command] + [arg.format(**start) for arg in FUZZ_START[command]]
+    for action in draw(st.lists(st.sampled_from(actions), max_size=4,
+                                unique=True)):
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs == 0:
+            continue
+        if action.dest in outputs:
+            values = [out] + bad
+        elif action.dest in inputs:
+            values = sorted(inputs.values()) + bad
+        else:
+            values = list(action.choices or ()) + FUZZ_VALUES
+        argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_command_line_fuzz_exits_cleanly(data, fuzz_files):
+    """Any drawn command line exits 0, 2, 3 or 4 without a traceback,
+    and a failure prints exactly one error line."""
+    command = data.draw(st.sampled_from(sorted(FUZZ_START)))
+    argv = data.draw(command_lines(command, fuzz_files))
+    seed = data.draw(st.sampled_from([None, "7"])
+                     | st.sampled_from(FUZZ_VALUES))
+    stdin = "".join(line + "\n" for line in data.draw(
+        st.lists(st.sampled_from(fuzz_files[3]), max_size=3)))
+    env = {} if seed is None else {"TEMPO_SEED": seed}
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, env), \
+            mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            mock.patch.object(cli, "worker_count", lambda: 1), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, err)
+    assert "Traceback" not in err
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
