@@ -17,7 +17,7 @@ from .peaks import PeakSet, pick_peaks
 LOG_FLOOR = 1e-6
 
 
-def stft_magnitude(signal, win=1024, hop=512):
+def stft_magnitude(signal, win, hop):
     """Hann-windowed magnitude spectrogram (columns, win/2+1 bins)."""
     if win < 1 or hop < 1:
         raise ValidationError(f"need win >= 1 and hop >= 1, got {win}, {hop}")
@@ -77,7 +77,7 @@ def _triangle_filterbank(bands, bins):
     return bank
 
 
-def toy_audio_features(signal, length, layers, dim, win=1024, hop=None):
+def toy_audio_features(signal, length, layers, dim):
     """Deterministic stand-in for a pretrained audio encoder.
 
     Log filterbank energies per STFT column are average-pooled into
@@ -88,9 +88,8 @@ def toy_audio_features(signal, length, layers, dim, win=1024, hop=None):
     """
     if length < 1 or layers < 1 or dim < 1:
         raise ValidationError("length, layers and dim must be >= 1")
-    if hop is None:
-        hop = max(1, signal.samples.size // max(length * 2, 4))
-        hop = min(hop, win)
+    win = 1024
+    hop = min(max(1, signal.samples.size // max(length * 2, 4)), win)
     mag = stft_magnitude(signal, win, hop)
     bank = _triangle_filterbank(dim, mag.shape[1])
     energies = mag @ bank.T  # (T, dim)

@@ -14,15 +14,15 @@ into frame-pair ranges across one process per core in its affinity mask
 pairs that move; still pairs have exactly zero flow and are not solved.
 The output is byte-identical for any number of processes.
 
-Exit codes: 0 success, 2 format or input error or any OSError, 3
-duration mismatch beyond the truncation policy, 4 numeric failure
+Exit codes: 0 success, 2 format or input error, OSError or MemoryError,
+3 duration mismatch beyond the truncation policy, 4 numeric failure
 (non-finite loss). Each error class carries its code (tempokit.errors).
 
 A plain-text config file (--config, key=value per line, keys mirror
-long flag names with '-' or '_') can preset any flag that is not
-required; explicit flags win. The TEMPO_SEED environment variable
-overrides the default seed 0 for commands that take one; a seed is a
-nonnegative integer.
+long flag names with '-' or '_') can preset any flag that takes a value
+and is not required; a switch such as --json is no key. Explicit flags
+win. The TEMPO_SEED environment variable overrides the default seed 0
+for commands that take one; a seed is a nonnegative integer.
 """
 
 import argparse
@@ -41,8 +41,6 @@ from .media_io import Video
 from .motion_analysis import FlowParams
 from .numerics import Rng
 from .peaks import PeakPickParams
-
-EXIT_OK = 0
 
 
 def _seed(args):
@@ -182,6 +180,10 @@ def cmd_av_align(args):
     peaks = PeakPickParams(threshold_k=args.threshold_k,
                            smoothing=args.smoothing)
     flow = FlowParams(alpha=args.flow_alpha, iterations=args.flow_iterations)
+    if args.tolerance < 0:
+        raise ValidationError(f"--tolerance {args.tolerance} must be >= 0")
+    if args.onset_win < 1:
+        raise ValidationError(f"--onset-win {args.onset_win} must be >= 1")
     fps = None
     if args.fps_override:
         num, den = _parse_fps(args.fps_override)
@@ -197,8 +199,12 @@ def cmd_av_align(args):
         audio = media_io.read_wav(audio_path)
         motion_analysis.check_video(video)
         # warns once here when the pair will be truncated
-        av_align._reconcile_durations(
+        _, audio = av_align._reconcile_durations(
             video, audio, fps if fps is not None else video.fps)
+        if audio.samples.size < args.onset_win:
+            raise ValidationError(
+                f"{audio_path} has {audio.samples.size} samples to score, "
+                f"fewer than --onset-win {args.onset_win}")
         pairs.append((video_path, audio_path))
         if video_path not in videos:
             videos[video_path] = (*video.frames.shape[:3],
@@ -249,7 +255,6 @@ def cmd_av_align(args):
         if reports:
             mean = np.mean([r.score for _, r in reports])
             print(f"mean_score={mean:.6f}")
-    return EXIT_OK
 
 
 def cmd_tokens(args):
@@ -280,7 +285,6 @@ def cmd_tokens(args):
         cond = tempo_tokens.build_condition(tokens, comp.pooling)
     media_io.write_condition(cond, args.out)
     print(f"tokens_per_frame={cond.tokens_per_frame}")
-    return EXIT_OK
 
 
 def cmd_gen_synth(args):
@@ -292,7 +296,6 @@ def cmd_gen_synth(args):
         shift_frames=args.shift, seed=seed)
     manifest = synthgen.corpus(config, args.clips, args.out)
     print(f"manifest={manifest}")
-    return EXIT_OK
 
 
 def cmd_train_toy(args):
@@ -325,7 +328,6 @@ def cmd_train_toy(args):
               f"trail{window}_mean={trail:.6f} ratio={trail / lead:.4f}")
     else:
         print("steps=0 (checkpoint equals initialization)")
-    return EXIT_OK
 
 
 def cmd_generate(args):
@@ -341,7 +343,6 @@ def cmd_generate(args):
     media_io.write_video(video, args.out)
     print(f"frames={video.frame_count} size={video.frames.shape[2]}x"
           f"{video.frames.shape[1]} fps={video.fps:g}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +351,8 @@ def cmd_generate(args):
 
 class _CommandParser(argparse.ArgumentParser):
     """Subcommand parser that records the dest of every argument it
-    defines, so config keys can be matched against them."""
+    defines that takes a value (not a switch such as --json or --help),
+    so config keys can be matched against them."""
 
     def __init__(self, *args, **kwargs):
         self.dests = set()
@@ -358,7 +360,8 @@ class _CommandParser(argparse.ArgumentParser):
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.dests.add(action.dest)
+        if action.nargs != 0:
+            self.dests.add(action.dest)
         return action
 
 
@@ -460,10 +463,11 @@ def main(argv=None):
         config_path = pre.parse_known_args(argv)[0].config
         config = _load_config_file(config_path) if config_path else None
         args = build_parser(config).parse_args(argv)
-        return args.func(args)
-    except (TempokitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return getattr(exc, "exit_code", 2)  # 2 for any OSError
+        args.func(args)
+        return 0
+    except (TempokitError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)  # 2 for OSError and MemoryError
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
 from .media_io import Video, read_named_tensors, write_named_tensors
-from .numerics import LinearLayer, Rng, gelu_grad, normal_cdf
+from .numerics import LinearLayer, Rng, gelu_grad, normal_cdf, softmax
 from .tempo_tokens import (MapperParams, PoolingParams, build_condition,
                            condition_backward, condition_values, map_audio,
                            mapper_backward, mapper_forward, pool_backward,
@@ -77,8 +77,8 @@ class NoiseSchedule:
         return self.betas.size
 
 
-def make_schedule(timesteps=100, beta_start=1e-4, beta_end=0.02):
-    return NoiseSchedule(np.linspace(beta_start, beta_end, timesteps))
+def make_schedule(timesteps=100):
+    return NoiseSchedule(np.linspace(1e-4, 0.02, timesteps))
 
 
 def forward_noise(z0, t, eps, schedule):
@@ -189,7 +189,7 @@ class DenoiserParams:
     out: np.ndarray          # (latent_dim, hidden)
     out_bias: np.ndarray
     summary_skip: np.ndarray  # (latent_dim, value_dim) residual path
-    time_dim: int = 8
+    time_dim: int
 
     def __post_init__(self):
         if self.time_dim < 2 or self.time_dim % 2:
@@ -234,20 +234,18 @@ class DenoiserParams:
         return pred
 
 
-def create_denoiser(latent_dim, token_dim, rng, attn_dim=16, value_dim=16,
-                    hidden=32, time_dim=8, value_scale=1.0,
-                    out_bias_scale=0.0):
+def create_denoiser(latent_dim, token_dim, rng, attn_dim, value_dim, hidden,
+                    time_dim, out_bias_scale):
     """Random frozen denoiser.
 
-    value_scale adjusts how much weight the condition summary carries in
-    the prediction. out_bias_scale gives the frozen head a systematic
-    output bias of exact norm out_bias_scale*sqrt(latent_dim); an
-    adapter can only counteract it through the conditioning interface
-    (mainly the linear summary_skip path), which gives small training
-    runs a clear, honest objective against this backbone.
+    out_bias_scale gives the frozen head a systematic output bias of
+    exact norm out_bias_scale*sqrt(latent_dim); an adapter can only
+    counteract it through the conditioning interface (mainly the linear
+    summary_skip path), which gives small training runs a clear, honest
+    objective against this backbone.
     """
-    def mat(rows, cols, gain=1.0):
-        return rng.normal((rows, cols), gain / np.sqrt(cols))
+    def mat(rows, cols):
+        return rng.normal((rows, cols), 1.0 / np.sqrt(cols))
 
     if out_bias_scale:
         direction = rng.normal(latent_dim)
@@ -262,7 +260,7 @@ def create_denoiser(latent_dim, token_dim, rng, attn_dim=16, value_dim=16,
         query_bias=rng.normal(attn_dim, 0.1),
         key_proj=mat(attn_dim, token_dim),
         key_bias=rng.normal(attn_dim, 0.1),
-        value_proj=mat(value_dim, token_dim, value_scale),
+        value_proj=mat(value_dim, token_dim),
         value_bias=rng.normal(value_dim, 0.1),
         mlp1=mat(hidden, mlp_in),
         mlp1_bias=rng.normal(hidden, 0.1),
@@ -288,8 +286,7 @@ def _denoiser_forward(den, z_t, t, cond_tokens):
     values = cond @ den.value_proj.T + den.value_bias
     scores = np.einsum("...ta,...a->...t", keys, query) / np.sqrt(
         query.shape[-1])
-    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights = softmax(scores)
     summary = np.einsum("...t,...tv->...v", weights, values)
 
     mlp_in = np.concatenate([z_t, temb, summary], axis=-1)
@@ -412,8 +409,8 @@ class TrainConfig:
     batch_videos: int = 8
     frames_per_video: int = 24
     steps: int = 200
-    learning_rate: float = 1e-5
-    lambda_l1: float = 0.01
+    learning_rate: float = 2e-3
+    lambda_l1: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -643,8 +640,7 @@ def build_components(dims, seed):
     denoiser = create_denoiser(dims.latent_dim, dims.token_flat_dim,
                                root.derive(_KEY_DENOISER), dims.attn_dim,
                                dims.value_dim, dims.denoiser_hidden,
-                               dims.time_dim,
-                               out_bias_scale=dims.denoiser_out_bias)
+                               dims.time_dim, dims.denoiser_out_bias)
     codec = create_codec(dims.width, dims.height, dims.latent_dim,
                          root.derive(_KEY_CODEC))
     schedule = make_schedule(dims.timesteps)

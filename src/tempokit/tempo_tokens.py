@@ -73,8 +73,7 @@ class MapperParams:
         return out
 
 
-def create_mapper(in_dim, out_dim, hidden=(512, 512, 512), rng=None,
-                  out_gain=1.0):
+def create_mapper(in_dim, out_dim, hidden, rng, out_gain=1.0):
     """He-initialized 4-layer mapper. out_gain scales the final layer's
     init so fresh tokens start with proportionally more energy."""
     dims = [in_dim, *hidden, out_dim]

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import inspect
 import io
 import json
 import multiprocessing
@@ -10,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from unittest import mock
 
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tempokit import av_align, cli, diffusion_toy, motion_analysis
+from tempokit import (av_align, cli, diffusion_toy, media_io,
+                      motion_analysis, synthgen, tempo_tokens)
 from tempokit.cli import build_parser, main
 from tempokit.errors import FormatError, ValidationError
 from tempokit.media_io import (AudioEmbeddings, AudioSignal, Video,
@@ -25,6 +28,7 @@ from tempokit.media_io import (AudioEmbeddings, AudioSignal, Video,
                                read_video, read_wav, write_embeddings,
                                write_named_tensors, write_video, write_wav)
 from tempokit.motion_analysis import FlowParams
+from tempokit.peaks import PeakPickParams
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +223,42 @@ class TestChecksBeforeFlow:
             assert captured.out == ""
             assert message in captured.err
             assert "missing.rvid" not in captured.err
+        assert solved == []
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tolerance", "-1", "--tolerance -1 must be >= 0"),
+        ("--onset-win", "0", "--onset-win 0 must be >= 1"),
+    ])
+    def test_bad_setting_exits_2_before_any_media_is_read(
+            self, flag, value, message, corpus_dir, monkeypatch, capsys,
+            solved):
+        reads = []
+        monkeypatch.setattr(media_io, "read_video",
+                            lambda path: reads.append(path) or read_video(
+                                path))
+        assert main(["av-align", "--video", str(corpus_dir / "clip_0000.rvid"),
+                     "--audio", str(corpus_dir / "clip_0000.wav"), flag,
+                     value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert reads == [] and solved == []
+
+    def test_onset_window_past_the_truncated_audio_exits_2_before_any_flow(
+            self, corpus_dir, tmp_path, monkeypatch, capsys, solved):
+        """The 4-s audio (64,000 samples) holds the 50,000-sample window,
+        but scored against a 3-s video it is cut to 48,000 samples."""
+        video = read_video(corpus_dir / "clip_0000.rvid")
+        write_video(Video(video.frames[:72], 24), tmp_path / "three_s.rvid")
+        wav = corpus_dir / "clip_0000.wav"
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f"{corpus_dir / 'clip_0000.rvid'} {wav}\n"
+            f"{tmp_path / 'three_s.rvid'} {wav}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["av-align", "--batch", "--onset-win", "50000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {wav} has 48000 samples to score, "
+                                f"fewer than --onset-win 50000\n")
         assert solved == []
 
     def test_truncation_warns_once_per_line(self, corpus_dir, tmp_path,
@@ -693,6 +733,87 @@ class TestConfigFile:
         manifest = (out / "manifest.txt").read_text().split("\n")
         assert len([line for line in manifest if line.strip()]) == 2
 
+    @pytest.mark.parametrize("key", ["json", "toy_encoder", "help"])
+    def test_a_switch_is_no_config_key(self, key, corpus_dir, tmp_path,
+                                       capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key}=0\n")
+        code = main(["--config", str(cfg), "av-align",
+                     "--video", str(corpus_dir / "clip_0000.rvid"),
+                     "--audio", str(corpus_dir / "clip_0000.wav")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: unknown config keys: {key}\n"
+
+    def test_batch_key_sets_only_the_train_toy_batch_size(
+            self, corpus_dir, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("batch=1\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(["--config", str(cfg), "av-align", "--json",
+                     "--video", str(corpus_dir / "clip_0000.rvid"),
+                     "--audio", str(corpus_dir / "clip_0000.wav")]) == 0
+        assert json.loads(capsys.readouterr().out)["score"] == 1.0
+        args = build_parser({"batch": "1"}).parse_args(
+            ["train-toy", "--corpus", "c", "--ckpt", "k"])
+        assert args.batch == 1
+
+
+# av_align_from_media's keyword defaults, read like a config's fields
+_ALIGN_DEFAULTS = types.SimpleNamespace(**{
+    name: param.default for name, param in inspect.signature(
+        av_align.av_align_from_media).parameters.items()})
+
+
+@pytest.mark.parametrize("argv, library, fields", [
+    (["av-align"], PeakPickParams(),
+     {"threshold_k": "threshold_k", "smoothing": "smoothing"}),
+    (["av-align"], FlowParams(),
+     {"flow_alpha": "alpha", "flow_iterations": "iterations"}),
+    (["av-align"], _ALIGN_DEFAULTS,
+     {"tolerance": "tolerance", "onset_win": "onset_win"}),
+    (["gen-synth", "--out", "o"], synthgen.SynthConfig(),
+     {"width": "width", "height": "height", "fps": "fps",
+      "duration": "duration", "sample_rate": "sample_rate",
+      "events": "n_events", "kind": "event_kind", "shift": "shift_frames"}),
+    (["train-toy", "--corpus", "c", "--ckpt", "k"],
+     diffusion_toy.TrainConfig(),
+     {"batch": "batch_videos", "frames": "frames_per_video",
+      "steps": "steps", "lr": "learning_rate", "lambda_l1": "lambda_l1"}),
+], ids=["peaks", "flow", "align", "gen-synth", "train-toy"])
+def test_flag_defaults_are_the_library_defaults(argv, library, fields):
+    """Each flag (by dest) defaults to the library field (by name) that
+    it sets, so a command and a library call with no settings agree."""
+    args = vars(build_parser().parse_args(argv))
+    assert ({dest: args[dest] for dest in fields}
+            == {dest: getattr(library, name) for dest, name in fields.items()})
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (synthgen, "corpus", ["gen-synth", "--out", "{tmp}/o", "--clips", "1"]),
+    (tempo_tokens, "build_condition", [
+        "tokens", "--audio", "{corpus}/clip_0000.wav", "--toy-encoder",
+        "--out", "{tmp}/t.ttc"]),
+], ids=["gen-synth", "tokens"])
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 29.8 GiB"), "Unable to allocate 29.8 "
+                                                 "GiB"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_2(module, name, argv, exc, message,
+                                       corpus_dir, tmp_path, monkeypatch,
+                                       capsys):
+    """A stand-in raises, as an array that cannot be allocated would: a
+    real oversized request can be granted lazily and fill the host."""
+    def out_of_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    code = main([arg.format(tmp=tmp_path, corpus=corpus_dir) for arg in argv])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
 
 BAD_INPUTS = {
     "non-int clip count": ["gen-synth", "--out", "{tmp}/o", "--clips", "abc"],
@@ -777,6 +898,8 @@ BAD_INPUTS = {
                               "--ckpt", "{tmp}/n.ckpt"],
     "corpus frames not the codec's size": [
         "train-toy", "--corpus", "{wide}", "--ckpt", "{tmp}/n.ckpt"],
+    "switch set from a config file": ["--config", "{tmp}/switch.cfg",
+                                      "av-align", "{clip}"],
 }
 
 
@@ -836,6 +959,7 @@ def test_bad_input_exits_2_with_error_line(argv, corpus_dir, wide_corpus,
         f"{corpus_dir}/clip_0000.rvid\0 {corpus_dir}/clip_0000.wav "
         f"{corpus_dir}/clip_0000.events.txt\n")
     (tmp_path / "nul_value.cfg").write_text("loss_log=loss\0.txt\n")
+    (tmp_path / "switch.cfg").write_text("json=0\n")
     clip = ["--video", str(corpus_dir / "clip_0000.rvid"),
             "--audio", str(corpus_dir / "clip_0000.wav")]
     # the stdin of the --batch rows: a valid line, then one with a NUL
@@ -986,7 +1110,7 @@ FUZZ_CONFIG_LINES = [b"seed=4", b"tolerance=2", b" steps = 2 ", b"clips=1",
                      b"kind=flash", b"mode=vec", b"# comment", b"clips=x",
                      b"no_such_key=1", b"loss_log=a\0b", b"hidden=8,8",
                      b"fps_override=1/0", b"=", b"width", b"out=o",
-                     b"json=0", b"\xff=1"]
+                     b"json=0", b"batch=1", b"toy_encoder=1", b"\xff=1"]
 
 
 @pytest.fixture(scope="module")
