@@ -99,7 +99,9 @@ def av_align_from_media(video, audio, peak_params=None, flow_params=None,
     motion_analysis.motion_curve(video, flow_params), so a caller that
     scores one video against several audios solves its flow once. The
     flow of a frame pair depends only on that pair, so the curve of a
-    truncated video is a prefix of it.
+    truncated video is a prefix of it. With motion given, only the
+    video's frame_count and fps are read: any object that has those two
+    will do, and no frames need to be held.
     """
     fps = fps_override if fps_override is not None else video.fps
     if fps <= 0:
@@ -107,23 +109,28 @@ def av_align_from_media(video, audio, peak_params=None, flow_params=None,
     if motion is not None and len(motion) != video.frame_count:
         raise ShapeError(f"motion curve has {len(motion)} entries for "
                          f"{video.frame_count} frames")
-    video, audio = _reconcile_durations(video, audio, fps)
+    n_frames, audio = _reconcile_durations(video.frame_count, audio, fps)
 
     onsets = audio_analysis.detect_onsets(
-        audio, fps, peak_params, n_frames=video.frame_count, win=onset_win)
+        audio, fps, peak_params, n_frames=n_frames, win=onset_win)
     if motion is None:
-        motion = motion_analysis.motion_curve(video, flow_params)
-    peaks = motion_analysis.detect_motion_peaks(
-        motion[:video.frame_count], peak_params)
+        motion = motion_analysis.motion_curve(
+            Video(video.frames[:n_frames], video.fps_num, video.fps_den),
+            flow_params)
+    peaks = motion_analysis.detect_motion_peaks(motion[:n_frames],
+                                                peak_params)
     return av_align_score(onsets, peaks, tolerance)
 
 
-def _reconcile_durations(video, audio, fps):
-    video_dur = video.frame_count / fps
+def _reconcile_durations(frame_count, audio, fps):
+    """The frame count and audio to score a video of frame_count frames
+    at fps against audio: both cut to the shorter stream, or as given
+    when they differ by at most one frame."""
+    video_dur = frame_count / fps
     audio_dur = audio.duration
     mismatch = abs(video_dur - audio_dur)
     if mismatch <= 1.0 / fps:
-        return video, audio
+        return frame_count, audio
     longer = max(video_dur, audio_dur)
     if mismatch > TRUNCATION_LIMIT * longer:
         raise DurationError(
@@ -134,8 +141,6 @@ def _reconcile_durations(video, audio, fps):
         f"durations differ by {mismatch:.3f}s; truncating to the shorter "
         f"stream", stacklevel=2)
     shorter = min(video_dur, audio_dur)
-    n_frames = max(2, int(np.floor(shorter * fps + 1e-9)))
+    n_frames = min(frame_count, max(2, int(np.floor(shorter * fps + 1e-9))))
     n_samples = max(1, int(round(shorter * audio.sample_rate)))
-    video = Video(video.frames[:n_frames], video.fps_num, video.fps_den)
-    audio = AudioSignal(audio.samples[:n_samples], audio.sample_rate)
-    return video, audio
+    return n_frames, AudioSignal(audio.samples[:n_samples], audio.sample_rate)

@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +107,18 @@ def worker_count():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         return os.cpu_count() or 1
+
+
+class CheckedVideo(NamedTuple):
+    """What av-align keeps of a video once its check passed: the sizes
+    and moving pairs (motion_analysis.moving_pairs) that plan_flow
+    takes, and the frame_count and fps that av_align_from_media reads
+    when it is given the motion curve. No frame is kept."""
+    frame_count: int
+    fps: float
+    height: int
+    width: int
+    moving: np.ndarray
 
 
 def plan_flow(videos, workers):
@@ -190,25 +203,28 @@ def cmd_av_align(args):
         fps = num / den
 
     # Every pair is checked, in input order, before any flow is solved.
-    # Only the shape and moving pairs of each video (by path, as written)
-    # are kept: a video listed on several --batch lines is solved once.
+    # Each video (by path, as written) is read and checked once, and
+    # only its CheckedVideo is kept: a video listed on several --batch
+    # lines is solved once, and a repeat checks only the durations.
     pairs, videos = [], {}
 
     def check_pair(video_path, audio_path):
-        video = media_io.read_video(video_path)
+        if video_path not in videos:
+            video = media_io.read_video(video_path)
+            motion_analysis.check_video(video)
+            videos[video_path] = CheckedVideo(
+                video.frame_count, video.fps, *video.frames.shape[1:3],
+                motion_analysis.moving_pairs(video.frames))
+        video = videos[video_path]
         audio = media_io.read_wav(audio_path)
-        motion_analysis.check_video(video)
         # warns once here when the pair will be truncated
         _, audio = av_align._reconcile_durations(
-            video, audio, fps if fps is not None else video.fps)
+            video.frame_count, audio, fps if fps is not None else video.fps)
         if audio.samples.size < args.onset_win:
             raise ValidationError(
                 f"{audio_path} has {audio.samples.size} samples to score, "
                 f"fewer than --onset-win {args.onset_win}")
         pairs.append((video_path, audio_path))
-        if video_path not in videos:
-            videos[video_path] = (*video.frames.shape[:3],
-                                  motion_analysis.moving_pairs(video.frames))
 
     if args.batch:
         for lineno, raw in enumerate(sys.stdin, 1):
@@ -227,16 +243,17 @@ def cmd_av_align(args):
     else:
         check_pair(args.video, args.audio)
 
-    curves = solve_curves([(path, *video) for path, video in videos.items()],
+    curves = solve_curves([(path, v.frame_count, v.height, v.width, v.moving)
+                           for path, v in videos.items()],
                           flow, worker_count())
     reports = []
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "durations differ", UserWarning)
         for video_path, audio_path in pairs:
             reports.append((video_path, av_align.av_align_from_media(
-                media_io.read_video(video_path),
-                media_io.read_wav(audio_path), peak_params=peaks,
-                flow_params=flow, tolerance=args.tolerance, fps_override=fps,
+                videos[video_path], media_io.read_wav(audio_path),
+                peak_params=peaks, flow_params=flow,
+                tolerance=args.tolerance, fps_override=fps,
                 onset_win=args.onset_win, motion=curves[video_path])))
 
     if not args.batch:

@@ -21,6 +21,13 @@ hand-written stencil. It adds the eight neighbor terms in the same order
 as ``scipy.ndimage.convolve`` does with the 3x3 averaging kernel, so its
 results are bit-identical to that convolution. ``motion_curve`` feeds it
 chunks of about PIXELS pixels, which keep the working arrays in cache.
+
+The data term runs only inside the box around the pixels with a nonzero
+gradient or a non-finite temporal derivative, over the whole stack. On
+flat background (zero gradient, finite temporal derivative) the update
+subtracts a signed zero from the neighbor average, so there a sweep is
+just that average, bit for bit. Still pairs are not solved at all:
+``moving_pairs`` skips them.
 """
 
 from dataclasses import dataclass
@@ -86,16 +93,33 @@ def _bordered(values, fill):
     return out.reshape(values.shape[:-3] + (-1,))
 
 
+def _span(mask):
+    """The slice from the first True of a 1-d mask to its last; empty
+    when there is none."""
+    hits = np.flatnonzero(mask)
+    return slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
+
+
 def _solve(f1, f2, params):
     """Jacobi sweeps for (N, H, W) stacks; returns u and v stacked as
     (2, N, H, W).
 
     u and v live in one zeroed buffer with a one-cell border around each
     grid. A sweep refills the border, then works on the buffer flattened,
-    where a neighbor is a fixed offset away: every operation is one
-    contiguous run from the first interior cell to the last. The run
-    also covers border cells; the data terms there are neutral, and the
-    next refill overwrites what the sweep wrote into them.
+    where a neighbor is a fixed offset away: the neighbor average is one
+    contiguous run from the first interior cell to the last, written
+    straight into the buffer. The run also covers border cells; the next
+    refill overwrites what the sweep wrote into them.
+
+    The data term then runs only inside the box that bounds, over the
+    whole stack, the live pixels: those with a nonzero gradient or a
+    non-finite temporal derivative. Outside it ix and iy are signed
+    zeros and it is finite, so the full update avg - ix * shared
+    subtracts a signed zero from avg and gives avg back bit for bit: u
+    and v start at +0, a sum of taps is -0 only if every tap is, and a
+    non-finite value starts at a live pixel. A box that is the whole
+    grid uses the contiguous run, border cells included, whose data
+    terms are neutral.
     """
     i1 = f1 * 255.0
     i2 = f2 * 255.0
@@ -109,16 +133,25 @@ def _solve(f1, f2, params):
     buf = np.zeros((2, n, height + 2, row))
     flat = buf.reshape(2, -1)
     run = slice(row + 1, flat.shape[1] - row - 1)
-    grads = _bordered(np.stack([ix, iy]), 0.0)[:, run]
-    it = _bordered(it, 0.0)[run]
-    denom = _bordered(denom, 1.0)[run]
+    live = ((ix != 0) | (iy != 0) | ~np.isfinite(it)).any(axis=0)
+    rows, cols = _span(live.any(axis=1)), _span(live.any(axis=0))
+    if (rows.stop - rows.start, cols.stop - cols.start) == (height, width):
+        box = flat[:, run]
+        grads = _bordered(np.stack([ix, iy]), 0.0)[:, run]
+        it = _bordered(it, 0.0)[run]
+        denom = _bordered(denom, 1.0)[run]
+    else:
+        box = buf[..., 1:-1, 1:-1][..., rows, cols]
+        grads = np.stack([ix, iy])[..., rows, cols].copy()
+        it = it[..., rows, cols].copy()
+        denom = denom[..., rows, cols].copy()
     # buf times each weight; a tap is a shifted run of one of them
     scaled = {weight: np.empty_like(flat) for _, weight in _AVG_TAPS}
     taps = []
     for (dy, dx), weight in _AVG_TAPS:
         shift = dy * row + dx
         taps.append(scaled[weight][:, run.start + shift:run.stop + shift])
-    avg = np.empty_like(grads)
+    avg = flat[:, run]
     term = np.empty_like(grads)
     shared = np.empty_like(it)
     for _ in range(params.iterations):
@@ -132,12 +165,12 @@ def _solve(f1, f2, params):
         np.add(taps[0], taps[1], out=avg)
         for tap in taps[2:]:
             avg += tap
-        np.multiply(grads, avg, out=term)
+        np.multiply(grads, box, out=term)
         np.add(term[0], term[1], out=shared)
         shared += it
         shared /= denom
         np.multiply(grads, shared, out=term)
-        np.subtract(avg, term, out=flat[:, run])
+        box -= term
     return buf[..., 1:-1, 1:-1].copy()
 
 

@@ -162,6 +162,20 @@ class TestBatchSolvesEachVideoOnce:
         assert main(["av-align", "--batch"]) == 0
         assert solved == [96, 96]
 
+    def test_each_video_is_read_once_to_check_and_once_to_solve(
+            self, corpus_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "worker_count", lambda: 1)
+        lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
+        reads = []
+        monkeypatch.setattr(media_io, "read_video",
+                            lambda path: reads.append(path) or read_video(
+                                path))
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        assert main(["av-align", "--batch"]) == 0
+        assert capsys.readouterr().out == RESCORE_TEXT
+        # the line checks, then the one flow range of each video
+        assert reads == ["clip_0000.rvid", "clip_0001.rvid"] * 2
+
     def test_malformed_line_exits_2_with_error_line(self, corpus_dir,
                                                     monkeypatch, capsys):
         video = corpus_dir / "clip_0000.rvid"
@@ -462,8 +476,8 @@ class TestParallelFlow:
             "".join(f"{video} {audio}\n" for video, audio in lines)))
         assert main(["av-align", "--batch"]) == 0
         assert capsys.readouterr().out == expected
-        # once to check each line, once to score it: never for flow
-        assert len(reads) == 2 * len(lines)
+        # each distinct video once, to check it: never to score or for flow
+        assert reads == [lines[0][0], lines[1][0]]
         assert multiprocessing.active_children() == []
 
 

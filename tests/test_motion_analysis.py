@@ -285,3 +285,88 @@ def test_motion_curve_memory_does_not_grow_with_frames():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+# ---------------------------------------------------------------------------
+# Flat background: the data term runs only in the box of live pixels
+# ---------------------------------------------------------------------------
+
+def assert_flow_matches_reference(flow, f1, f2, params):
+    """Each pair of a stack against reference_flow: equal values (NaN
+    where it has NaN) and equal sign bits."""
+    for k in range(len(f1)):
+        for got, want in zip((flow.u[k], flow.v[k]),
+                             reference_flow(f1[k], f2[k], params)):
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def flat_pairs(height, width, patches, seed=0):
+    """(N, H, W) stacks of two black frames, each pair n with a random
+    square patch at (top, left, size) = patches[n] in both."""
+    rng = np.random.default_rng(seed)
+    f1 = np.zeros((len(patches), height, width))
+    f2 = f1.copy()
+    for n, (top, left, size) in enumerate(patches):
+        for frame in (f1, f2):
+            frame[n, top:top + size, left:left + size] = rng.uniform(
+                0, 1, (size, size))
+    return f1, f2
+
+
+FLAT_H, FLAT_W, PATCH = 24, 32, 4
+PATCH_SPOTS = {f"{row} {col}": (top, left, PATCH)
+               for row, top in [("top", 0), ("middle", (FLAT_H - PATCH) // 2),
+                                ("bottom", FLAT_H - PATCH)]
+               for col, left in [("left", 0), ("centre", (FLAT_W - PATCH) // 2),
+                                 ("right", FLAT_W - PATCH)]}
+PATCH_SPOTS["one pixel"] = (9, 21, 1)
+
+
+@pytest.mark.parametrize("patch", PATCH_SPOTS.values(),
+                         ids=PATCH_SPOTS.keys())
+def test_patch_on_flat_background_is_bit_exact(patch):
+    params = FlowParams(alpha=7.0, iterations=40)
+    f1, f2 = flat_pairs(FLAT_H, FLAT_W, [patch], seed=sum(patch))
+    assert_flow_matches_reference(optical_flow(f1, f2, params), f1, f2,
+                                  params)
+
+
+def test_box_is_the_union_of_patches_far_apart():
+    params = FlowParams(alpha=7.0, iterations=40)
+    f1, f2 = flat_pairs(FLAT_H, FLAT_W, [(1, 2, 3), (18, 25, 5), (10, 14, 2)])
+    assert_flow_matches_reference(optical_flow(f1, f2, params), f1, f2,
+                                  params)
+
+
+def test_dense_frames_are_bit_exact():
+    params = FlowParams(alpha=7.0, iterations=40)
+    f1, f2 = np.random.default_rng(53).uniform(0, 1, (2, 3, FLAT_H, FLAT_W))
+    assert_flow_matches_reference(optical_flow(f1, f2, params), f1, f2,
+                                  params)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("spot", [(2, 3), (0, 16), (23, 31)],
+                         ids=["inside", "edge", "corner"])
+def test_non_finite_pixel_on_flat_background_matches_reference(value, spot):
+    """Few sweeps, so the flow far from the bad pixel stays finite."""
+    params = FlowParams(alpha=7.0, iterations=4)
+    f1, f2 = flat_pairs(FLAT_H, FLAT_W, [(10, 12, 4)])
+    f2[(0, *spot)] = value
+    flow = optical_flow(f1, f2, params)
+    assert np.isnan(flow.u).any() and np.isfinite(flow.u).any()
+    assert_flow_matches_reference(flow, f1, f2, params)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_infinite_temporal_derivative_with_flat_mean_is_live():
+    """-big then +big: the mean and so the gradients stay flat, but the
+    temporal derivative overflows to inf at that one pixel."""
+    params = FlowParams(alpha=7.0, iterations=4)
+    f1, f2 = flat_pairs(FLAT_H, FLAT_W, [(10, 12, 4)])
+    f1[0, 3, 4], f2[0, 3, 4] = -5e305, 5e305
+    flow = optical_flow(f1, f2, params)
+    assert np.isnan(flow.u[0, 3, 4])
+    assert_flow_matches_reference(flow, f1, f2, params)
