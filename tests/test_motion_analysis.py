@@ -318,32 +318,31 @@ FLAT_H, FLAT_W, PATCH = 24, 32, 4
 PATCH_SPOTS = {f"{row} {col}": (top, left, PATCH)
                for row, top in [("top", 0), ("middle", (FLAT_H - PATCH) // 2),
                                 ("bottom", FLAT_H - PATCH)]
-               for col, left in [("left", 0), ("centre", (FLAT_W - PATCH) // 2),
+               for col, left in [("left", 0),
+                                 ("centre", (FLAT_W - PATCH) // 2),
                                  ("right", FLAT_W - PATCH)]}
 PATCH_SPOTS["one pixel"] = (9, 21, 1)
+FLAT_PARAMS = FlowParams(alpha=7.0, iterations=40)
 
 
 @pytest.mark.parametrize("patch", PATCH_SPOTS.values(),
                          ids=PATCH_SPOTS.keys())
 def test_patch_on_flat_background_is_bit_exact(patch):
-    params = FlowParams(alpha=7.0, iterations=40)
     f1, f2 = flat_pairs(FLAT_H, FLAT_W, [patch], seed=sum(patch))
-    assert_flow_matches_reference(optical_flow(f1, f2, params), f1, f2,
-                                  params)
+    assert_flow_matches_reference(optical_flow(f1, f2, FLAT_PARAMS), f1, f2,
+                                  FLAT_PARAMS)
 
 
 def test_box_is_the_union_of_patches_far_apart():
-    params = FlowParams(alpha=7.0, iterations=40)
     f1, f2 = flat_pairs(FLAT_H, FLAT_W, [(1, 2, 3), (18, 25, 5), (10, 14, 2)])
-    assert_flow_matches_reference(optical_flow(f1, f2, params), f1, f2,
-                                  params)
+    assert_flow_matches_reference(optical_flow(f1, f2, FLAT_PARAMS), f1, f2,
+                                  FLAT_PARAMS)
 
 
 def test_dense_frames_are_bit_exact():
-    params = FlowParams(alpha=7.0, iterations=40)
     f1, f2 = np.random.default_rng(53).uniform(0, 1, (2, 3, FLAT_H, FLAT_W))
-    assert_flow_matches_reference(optical_flow(f1, f2, params), f1, f2,
-                                  params)
+    assert_flow_matches_reference(optical_flow(f1, f2, FLAT_PARAMS), f1, f2,
+                                  FLAT_PARAMS)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
