@@ -47,7 +47,7 @@ def detect_onsets(signal, fps, params=None, n_frames=None, win=1024):
 
     params is the PeakPickParams for the flux curve. Flux peak columns t
     map to frames round(t * hop * fps / sample_rate); results are sorted,
-    deduplicated, and clamped to [0, n_frames-1] when a frame count is
+    deduplicated, and capped at n_frames-1 when a frame count is
     supplied.
     """
     if fps <= 0:
@@ -58,9 +58,7 @@ def detect_onsets(signal, fps, params=None, n_frames=None, win=1024):
     cols = pick_peaks(flux, params)
     frames = [round(t * hop * fps / signal.sample_rate) for t in cols]
     if n_frames is not None:
-        frames = [min(max(f, 0), n_frames - 1) for f in frames]
-    else:
-        frames = [max(f, 0) for f in frames]
+        frames = [min(f, n_frames - 1) for f in frames]
     return PeakSet(frames)
 
 

@@ -1,7 +1,8 @@
 """Audio-video temporal alignment score.
 
 Audio onsets A and video motion peaks V (both as frame indices) are
-matched within a frame tolerance; the score is
+matched within a frame tolerance: a peak is matched when any peak of
+the other set lies within the tolerance of it. The score is
 
     (matched_audio + matched_video) / (2 * |A union V|)
 
@@ -51,34 +52,17 @@ class AlignReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _count_matched(sources, targets, tolerance):
-    """How many source peaks have a target within +/-tolerance frames."""
-    if not len(sources) or not len(targets):
-        return 0
-    targets = np.asarray(list(targets))
-    matched = 0
-    for peak in sources:
-        pos = np.searchsorted(targets, peak)
-        best = min(
-            abs(peak - targets[max(pos - 1, 0)]),
-            abs(peak - targets[min(pos, targets.size - 1)]),
-        )
-        if best <= tolerance:
-            matched += 1
-    return matched
-
-
 def av_align_score(audio_peaks, video_peaks, tolerance=1):
     """Score two peak sets. tolerance is in frames (>= 0)."""
     if tolerance < 0:
         raise ValidationError("tolerance must be >= 0")
-    a = audio_peaks if isinstance(audio_peaks, PeakSet) else PeakSet(audio_peaks)
-    v = video_peaks if isinstance(video_peaks, PeakSet) else PeakSet(video_peaks)
+    a, v = PeakSet(audio_peaks), PeakSet(video_peaks)
     union = len(set(a.indices) | set(v.indices))
     if union == 0:
         return AlignReport(1.0, 0, 0, int(tolerance), 0, 0, 0, vacuous=True)
-    matched_a = _count_matched(a, v, tolerance)
-    matched_v = _count_matched(v, a, tolerance)
+    near = np.abs(np.subtract.outer(a.indices, v.indices)) <= tolerance
+    matched_a = int(near.any(axis=1).sum())
+    matched_v = int(near.any(axis=0).sum())
     score = (matched_a + matched_v) / (2.0 * union)
     return AlignReport(score, matched_a, matched_v, int(tolerance),
                        len(a), len(v), union)

@@ -19,8 +19,9 @@ tensor records for every parameter plus two metadata records,
 "schedule.betas" (the noise schedule) and "meta.dims", the integer
 ModelDims fields named by META_DIMS followed by fps_num and fps_den.
 Each component checks its own shapes when it is built, and
-load_checkpoint checks that meta.dims agrees with the tensors, so a
-checkpoint whose parts do not fit together fails as it is loaded.
+load_checkpoint checks that meta.dims agrees with the tensors and that
+the model reads every record, so a checkpoint whose parts do not fit
+together fails as it is loaded.
 """
 
 import hashlib
@@ -571,7 +572,11 @@ def params_hash(named_arrays):
 
 @dataclass
 class ModelDims:
-    """Network sizes shared by training, checkpoints, and the CLI."""
+    """Network sizes shared by training, checkpoints, and the CLI.
+
+    mapper_out_gain and denoiser_out_bias only shape initialization and
+    are not stored, so a loaded checkpoint keeps them at their defaults.
+    """
 
     embed_layers: int = 2
     embed_dim: int = 12
@@ -647,17 +652,19 @@ def build_components(dims, seed):
     return Components(mapper, pooling, denoiser, codec, schedule, dims)
 
 
-def save_checkpoint(components, path):
-    c = components
-    records = {}
-    for name, arr in (c.mapper.arrays() + c.pooling.arrays()
-                      + c.denoiser.arrays() + c.codec.arrays()):
-        records[name] = arr
+def _checkpoint_records(c):
+    """The records of components c, by name, in file order."""
+    records = dict(c.mapper.arrays() + c.pooling.arrays()
+                   + c.denoiser.arrays() + c.codec.arrays())
     records["schedule.betas"] = c.schedule.betas
     records["meta.dims"] = np.array(
         [*(getattr(c.dims, name) for name in META_DIMS), *c.dims.fps],
         dtype=np.float64)
-    write_named_tensors(records, path)
+    return records
+
+
+def save_checkpoint(components, path):
+    write_named_tensors(_checkpoint_records(components), path)
 
 
 def _params_from_records(cls, prefix, records, **scalars):
@@ -717,4 +724,9 @@ def load_checkpoint(path):
     if codec.latent_dim != denoiser.latent_dim:
         raise ShapeError(f"codec latent dim {codec.latent_dim} != denoiser "
                          f"latent dim {denoiser.latent_dim}")
-    return Components(mapper, pooling, denoiser, codec, schedule, dims)
+    components = Components(mapper, pooling, denoiser, codec, schedule, dims)
+    unread = sorted(records.keys() - _checkpoint_records(components).keys())
+    if unread:
+        raise ValidationError("checkpoint has records the model does not "
+                              f"read: {', '.join(map(repr, unread))}")
+    return components

@@ -43,7 +43,7 @@ class PeakSet:
         return iter(self.indices)
 
     def __contains__(self, idx):
-        return int(idx) in set(self.indices)
+        return int(idx) in self.indices
 
     def __eq__(self, other):
         if isinstance(other, PeakSet):
@@ -94,26 +94,20 @@ def pick_peaks(curve, params=None):
 
     A peak must beat median + k * MAD of its neighborhood and be the
     local maximum within +/-2 samples (strictly above its left side so a
-    flat plateau yields exactly one peak, at its left edge).
+    flat plateau yields exactly one peak, at its left edge). A neighbor
+    past either end of the curve counts as -inf, so an edge sample has
+    only its real neighbors to beat.
     """
     if params is None:
         params = PeakPickParams()
     curve = np.asarray(curve, dtype=np.float64)
-    if curve.size == 0:
-        return PeakSet()
     threshold = moving_median(curve, params.smoothing)
     threshold += params.threshold_k * moving_mad(curve, params.smoothing)
 
-    peaks = []
     n = curve.size
-    for t in range(n):
-        if not curve[t] > threshold[t]:
-            continue
-        left = curve[max(0, t - 2):t]
-        right = curve[t + 1:min(n, t + 3)]
-        if left.size and not np.all(curve[t] > left):
-            continue
-        if right.size and not np.all(curve[t] >= right):
-            continue
-        peaks.append(t)
-    return PeakSet(peaks)
+    padded = np.pad(curve, 2, constant_values=-np.inf)
+    left1, left2 = padded[1:n + 1], padded[:n]
+    right1, right2 = padded[3:n + 3], padded[4:]
+    peak = ((curve > threshold) & (curve > left1) & (curve > left2)
+            & (curve >= right1) & (curve >= right2))
+    return PeakSet(np.flatnonzero(peak))

@@ -129,7 +129,7 @@ class PoolingParams:
                 for f in fields(self)]
 
 
-def create_pooling(token_dim, hidden=16, cross_dim=16, rng=None):
+def create_pooling(token_dim, hidden, cross_dim, rng):
     # The cross potential sums one cosine per segment, so its raw scale
     # grows with the segment count; a small initial calibration weight
     # keeps the softmax scores in their responsive range.

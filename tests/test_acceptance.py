@@ -132,7 +132,7 @@ def test_window_resolution_structure():
     """24 segments give 5 window resolutions and 6 tokens per frame."""
     rng = Rng(1)
     tokens = TempoTokens(rng.normal((24, 2, 8)))
-    pooling = create_pooling(16, rng=rng.derive(2))
+    pooling = create_pooling(16, 16, 16, rng.derive(2))
     cond = build_condition(tokens, pooling)
     report("24 segments -> 5 resolutions and 6 tokens per frame",
            resolutions(24) == 5 and cond.tokens_per_frame == 6)
@@ -195,7 +195,7 @@ def test_attentive_pooling_contracts():
     """Distribution sums to 1 within 1e-12; one segment returns its own
     token; constant tokens give the uniform distribution."""
     rng = Rng(5)
-    pooling = create_pooling(6, rng=rng.derive(1))
+    pooling = create_pooling(6, 16, 16, rng.derive(1))
     ok = True
     for trial in range(25):
         tokens = TempoTokens(rng.normal((int(rng.integers(1, 12)), 2, 3)))

@@ -1035,6 +1035,21 @@ def test_checkpoint_record_that_does_not_fit_exits_2(name, desk_checkpoint,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("extra", [
+    {"mapper.4.weight": np.zeros((8, 8)), "mapper.4.bias": np.zeros(8)},
+    {"pooling.typo": np.zeros(())},
+], ids=["fifth mapper layer", "misspelled name"])
+def test_checkpoint_record_the_model_does_not_read_exits_2(
+        extra, desk_checkpoint, corpus_dir, tmp_path, capsys):
+    code, err = generate_from({**desk_checkpoint, **extra}, corpus_dir,
+                              tmp_path, capsys)
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    assert all(name in line for name in extra)
+    assert not (tmp_path / "g.rvid").exists()
+
+
 def _meta(dims, **changes):
     dims = dims.copy()
     for field, value in changes.items():
