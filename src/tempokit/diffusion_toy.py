@@ -11,20 +11,19 @@ the denoiser (total_loss_and_grads, the only loss), with the gradients
 of the clips summed in clip order; sampling denoises all frames of a
 clip together. Only the audio mapper and the attentive pooling
 parameters receive gradients; train never updates the frozen ones,
-which the tests and perfbench's frozen digest check by hashing them
-(params_hash).
+which the tests and perfbench's frozen digest check by hashing them.
 
 Checkpoints are TTCKPT1 files (see tempokit.media_io): named float32
 tensor records for every parameter plus two metadata records,
 "schedule.betas" (the noise schedule) and "meta.dims", the integer
-ModelDims fields named by META_DIMS followed by fps_num and fps_den.
+ModelDims fields named by META_DIMS followed by fps_num and fps_den,
+each a whole number in [1, META_MAX].
 Each component checks its own shapes when it is built, and
 load_checkpoint checks that meta.dims agrees with the tensors and that
 the model reads every record, so a checkpoint whose parts do not fit
 together fails as it is loaded.
 """
 
-import hashlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -494,30 +493,6 @@ def train(items, config, mapper, pooling, denoiser, schedule):
     return history
 
 
-def flatten_trainable(mapper, pooling):
-    """All trainable parameters as one float64 vector (fixed order)."""
-    return np.concatenate([arr.ravel() for _, arr in
-                           mapper.arrays() + pooling.arrays()])
-
-
-def write_trainable(flat, mapper, pooling):
-    """Inverse of flatten_trainable: writes values into the parameter
-    arrays in place."""
-    offset = 0
-    for _, arr in mapper.arrays() + pooling.arrays():
-        arr.flat[:] = flat[offset:offset + arr.size]
-        offset += arr.size
-    if offset != flat.size:
-        raise ShapeError(
-            f"flat vector has {flat.size} entries, parameters need {offset}")
-
-
-def flatten_grads(grads, mapper, pooling):
-    """Gradient dict -> flat vector in flatten_trainable's order."""
-    return np.concatenate([np.asarray(grads[name]).ravel() for name, _ in
-                           mapper.arrays() + pooling.arrays()])
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -556,19 +531,8 @@ def generate(embeddings, mapper, pooling, denoiser, codec, schedule, rng,
 
 
 # ---------------------------------------------------------------------------
-# Hashing and checkpoints
+# Checkpoints
 # ---------------------------------------------------------------------------
-
-def params_hash(named_arrays):
-    """SHA-256 over names, shapes, and float64 payloads."""
-    digest = hashlib.sha256()
-    for name, arr in named_arrays:
-        arr = np.asarray(arr, dtype=np.float64)
-        digest.update(name.encode("utf-8"))
-        digest.update(str(arr.shape).encode("ascii"))
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
-
 
 @dataclass
 class ModelDims:
@@ -607,9 +571,12 @@ class ModelDims:
 
 
 # The ModelDims fields of a checkpoint's "meta.dims" record, in order;
-# the two fps entries (numerator, denominator) follow them.
+# the two fps entries (numerator, denominator) follow them. Every entry
+# is a whole number of at most META_MAX, the largest u32: an RVID
+# header stores the frame size and fps as u32 fields.
 META_DIMS = ("embed_layers", "embed_dim", "token_dim", "time_dim",
              "frames_per_video", "width", "height")
+META_MAX = 2 ** 32 - 1
 
 
 def desk_train_dims():
@@ -683,8 +650,9 @@ def load_checkpoint(path):
         if meta.shape != want:
             raise ValidationError(
                 f"checkpoint meta.dims has shape {meta.shape}, want {want}")
-        if not np.all(meta >= 1):
-            raise ValidationError("checkpoint meta.dims must be positive")
+        if not np.all((meta >= 1) & (meta <= META_MAX) & (meta % 1 == 0)):
+            raise ValidationError("checkpoint meta.dims entries must be "
+                                  "whole numbers in [1, 2^32 - 1]")
         *sizes, fps_num, fps_den = (int(v) for v in meta)
         meta_dims = dict(zip(META_DIMS, sizes), fps=(fps_num, fps_den))
         betas = records["schedule.betas"]

@@ -365,13 +365,10 @@ def write_video_ppm(video, dirpath):
 # ---------------------------------------------------------------------------
 
 def _write_tensor3(values, magic, path):
-    """Write a 3-d float32 tensor after its magic and three u32 sizes."""
-    try:
-        values = np.asarray(values, dtype="<f4")
-    except ValueError as exc:
-        raise ValidationError("tensor rows differ in length") from exc
-    if values.ndim != 3:
-        raise ValidationError(f"tensor must be 3-d, got shape {values.shape}")
+    """Write a 3-d tensor as float32 after its magic and three u32 sizes.
+    A finite float64 beyond the float32 range becomes inf, and is
+    refused."""
+    values = np.asarray(values, dtype="<f4")
     if not np.all(np.isfinite(values)):
         raise ValidationError("tensor contains non-finite values")
     with open(path, "wb") as fh:
@@ -399,9 +396,7 @@ def read_embeddings(path):
 
 
 def write_condition(cond, path):
-    """Write per-frame conditioning tokens (anything with .values, or a
-    raw nested sequence) as a TTC1 file."""
-    _write_tensor3(getattr(cond, "values", cond), b"TTC1", path)
+    _write_tensor3(cond.values, b"TTC1", path)
 
 
 def read_condition(path):

@@ -1,21 +1,20 @@
 """Small dense-math kernel shared by the learning modules.
 
-Everything here operates on plain float64 numpy arrays. Training and
-gradient checking stay in 64-bit precision throughout; 32-bit only
-appears at the file-format boundary (see tempokit.media_io).
+Everything here operates on plain float64 numpy arrays. Training stays
+in 64-bit precision throughout; 32-bit only appears at the file-format
+boundary (see tempokit.media_io).
 
 scipy.special, which supplies the normal CDF, is imported by
 normal_cdf on first use, not with this module: it is most of tempokit's
 import time and about 25 MB of memory, and only the commands that run
-the adapter or the denoiser (train-toy, generate, tokens) evaluate a
-GELU.
+the adapter or the denoiser (train-toy, generate, tokens) need it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -107,24 +106,10 @@ def normal_cdf(x):
     return ndtr(np.asarray(x, dtype=np.float64))
 
 
-def gelu(x):
-    """Exact GELU: x * Phi(x) with Phi the standard normal CDF.
-
-    Uses the erf-based CDF, not the tanh approximation, so tests can pin
-    values against a high-precision oracle. A forward pass that needs
-    the gradient later computes cdf = normal_cdf(x) and x * cdf itself,
-    and hands the cdf to gelu_grad.
-    """
+def gelu_grad(x, cdf):
+    """d/dx of GELU(x) = x * Phi(x): Phi(x) + x * phi(x), where cdf is
+    normal_cdf(x) as the forward computed it."""
     x = np.asarray(x, dtype=np.float64)
-    return x * normal_cdf(x)
-
-
-def gelu_grad(x, cdf=None):
-    """d/dx of gelu: Phi(x) + x * phi(x). cdf, when given, is
-    normal_cdf(x) as the forward computed it, and is not recomputed."""
-    x = np.asarray(x, dtype=np.float64)
-    if cdf is None:
-        cdf = normal_cdf(x)
     pdf = np.exp(-0.5 * x * x) / _SQRT_2PI
     return cdf + x * pdf
 
@@ -139,37 +124,3 @@ def softmax(v):
         raise ValidationError("softmax of an empty vector is undefined")
     shifted = np.exp(v - v.max(axis=-1, keepdims=True))
     return shifted / shifted.sum(axis=-1, keepdims=True)
-
-
-def grad_check(f, params, eps=1e-5):
-    """Compare an analytic gradient against central finite differences.
-
-    f maps a float64 parameter array to a (value, gradient) pair where
-    gradient has the same shape as the parameters. Returns the maximum
-    over coordinates of |analytic - numeric| / max(1, |analytic|).
-    """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    params = np.array(params, dtype=np.float64)
-    value, grad = f(params)
-    if not np.isfinite(value):
-        raise NumericError("function value is non-finite at the base point")
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != params.shape:
-        raise ShapeError("gradient shape does not match parameter shape")
-
-    worst = 0.0
-    probe = params.copy()
-    for i in range(params.size):
-        base = probe.flat[i]
-        probe.flat[i] = base + eps
-        hi = f(probe)[0]
-        probe.flat[i] = base - eps
-        lo = f(probe)[0]
-        probe.flat[i] = base
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NumericError(f"non-finite function value at coordinate {i}")
-        numeric = (hi - lo) / (2.0 * eps)
-        err = abs(grad.flat[i] - numeric) / max(1.0, abs(grad.flat[i]))
-        worst = max(worst, err)
-    return worst

@@ -11,12 +11,12 @@ hand-written backward needs (mapper_forward, pool_forward). Without
 gradients the adapter is build_condition(map_audio(embeddings, mapper),
 pooling), which the tokens and generate commands run; training runs the
 same ops and keeps their caches (diffusion_toy.total_loss_and_grads).
-Tokens are TempoTokens, another name for media_io.AudioEmbeddings: they
-have the (L, H_layers, d) layout of the activations. The context
-windows are one linear operator, the cached averaging matrix
-window_matrix(L): window_stack applies it and condition_backward
-applies its transpose. All analytic gradients here are validated
-against central finite differences in the test suite.
+Tokens are media_io.AudioEmbeddings: they have the (L, H_layers, d)
+layout of the activations. The context windows are one linear
+operator, the cached averaging matrix window_matrix(L): window_stack
+applies it and condition_backward applies its transpose. All analytic
+gradients here are validated against central finite differences in the
+test suite.
 
 The forward and backward ops take one clip, (L, ...), or a stack of
 clips of one length, (B, L, ...). A stack is B independent problems:
@@ -144,9 +144,6 @@ def create_pooling(token_dim, hidden, cross_dim, rng):
     )
 
 
-TempoTokens = AudioEmbeddings  # tokens keep the (L, H_layers, d) layout
-
-
 # ---------------------------------------------------------------------------
 # Mapper
 # ---------------------------------------------------------------------------
@@ -186,7 +183,7 @@ def mapper_backward(d_out, cache, params):
 
 
 def map_audio(emb, params):
-    """AudioEmbeddings (L, H, d) -> TempoTokens (L, H, d_t)."""
+    """AudioEmbeddings (L, H, d) -> tokens, AudioEmbeddings (L, H, d_t)."""
     length, layers, dim = emb.values.shape
     if layers * dim != params.in_dim:
         raise ShapeError(
@@ -197,7 +194,8 @@ def map_audio(emb, params):
             f"mapper out_dim {params.out_dim} not divisible by "
             f"{layers} layers")
     out, _ = mapper_forward(emb.values.reshape(length, layers * dim), params)
-    return TempoTokens(out.reshape(length, layers, params.out_dim // layers))
+    return AudioEmbeddings(
+        out.reshape(length, layers, params.out_dim // layers))
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +217,6 @@ def window_half_widths(length):
 def window_bounds(center, half_width, length):
     """Clamped 1-indexed inclusive segment range around `center`."""
     return max(1, center - half_width), min(center + half_width, length)
-
-
-def window_average(tokens, lo, hi):
-    """Inclusive mean of segments lo..hi (1-indexed).
-
-    The divisor is the number of segments averaged (hi - lo + 1), which
-    keeps the edge-clamped single-segment window well defined.
-    """
-    length = tokens.segments
-    if not (1 <= lo <= hi <= length):
-        raise ValidationError(
-            f"window [{lo}, {hi}] out of range for {length} segments")
-    return tokens.values[lo - 1:hi].mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +318,6 @@ def pool_backward(d_pooled, cache, params):
     d_a += d_x @ params.cross_left
     d_a += d_y @ params.cross_right
     return d_a, grads
-
-
-def attentive_pool(tokens, params):
-    """Pool TempoTokens into one global token plus its distribution."""
-    pooled, p, _ = pool_forward(tokens.flat, params)
-    return pooled.reshape(tokens.values.shape[1:]), p
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import time
 import numpy as np
 import pytest
 
+from oracles import (flatten_grads, flatten_trainable, grad_check,
+                     params_hash, write_trainable)
 from tempokit import diffusion_toy as dt
 from tempokit.av_align import av_align_from_media, av_align_score
 from tempokit.media_io import (AudioEmbeddings, ConditionFile,
@@ -18,11 +20,10 @@ from tempokit.media_io import (AudioEmbeddings, ConditionFile,
                                write_embeddings, write_named_tensors,
                                write_video, Video)
 from tempokit.motion_analysis import optical_flow, to_grayscale
-from tempokit.numerics import Rng, grad_check
+from tempokit.numerics import Rng
 from tempokit.synthgen import SynthConfig, corpus, generate, read_corpus
-from tempokit.tempo_tokens import (TempoTokens, attentive_pool,
-                                   build_condition, create_pooling,
-                                   resolutions)
+from tempokit.tempo_tokens import (build_condition, create_pooling,
+                                   pool_forward, resolutions)
 
 TRAIN_SEED = 3
 TRAIN_CONFIG = dict(steps=200, learning_rate=2e-3, lambda_l1=0.5,
@@ -54,10 +55,10 @@ def training_run(tmp_path_factory):
     dims = dt.desk_train_dims()
     comp = dt.build_components(dims, TRAIN_SEED)
     hashes_before = {
-        "denoiser": dt.params_hash(comp.denoiser.arrays()),
-        "codec": dt.params_hash(comp.codec.arrays()),
-        "mapper": dt.params_hash(comp.mapper.arrays()),
-        "pooling": dt.params_hash(comp.pooling.arrays()),
+        "denoiser": params_hash(comp.denoiser.arrays()),
+        "codec": params_hash(comp.codec.arrays()),
+        "mapper": params_hash(comp.mapper.arrays()),
+        "pooling": params_hash(comp.pooling.arrays()),
     }
     items = [dt.prepare_item(pair, comp.codec, dims.embed_layers,
                              dims.embed_dim) for pair, _ in clips]
@@ -131,7 +132,7 @@ def test_av_align_formula_properties():
 def test_window_resolution_structure():
     """24 segments give 5 window resolutions and 6 tokens per frame."""
     rng = Rng(1)
-    tokens = TempoTokens(rng.normal((24, 2, 8)))
+    tokens = AudioEmbeddings(rng.normal((24, 2, 8)))
     pooling = create_pooling(16, 16, 16, rng.derive(2))
     cond = build_condition(tokens, pooling)
     report("24 segments -> 5 resolutions and 6 tokens per frame",
@@ -154,14 +155,14 @@ def test_gradient_correctness():
     noises = [dt.sample_step_noise(batch[0][0], comp.schedule, rng)]
 
     def f(flat):
-        dt.write_trainable(flat, comp.mapper, comp.pooling)
+        write_trainable(flat, comp.mapper, comp.pooling)
         loss, grads = dt.total_loss_and_grads(
             batch, noises, comp.mapper, comp.pooling, comp.denoiser,
             comp.schedule, 0.05)
-        return loss, dt.flatten_grads(grads, comp.mapper, comp.pooling)
+        return loss, flatten_grads(grads, comp.mapper, comp.pooling)
 
     start = time.monotonic()
-    err = grad_check(f, dt.flatten_trainable(comp.mapper, comp.pooling),
+    err = grad_check(f, flatten_trainable(comp.mapper, comp.pooling),
                      1e-5)
     elapsed = time.monotonic() - start
     report(f"training-loss gradients vs finite differences "
@@ -172,10 +173,10 @@ def test_frozen_backbone_protocol(training_run):
     """200 steps leave denoiser and codec hashes unchanged while the
     mapper and pooling hashes move."""
     comp, before, _, _ = training_run
-    frozen_ok = (dt.params_hash(comp.denoiser.arrays()) == before["denoiser"]
-                 and dt.params_hash(comp.codec.arrays()) == before["codec"])
-    moved = (dt.params_hash(comp.mapper.arrays()) != before["mapper"]
-             and dt.params_hash(comp.pooling.arrays()) != before["pooling"])
+    frozen_ok = (params_hash(comp.denoiser.arrays()) == before["denoiser"]
+                 and params_hash(comp.codec.arrays()) == before["codec"])
+    moved = (params_hash(comp.mapper.arrays()) != before["mapper"]
+             and params_hash(comp.pooling.arrays()) != before["pooling"])
     report("frozen backbone: denoiser/codec unchanged, adapter updated",
            frozen_ok and moved)
 
@@ -198,17 +199,17 @@ def test_attentive_pooling_contracts():
     pooling = create_pooling(6, 16, 16, rng.derive(1))
     ok = True
     for trial in range(25):
-        tokens = TempoTokens(rng.normal((int(rng.integers(1, 12)), 2, 3)))
-        _, p = attentive_pool(tokens, pooling)
+        tokens = AudioEmbeddings(rng.normal((int(rng.integers(1, 12)), 2, 3)))
+        _, p, _ = pool_forward(tokens.flat, pooling)
         ok &= abs(p.sum() - 1.0) < 1e-12
 
-    single = TempoTokens(rng.normal((1, 2, 3)))
-    pooled, p = attentive_pool(single, pooling)
-    ok &= np.allclose(pooled, single.values[0], atol=1e-12)
+    single = AudioEmbeddings(rng.normal((1, 2, 3)))
+    pooled, p, _ = pool_forward(single.flat, pooling)
+    ok &= np.allclose(pooled, single.flat[0], atol=1e-12)
     ok &= p.tolist() == [1.0]
 
-    constant = TempoTokens(np.tile(rng.normal((1, 2, 3)), (7, 1, 1)))
-    _, p = attentive_pool(constant, pooling)
+    constant = AudioEmbeddings(np.tile(rng.normal((1, 2, 3)), (7, 1, 1)))
+    _, p, _ = pool_forward(constant.flat, pooling)
     ok &= np.allclose(p, 1.0 / 7.0, atol=1e-12)
     report("attentive pooling: unit mass, identity at L=1, uniform on "
            "constants", bool(ok))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tempokit.audio_analysis import (detect_onsets, spectral_flux,
                                      stft_magnitude, toy_audio_features)
@@ -138,6 +139,28 @@ class TestDetectOnsets:
                 stft_magnitude(signal, win, hop)
         with pytest.raises(ValidationError):
             detect_onsets(signal, FPS, win=0)
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=60)
+    @given(times=st.lists(st.floats(0.0, 1.9), max_size=6),
+           amp=st.floats(0.01, 0.9), freq=st.sampled_from([440.0, 2000.0]),
+           noise=st.sampled_from([0.0, 1e-3, 0.05]),
+           sr=st.sampled_from([8000, 16000]),
+           fps=st.sampled_from([12.0, 24.0, 25.0, 30.0]),
+           k=st.sampled_from([-1, -2, -7]))
+    def test_power_of_two_gain_leaves_onsets_unchanged(self, times, amp,
+                                                       freq, noise, sr, fps,
+                                                       k):
+        # the STFT, abs, the flux and the median/MAD picker all commute
+        # exactly with a scale by 2^k, on PCM-16 samples as read_wav
+        # makes them
+        clicks = click_signal(times, 2.0, sr, freq, amp=amp).samples
+        clicks += noise * np.random.default_rng(len(times)).uniform(
+            -1, 1, clicks.size)
+        pcm = np.clip(np.rint(clicks * 32768), -32768, 32767) / 32768
+        loud = AudioSignal(pcm, sr)
+        quiet = AudioSignal(pcm * 2.0 ** k, sr)
+        assert detect_onsets(quiet, fps) == detect_onsets(loud, fps)
 
 
 class TestToyFeatures:

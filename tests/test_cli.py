@@ -1051,9 +1051,12 @@ def test_checkpoint_record_the_model_does_not_read_exits_2(
 
 
 def _meta(dims, **changes):
+    """dims with the named entries changed; fps_num and fps_den name the
+    two entries after META_DIMS."""
+    names = [*diffusion_toy.META_DIMS, "fps_num", "fps_den"]
     dims = dims.copy()
     for field, value in changes.items():
-        dims[diffusion_toy.META_DIMS.index(field)] = value
+        dims[names.index(field)] = value
     return dims
 
 
@@ -1062,7 +1065,10 @@ def _meta(dims, **changes):
     ("schedule.betas", lambda betas: np.full_like(betas, 1.5)),
     ("meta.dims", lambda dims: _meta(dims, time_dim=6)),
     ("meta.dims", lambda dims: _meta(dims, token_dim=4)),
-], ids=["betas 10x10", "betas of 1.5", "time_dim 6", "token_dim 4"])
+    ("meta.dims", lambda dims: _meta(dims, frames_per_video=24.5)),
+    ("meta.dims", lambda dims: _meta(dims, fps_num=2.0 ** 33)),
+], ids=["betas 10x10", "betas of 1.5", "time_dim 6", "token_dim 4",
+        "frames_per_video 24.5", "fps_num 2^33"])
 def test_checkpoint_meta_or_schedule_that_does_not_fit_exits_2(
         name, damage, desk_checkpoint, corpus_dir, tmp_path, capsys):
     records = dict(desk_checkpoint)

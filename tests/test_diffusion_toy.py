@@ -8,13 +8,15 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import (flatten_grads, flatten_trainable, grad_check,
+                     params_hash, write_trainable)
 from tempokit import diffusion_toy as dt
 from tempokit.audio_analysis import (spectral_flux, stft_magnitude,
                                      toy_audio_features)
 from tempokit.errors import NumericError, ShapeError, ValidationError
 from tempokit.media_io import AudioEmbeddings
 from tempokit.motion_analysis import motion_curve
-from tempokit.numerics import Rng, grad_check
+from tempokit.numerics import Rng
 from tempokit.synthgen import SynthConfig, generate as synth_generate
 from tempokit.tempo_tokens import (build_condition, condition_backward,
                                    condition_values, map_audio,
@@ -257,13 +259,13 @@ class TestGradients:
         noises = [dt.sample_step_noise(batch[0][0], comp.schedule, rng)]
 
         def f(flat):
-            dt.write_trainable(flat, comp.mapper, comp.pooling)
+            write_trainable(flat, comp.mapper, comp.pooling)
             loss, grads = dt.total_loss_and_grads(
                 batch, noises, comp.mapper, comp.pooling, comp.denoiser,
                 comp.schedule, 0.05)
-            return loss, dt.flatten_grads(grads, comp.mapper, comp.pooling)
+            return loss, flatten_grads(grads, comp.mapper, comp.pooling)
 
-        flat0 = dt.flatten_trainable(comp.mapper, comp.pooling)
+        flat0 = flatten_trainable(comp.mapper, comp.pooling)
         assert grad_check(f, flat0, 1e-5) <= 1e-4
 
     def test_batch_permutation_invariance(self):
@@ -370,6 +372,7 @@ class TestStackedPass:
 DESK_GOLDEN_SCRIPT = """
 import hashlib
 import numpy as np
+from oracles import params_hash
 from tempokit import diffusion_toy as dt
 from tempokit.synthgen import SynthConfig, generate
 dims = dt.desk_train_dims()
@@ -381,7 +384,7 @@ history = dt.train(items, config, comp.mapper, comp.pooling, comp.denoiser,
                    comp.schedule)
 print(hashlib.sha256(np.array(history, dtype=np.float64).tobytes())
       .hexdigest())
-print(dt.params_hash(comp.mapper.arrays() + comp.pooling.arrays()))
+print(params_hash(comp.mapper.arrays() + comp.pooling.arrays()))
 """
 
 
@@ -391,7 +394,8 @@ class TestSeedDeterminism:
         # per-clip loop before training stacked its clips: any change to
         # the order of a sum shows here
         src = pathlib.Path(dt.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src),
+        tests = pathlib.Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{tests}",
                "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                "MKL_NUM_THREADS": "1"}
         out = subprocess.run([sys.executable, "-c", DESK_GOLDEN_SCRIPT],
@@ -406,7 +410,7 @@ class TestSeedDeterminism:
 class TestTrain:
     def test_zero_steps_change_nothing(self):
         comp = dt.build_components(TINY, seed=21)
-        before = dt.params_hash(comp.mapper.arrays() + comp.pooling.arrays())
+        before = params_hash(comp.mapper.arrays() + comp.pooling.arrays())
         items = [dt.TrainItem(Rng(73).normal((6, TINY.latent_dim)),
                               Rng(74).normal((6, 1, 3)))]
         config = dt.TrainConfig(batch_videos=1, frames_per_video=2, steps=0,
@@ -414,7 +418,7 @@ class TestTrain:
         history = dt.train(items, config, comp.mapper, comp.pooling,
                            comp.denoiser, comp.schedule)
         assert history == []
-        after = dt.params_hash(comp.mapper.arrays() + comp.pooling.arrays())
+        after = params_hash(comp.mapper.arrays() + comp.pooling.arrays())
         assert before == after
 
     def test_training_is_deterministic(self):
@@ -433,18 +437,18 @@ class TestTrain:
 
     def test_frozen_parameters_untouched_and_trainables_move(self):
         comp = dt.build_components(TINY, seed=23)
-        frozen_before = (dt.params_hash(comp.denoiser.arrays()),
-                         dt.params_hash(comp.codec.arrays()))
-        mapper_before = dt.params_hash(comp.mapper.arrays())
+        frozen_before = (params_hash(comp.denoiser.arrays()),
+                         params_hash(comp.codec.arrays()))
+        mapper_before = params_hash(comp.mapper.arrays())
         items = [dt.TrainItem(Rng(77).normal((6, TINY.latent_dim)),
                               Rng(78).normal((6, 1, 3)))]
         config = dt.TrainConfig(batch_videos=2, frames_per_video=2, steps=10,
                                 learning_rate=1e-3, lambda_l1=0.1, seed=6)
         dt.train(items, config, comp.mapper, comp.pooling, comp.denoiser,
                  comp.schedule)
-        assert dt.params_hash(comp.denoiser.arrays()) == frozen_before[0]
-        assert dt.params_hash(comp.codec.arrays()) == frozen_before[1]
-        assert dt.params_hash(comp.mapper.arrays()) != mapper_before
+        assert params_hash(comp.denoiser.arrays()) == frozen_before[0]
+        assert params_hash(comp.codec.arrays()) == frozen_before[1]
+        assert params_hash(comp.mapper.arrays()) != mapper_before
 
     @pytest.mark.parametrize("scale, step_norm", [(1, 15.7226), (100, 1000)])
     def test_steps_longer_than_the_norm_limit_are_clipped(self, scale,
@@ -452,12 +456,12 @@ class TestTrain:
         comp = dt.build_components(TINY, seed=25)
         items = [dt.TrainItem(Rng(81).normal((6, TINY.latent_dim)),
                               scale * Rng(82).normal((6, 1, 3)))]
-        before = dt.flatten_trainable(comp.mapper, comp.pooling)
+        before = flatten_trainable(comp.mapper, comp.pooling)
         config = dt.TrainConfig(batch_videos=2, frames_per_video=2, steps=1,
                                 learning_rate=1e-3, lambda_l1=0.1, seed=8)
         dt.train(items, config, comp.mapper, comp.pooling, comp.denoiser,
                  comp.schedule)
-        moved = dt.flatten_trainable(comp.mapper, comp.pooling) - before
+        moved = flatten_trainable(comp.mapper, comp.pooling) - before
         assert np.linalg.norm(moved) / 1e-3 == pytest.approx(step_norm,
                                                              rel=1e-5)
 

@@ -230,10 +230,13 @@ class TestCondition:
         np.testing.assert_array_equal(back.values, values.astype(np.float64))
         assert back.tokens_per_frame == 4
 
-    def test_ragged_token_lists_rejected(self, tmp_path):
-        ragged = [[[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]]]
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_value_past_the_float32_range_rejected(self, tmp_path):
+        # finite as float64, so the container takes it; inf as float32
+        cond = ConditionFile(np.full((1, 1, 2), 1e300))
         with pytest.raises(ValidationError):
-            write_condition(ragged, tmp_path / "r.ttc")
+            write_condition(cond, tmp_path / "big.ttc")
+        assert not (tmp_path / "big.ttc").exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.ttc"

@@ -1,9 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.ndimage import convolve
 
+from tempokit import motion_analysis
 from tempokit.errors import ShapeError
 from tempokit.media_io import Video
 from tempokit.motion_analysis import (PIXELS, FlowParams,
@@ -369,3 +372,47 @@ def test_infinite_temporal_derivative_with_flat_mean_is_live():
     flow = optical_flow(f1, f2, params)
     assert np.isnan(flow.u[0, 3, 4])
     assert_flow_matches_reference(flow, f1, f2, params)
+
+
+# ---------------------------------------------------------------------------
+# Time reversal
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_videos(draw):
+    """2-8 frames of at most 20x20: random pixels, or a square moving on
+    a flat background; any frame may repeat the one before it."""
+    count = draw(st.integers(2, 8))
+    height, width = draw(st.integers(3, 20)), draw(st.integers(3, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        frames = rng.integers(0, 256, (count, height, width, 3),
+                              dtype=np.uint8)
+    else:
+        frames = np.full((count, height, width, 3),
+                         rng.integers(0, 256, 3), dtype=np.uint8)
+        size = int(rng.integers(1, min(height, width) + 1))
+        for frame in frames:
+            top = rng.integers(0, height - size + 1)
+            left = rng.integers(0, width - size + 1)
+            frame[top:top + size, left:left + size] = rng.integers(0, 256, 3)
+    for k in range(1, count):
+        if draw(st.booleans()):
+            frames[k] = frames[k - 1]
+    return frames
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(frames=small_videos(), pairs_per_chunk=st.sampled_from([1, 2, 3, 8]),
+       params=st.builds(FlowParams, st.sampled_from([1.0, 10.0]),
+                        st.sampled_from([1, 13, 100])))
+def test_reversed_video_has_the_reversed_motion_curve(frames, pairs_per_chunk,
+                                                      params):
+    # swapping a pair's frames negates its temporal derivative, and the
+    # solved flow negates with it, exactly; the chunks group the pairs
+    # differently in the two directions
+    pixels = pairs_per_chunk * frames.shape[1] * frames.shape[2]
+    with mock.patch.object(motion_analysis, "PIXELS", pixels):
+        forward = motion_curve(Video(frames, 24), params)
+        backward = motion_curve(Video(frames[::-1], 24), params)
+    assert backward[1:].tobytes() == forward[1:][::-1].tobytes()

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
+from oracles import gelu, grad_check, window_average
 from tempokit.errors import ShapeError, ValidationError
 from tempokit.media_io import AudioEmbeddings, ConditionFile
-from tempokit.numerics import Rng, gelu, grad_check, softmax
-from tempokit.tempo_tokens import (MapperParams, PoolingParams, TempoTokens,
-                                   attentive_pool, build_condition,
-                                   condition_backward, create_mapper,
-                                   create_pooling, map_audio,
+from tempokit.numerics import Rng, softmax
+from tempokit.tempo_tokens import (MapperParams, PoolingParams,
+                                   build_condition, condition_backward,
+                                   create_mapper, create_pooling, map_audio,
                                    mapper_backward, mapper_forward,
                                    pool_backward, pool_forward, resolutions,
-                                   single_vector_condition, window_average,
-                                   window_bounds, window_half_widths,
-                                   window_matrix)
+                                   single_vector_condition, window_bounds,
+                                   window_half_widths, window_matrix)
 
 
 def small_mapper(seed=0, in_dim=6, out_dim=4):
@@ -26,7 +25,8 @@ def small_pooling(seed=0, token_dim=4):
 
 
 def scalar_tokens(values):
-    return TempoTokens(np.asarray(values, dtype=np.float64).reshape(-1, 1, 1))
+    return AudioEmbeddings(
+        np.asarray(values, dtype=np.float64).reshape(-1, 1, 1))
 
 
 class TestMapAudio:
@@ -44,7 +44,6 @@ class TestMapAudio:
             assert map_audio(emb, mapper).values.shape == (length, 2, 2)
 
     def test_tokens_share_the_embeddings_container(self):
-        assert TempoTokens is AudioEmbeddings
         tokens = map_audio(AudioEmbeddings(np.ones((3, 2, 3))), small_mapper())
         assert type(tokens) is AudioEmbeddings
         assert tokens.flat.shape == (3, 4)
@@ -93,7 +92,7 @@ class TestWindows:
         np.testing.assert_array_equal(window_average(tokens, 2, 2), [[4.0]])
 
     def test_constant_tokens_average_to_constant(self):
-        tokens = TempoTokens(np.full((7, 2, 3), 1.25))
+        tokens = AudioEmbeddings(np.full((7, 2, 3), 1.25))
         np.testing.assert_allclose(window_average(tokens, 1, 7), 1.25)
 
     def test_hand_mean(self):
@@ -131,24 +130,24 @@ class TestWindows:
 class TestAttentivePool:
     def test_single_segment_returns_input(self):
         pooling = small_pooling()
-        tokens = TempoTokens(np.array([[[1.0, -2.0], [0.5, 3.0]]]))
-        pooled, p = attentive_pool(tokens, pooling)
+        tokens = AudioEmbeddings(np.array([[[1.0, -2.0], [0.5, 3.0]]]))
+        pooled, p, _ = pool_forward(tokens.flat, pooling)
         np.testing.assert_array_equal(p, [1.0])
-        np.testing.assert_allclose(pooled, tokens.values[0], atol=1e-12)
+        np.testing.assert_allclose(pooled, tokens.flat[0], atol=1e-12)
 
     def test_identical_tokens_give_uniform_attention(self):
         pooling = small_pooling(seed=3, token_dim=2)
-        tokens = TempoTokens(np.tile(np.array([[[0.3, -1.2]]]), (5, 1, 1)))
-        pooled, p = attentive_pool(tokens, pooling)
+        tokens = AudioEmbeddings(np.tile(np.array([[[0.3, -1.2]]]), (5, 1, 1)))
+        pooled, p, _ = pool_forward(tokens.flat, pooling)
         np.testing.assert_allclose(p, 0.2, atol=1e-12)
-        np.testing.assert_allclose(pooled, tokens.values[0], atol=1e-12)
+        np.testing.assert_allclose(pooled, tokens.flat[0], atol=1e-12)
 
     def test_distribution_sums_to_one(self):
         rng = np.random.default_rng(61)
         pooling = small_pooling(seed=8)
         for _ in range(20):
-            tokens = TempoTokens(rng.normal(size=(6, 2, 2)))
-            _, p = attentive_pool(tokens, pooling)
+            tokens = AudioEmbeddings(rng.normal(size=(6, 2, 2)))
+            _, p, _ = pool_forward(tokens.flat, pooling)
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p >= 0)
 
@@ -156,7 +155,7 @@ class TestAttentivePool:
         """Independent oracle: evaluate the potentials with plain loops."""
         pooling = small_pooling(seed=9)
         rng = np.random.default_rng(67)
-        tokens = TempoTokens(rng.normal(size=(3, 2, 2)))
+        tokens = AudioEmbeddings(rng.normal(size=(3, 2, 2)))
         flat = tokens.flat
 
         local = np.array([
@@ -174,15 +173,15 @@ class TestAttentivePool:
                              + float(pooling.alpha_cross) * cross)
         pooled_expected = (p_expected[:, None] * flat).sum(axis=0)
 
-        pooled, p = attentive_pool(tokens, pooling)
+        pooled, p, _ = pool_forward(tokens.flat, pooling)
         np.testing.assert_allclose(p, p_expected, atol=1e-10)
         np.testing.assert_allclose(pooled.reshape(-1), pooled_expected,
                                    atol=1e-10)
 
     def test_zero_tokens_guarded(self):
         pooling = small_pooling()
-        tokens = TempoTokens(np.zeros((4, 2, 2)))
-        pooled, p = attentive_pool(tokens, pooling)
+        tokens = AudioEmbeddings(np.zeros((4, 2, 2)))
+        pooled, p, _ = pool_forward(tokens.flat, pooling)
         np.testing.assert_allclose(p, 0.25, atol=1e-12)
         np.testing.assert_array_equal(pooled, 0.0)
 
@@ -190,24 +189,24 @@ class TestAttentivePool:
 class TestBuildCondition:
     def test_24_segments_give_6_tokens_per_frame(self):
         rng = np.random.default_rng(71)
-        tokens = TempoTokens(rng.normal(size=(24, 2, 2)))
+        tokens = AudioEmbeddings(rng.normal(size=(24, 2, 2)))
         cond = build_condition(tokens, small_pooling())
         assert cond.tokens_per_frame == 6
         assert cond.frame_count == 24
 
     def test_single_segment_gives_two_tokens_per_frame(self):
-        tokens = TempoTokens(np.ones((1, 2, 2)))
+        tokens = AudioEmbeddings(np.ones((1, 2, 2)))
         cond = build_condition(tokens, small_pooling())
         assert cond.tokens_per_frame == 2  # one window plus the attentive
 
     def test_constant_tokens_make_every_entry_the_constant(self):
-        tokens = TempoTokens(np.full((16, 1, 3), 0.75))
+        tokens = AudioEmbeddings(np.full((16, 1, 3), 0.75))
         cond = build_condition(tokens, small_pooling(token_dim=3))
         np.testing.assert_allclose(cond.values, 0.75, atol=1e-12)
 
     def test_window_entries_match_window_average(self):
         rng = np.random.default_rng(73)
-        tokens = TempoTokens(rng.normal(size=(8, 2, 2)))
+        tokens = AudioEmbeddings(rng.normal(size=(8, 2, 2)))
         cond = build_condition(tokens, small_pooling())
         for frame in (1, 4, 8):
             for k, half in enumerate(window_half_widths(8)):
@@ -218,7 +217,7 @@ class TestBuildCondition:
 
     def test_attentive_token_shared_across_frames(self):
         rng = np.random.default_rng(79)
-        tokens = TempoTokens(rng.normal(size=(6, 2, 2)))
+        tokens = AudioEmbeddings(rng.normal(size=(6, 2, 2)))
         cond = build_condition(tokens, small_pooling())
         for frame in range(6):
             np.testing.assert_array_equal(cond.values[frame, -1],
@@ -253,13 +252,13 @@ class TestWindowOperator:
 
 class TestSingleVector:
     def test_constant_tokens(self):
-        tokens = TempoTokens(np.full((5, 1, 2), 3.5))
+        tokens = AudioEmbeddings(np.full((5, 1, 2), 3.5))
         cond = single_vector_condition(tokens)
         np.testing.assert_allclose(cond.values, 3.5)
 
     def test_equals_global_window_average(self):
         rng = np.random.default_rng(89)
-        tokens = TempoTokens(rng.normal(size=(9, 2, 2)))
+        tokens = AudioEmbeddings(rng.normal(size=(9, 2, 2)))
         cond = single_vector_condition(tokens)
         expected = window_average(tokens, 1, 9).reshape(-1)
         for frame in range(9):
@@ -267,7 +266,7 @@ class TestSingleVector:
                                        atol=1e-12)
 
     def test_one_token_per_frame(self):
-        tokens = TempoTokens(np.zeros((4, 1, 2)))
+        tokens = AudioEmbeddings(np.zeros((4, 1, 2)))
         assert single_vector_condition(tokens).tokens_per_frame == 1
 
 
