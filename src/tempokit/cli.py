@@ -11,8 +11,10 @@ av-align checks every pair (files, frame shapes, durations) before it
 solves any flow. It then splits the optical flow of the distinct videos
 into frame-pair ranges across one process per core in its affinity mask
 (see worker_count; taskset restricts it), balanced on the pixels of the
-pairs that move; still pairs have exactly zero flow and are not solved.
-The output is byte-identical for any number of processes.
+pairs it solves. Each distinct frame pair is solved once: a pair that
+repeats an earlier pair's frames, byte for byte, takes its flow, and a
+still pair has exactly zero flow. The output is byte-identical for any
+number of processes.
 
 Exit codes: 0 success, 2 format or input error, OSError or MemoryError,
 3 duration mismatch beyond the truncation policy, 4 numeric failure
@@ -111,33 +113,37 @@ def worker_count():
 
 class CheckedVideo(NamedTuple):
     """What av-align keeps of a video once its check passed: the sizes
-    and moving pairs (motion_analysis.moving_pairs) that plan_flow
-    takes, and the frame_count and fps that av_align_from_media reads
-    when it is given the motion curve. No frame is kept."""
+    and pair sources (motion_analysis.pair_sources, one solve per
+    distinct pair) that plan_flow takes, and the frame_count and fps
+    that av_align_from_media reads when it is given the motion curve.
+    No frame is kept."""
     frame_count: int
     fps: float
     height: int
     width: int
-    moving: np.ndarray
+    sources: np.ndarray
 
 
 def plan_flow(videos, workers):
     """Deal the frame pairs of videos, (key, frame_count, height, width,
-    moving) tuples, into at most `workers` bins of about equal cost: a
-    pair in moving (motion_analysis.moving_pairs) costs height x width,
-    a still pair 0, as motion_curve skips it.
+    sources) tuples, into at most `workers` bins of about equal cost: a
+    pair k with sources[k] == k (motion_analysis.pair_sources) is solved
+    and costs height x width; a repeated or still pair costs 0, as
+    motion_curve does not solve it.
 
     The pairs of all videos are laid end to end in the order given and
     cut at the pair boundaries nearest to each equal share. So every
-    moving pair lands in exactly one bin, each bin's cost is within one
+    solved pair lands in exactly one bin, each bin's cost is within one
     pair of its share, and a bin holds at most one range of each video.
     A bin is a list of (key, start, stop) ranges, the pairs that end at
-    frames start..stop-1 (1 <= start < stop <= frame_count); ranges with
-    no moving pair and empty bins are dropped, so still videos get none.
+    frames start..stop-1 (1 <= start < stop <= frame_count), cut down to
+    run from the first solved pair to the last; ranges with none and
+    empty bins are dropped, so still videos get none. A pair outside
+    every range is not solved: solve_curves fills it from its source.
     """
     ends = np.cumsum(np.concatenate([[0]] + [  # cost before each boundary
-        np.isin(np.arange(1, n), moving) * (h * w)
-        for _, n, h, w, moving in videos]))
+        (sources[1:] == np.arange(1, n)) * (h * w)
+        for _, n, h, w, sources in videos]))
     shares = ends[-1] * np.arange(1, workers if ends[-1] else 0) / workers
     cuts = np.searchsorted(ends, shares)
     cuts -= shares - ends[cuts - 1] < ends[cuts] - shares
@@ -147,8 +153,10 @@ def plan_flow(videos, workers):
     for key, n, *_ in videos:
         for ranges, lo, hi in zip(bins, bounds, bounds[1:]):
             lo, hi = max(lo, first), min(hi, first + n - 1)
-            if lo < hi and ends[lo] < ends[hi]:
-                ranges.append((key, lo - first + 1, hi - first + 1))
+            solved = (np.flatnonzero(np.diff(ends[lo:hi + 1]))
+                      + lo - first + 1).tolist()
+            if solved:
+                ranges.append((key, solved[0], solved[-1] + 1))
         first += n - 1
     return [ranges for ranges in bins if ranges]
 
@@ -171,8 +179,9 @@ def solve_ranges(ranges, flow):
 def solve_curves(videos, flow, workers):
     """Full-length motion curves of videos, plan_flow's tuples keyed by
     path: the flow is split by plan_flow, this process solves the first
-    bin and a multiprocessing pool the rest. The curves are bit-identical
-    for any number of workers."""
+    bin and a multiprocessing pool the rest. Each pair then takes its
+    source's value, which may come from another bin. The curves are
+    bit-identical for any number of workers."""
     bins = plan_flow(videos, workers)
     if len(bins) > 1:
         import multiprocessing  # only a command that starts a pool pays
@@ -186,7 +195,7 @@ def solve_curves(videos, flow, workers):
     for ranges, pieces in zip(bins, results):
         for (path, start, stop), piece in zip(ranges, pieces):
             curves[path][start:stop] = piece
-    return curves
+    return {path: curves[path][sources] for path, *_, sources in videos}
 
 
 def cmd_av_align(args):
@@ -214,7 +223,7 @@ def cmd_av_align(args):
             motion_analysis.check_video(video)
             videos[video_path] = CheckedVideo(
                 video.frame_count, video.fps, *video.frames.shape[1:3],
-                motion_analysis.moving_pairs(video.frames))
+                motion_analysis.pair_sources(video.frames))
         video = videos[video_path]
         audio = media_io.read_wav(audio_path)
         # warns once here when the pair will be truncated
@@ -243,8 +252,8 @@ def cmd_av_align(args):
     else:
         check_pair(args.video, args.audio)
 
-    curves = solve_curves([(path, v.frame_count, v.height, v.width, v.moving)
-                           for path, v in videos.items()],
+    curves = solve_curves([(path, v.frame_count, v.height, v.width,
+                            v.sources) for path, v in videos.items()],
                           flow, worker_count())
     reports = []
     with warnings.catch_warnings():

@@ -281,10 +281,17 @@ def write_wav(signal, path):
 # ---------------------------------------------------------------------------
 
 def write_video(video, path):
+    """Write an RVID file. Its u32 header fields are checked before the
+    file is opened, so a video that does not fit leaves no file."""
     count, height, width, _ = video.frames.shape
+    try:
+        header = struct.pack("<5I", width, height, count, video.fps_num,
+                             video.fps_den)
+    except struct.error:
+        raise ValidationError("RVID sizes and fps must be whole numbers "
+                              "below 2^32") from None
     with open(path, "wb") as fh:
-        fh.write(b"RVID" + struct.pack("<5I", width, height, count,
-                                       video.fps_num, video.fps_den))
+        fh.write(b"RVID" + header)
         fh.write(np.ascontiguousarray(video.frames))
 
 
@@ -368,7 +375,8 @@ def _write_tensor3(values, magic, path):
     """Write a 3-d tensor as float32 after its magic and three u32 sizes.
     A finite float64 beyond the float32 range becomes inf, and is
     refused."""
-    values = np.asarray(values, dtype="<f4")
+    with np.errstate(over="ignore"):  # the check below refuses the inf
+        values = np.asarray(values, dtype="<f4")
     if not np.all(np.isfinite(values)):
         raise ValidationError("tensor contains non-finite values")
     with open(path, "wb") as fh:

@@ -26,10 +26,13 @@ The data term runs only inside the box around the pixels with a nonzero
 gradient or a non-finite temporal derivative, over the whole stack. On
 flat background (zero gradient, finite temporal derivative) the update
 subtracts a signed zero from the neighbor average, so there a sweep is
-just that average, bit for bit. Still pairs are not solved at all:
-``moving_pairs`` skips them.
+just that average, bit for bit. A pair's flow depends only on the bytes
+of its two frames, so ``motion_curve`` solves each distinct pair once
+(``pair_sources``): a pair that repeats an earlier pair's frames takes
+its flow, and a still pair keeps an exact 0.0.
 """
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +45,7 @@ _LUMA = np.array([0.299, 0.587, 0.114])
 # order of its 3x3 kernel, which is the order scipy.ndimage adds them in.
 _AVG_TAPS = [((dy, dx), 1 / 12 if dy and dx else 1 / 6)
              for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
-# Pixels per chunk of moving frame pairs in motion_curve: 2 pairs at
+# Pixels per chunk of solved frame pairs in motion_curve: 2 pairs at
 # 64x64, 1 at 128x96. About 120 bytes per pixel of working arrays then
 # stay within a 2 MB cache; larger chunks ran slower.
 PIXELS = 8192
@@ -207,32 +210,52 @@ def optical_flow(frame1, frame2, params=None):
     return FlowField(u.reshape(f1.shape), v.reshape(f1.shape))
 
 
-def moving_pairs(frames):
-    """Indices k >= 1 of the frame pairs whose frames k-1 and k differ
-    as bytes. Any other pair has a zero temporal derivative, and its
-    flow, solved from zero, is exactly +0.0 everywhere."""
-    return np.flatnonzero([frames[k - 1].tobytes() != frames[k].tobytes()
-                           for k in range(1, len(frames))]) + 1
+def _frame_hash(frame):
+    """The key pair_sources matches frames on: a CRC-32 of the bytes."""
+    return zlib.crc32(np.ascontiguousarray(frame))
+
+
+def pair_sources(frames):
+    """For each frame pair k (frames k-1 and k), the pair whose flow it
+    has: k if it is solved, j < k if pair j has the same two frames, byte
+    for byte, and 0 for a still pair, whose flow, solved from zero, is
+    exactly +0.0 everywhere, like index 0's. An int array of len(frames).
+
+    Frames are matched on a hash of their bytes, confirmed by comparing
+    the bytes; a hash collision can only miss a repeat."""
+    # the first frame with each hash; each frame's first byte-equal one
+    first, ids = {}, []
+    for i, frame in enumerate(frames):
+        j = first.setdefault(_frame_hash(frame), i)
+        ids.append(j if j == i or frames[j].tobytes() == frame.tobytes()
+                   else i)
+    src, seen = np.zeros(len(frames), dtype=np.intp), {}
+    for k in range(1, len(frames)):
+        if ids[k - 1] != ids[k]:
+            src[k] = seen.setdefault((ids[k - 1], ids[k]), k)
+    return src
 
 
 def motion_curve(video, params=None):
     """Mean flow magnitude per frame; index 0 has no predecessor and is 0.
-    Only moving_pairs are solved, in chunks of about PIXELS pixels with
-    grays made per chunk; a still pair keeps an exact 0.0."""
+    Only the pairs that pair_sources maps to themselves are solved, in
+    chunks of about PIXELS pixels with grays made per chunk; every other
+    pair takes its source's value, and a still pair an exact 0.0."""
     check_video(video)
     height, width = video.frames.shape[1:3]
     chunk = max(1, PIXELS // (height * width))
     curve = np.zeros(video.frame_count)
-    moving = moving_pairs(video.frames)
+    src = pair_sources(video.frames)
+    solved = np.flatnonzero(src == np.arange(len(src)))[1:]
     grays = {}
-    for start in range(0, len(moving), chunk):
-        ks = moving[start:start + chunk]
+    for start in range(0, len(solved), chunk):
+        ks = solved[start:start + chunk]
         grays = {i: grays[i] if i in grays else to_grayscale(video.frames[i])
                  for i in {*(ks - 1), *ks}}
         flow = optical_flow(np.stack([grays[k - 1] for k in ks]),
                             np.stack([grays[k] for k in ks]), params)
         curve[ks] = [m.mean() for m in flow.magnitude]
-    return curve
+    return curve[src]
 
 
 def detect_motion_peaks(curve, params=None):

@@ -3,15 +3,17 @@ tests compare tempokit against.
 
 None of these is run by a tempokit command: each states a quantity the
 way its definition does (a mean over a span, x * Phi(x), a central
-difference) so that the tests can check the package's faster or fused
-form of it.
+difference, a flow sweep as two convolutions) so that the tests can
+check the package's faster or fused form of it.
 """
 
 import hashlib
 
 import numpy as np
+from scipy.ndimage import convolve
 
 from tempokit.errors import NumericError, ShapeError, ValidationError
+from tempokit.motion_analysis import to_grayscale
 from tempokit.numerics import normal_cdf
 
 
@@ -105,3 +107,40 @@ def window_average(tokens, lo, hi):
         raise ValidationError(
             f"window [{lo}, {hi}] out of range for {length} segments")
     return tokens.values[lo - 1:hi].mean(axis=0)
+
+
+_AVG_KERNEL = np.array([
+    [1 / 12, 1 / 6, 1 / 12],
+    [1 / 6, 0.0, 1 / 6],
+    [1 / 12, 1 / 6, 1 / 12],
+])
+
+
+def reference_flow(frame1, frame2, params):
+    """One frame pair, two scipy.ndimage convolutions per sweep."""
+    i1 = np.asarray(frame1, dtype=np.float64) * 255.0
+    i2 = np.asarray(frame2, dtype=np.float64) * 255.0
+    padded = np.pad((i1 + i2) / 2.0, 1, mode="reflect")
+    ix = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
+    iy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
+    it = i2 - i1
+    denom = params.alpha ** 2 + ix ** 2 + iy ** 2
+    u = np.zeros_like(i1)
+    v = np.zeros_like(i1)
+    for _ in range(params.iterations):
+        u_avg = convolve(u, _AVG_KERNEL, mode="reflect")
+        v_avg = convolve(v, _AVG_KERNEL, mode="reflect")
+        shared = (ix * u_avg + iy * v_avg + it) / denom
+        u = u_avg - ix * shared
+        v = v_avg - iy * shared
+    return u, v
+
+
+def reference_curve(video, params):
+    """Every pair of video solved alone by reference_flow."""
+    grays = [to_grayscale(f) for f in video.frames]
+    curve = np.zeros(video.frame_count)
+    for i in range(1, video.frame_count):
+        u, v = reference_flow(grays[i - 1], grays[i], params)
+        curve[i] = np.sqrt(u ** 2 + v ** 2).mean()
+    return curve

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import reference_curve
 from tempokit import (av_align, cli, diffusion_toy, media_io,
                       motion_analysis, synthgen, tempo_tokens)
 from tempokit.cli import build_parser, main
@@ -141,7 +142,8 @@ class TestBatchSolvesEachVideoOnce:
                               monkeypatch, capsys):
         lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        assert main(["av-align", "--batch"] + flags) == 0
+        with pytest.warns(UserWarning, match="durations differ"):
+            assert main(["av-align", "--batch"] + flags) == 0
         assert capsys.readouterr().out == expected
 
     def test_one_solve_per_distinct_video(self, corpus_dir, tmp_path,
@@ -159,8 +161,13 @@ class TestBatchSolvesEachVideoOnce:
 
         monkeypatch.setattr(motion_analysis, "motion_curve", counting_curve)
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        assert main(["av-align", "--batch"]) == 0
-        assert solved == [96, 96]
+        with pytest.warns(UserWarning, match="durations differ"):
+            assert main(["av-align", "--batch"]) == 0
+        # one range per video, from its first solved pair to its last
+        spans = [solved_pairs(motion_analysis.pair_sources(
+            read_video(f"clip_{i:04d}.rvid").frames))[[0, -1]]
+            for i in range(2)]
+        assert solved == [last - first + 2 for first, last in spans]
 
     def test_each_video_is_read_once_to_check_and_once_to_solve(
             self, corpus_dir, tmp_path, monkeypatch, capsys):
@@ -171,7 +178,8 @@ class TestBatchSolvesEachVideoOnce:
                             lambda path: reads.append(path) or read_video(
                                 path))
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        assert main(["av-align", "--batch"]) == 0
+        with pytest.warns(UserWarning, match="durations differ"):
+            assert main(["av-align", "--batch"]) == 0
         assert capsys.readouterr().out == RESCORE_TEXT
         # the line checks, then the one flow range of each video
         assert reads == ["clip_0000.rvid", "clip_0001.rvid"] * 2
@@ -303,6 +311,25 @@ def mixed_clips(tmp_path_factory):
             for name in ("small", "large")}
 
 
+def solved_pairs(sources):
+    """The pairs k >= 1 that pair_sources marks as solved."""
+    return np.flatnonzero(sources == np.arange(len(sources)))[1:]
+
+
+def random_sources(rng, n, still, repeated):
+    """pair_sources of n frames with random still and repeated shares: a
+    repeat takes an earlier solved pair as its source."""
+    sources = np.arange(n)
+    draw = rng.random(n)
+    sources[draw < still] = 0
+    for k in np.flatnonzero(draw >= 1 - repeated):
+        earlier = solved_pairs(sources[:k])
+        if earlier.size:
+            sources[k] = rng.choice(earlier)
+    sources[0] = 0
+    return sources
+
+
 class TestFlowPlan:
     SHAPES = [("a", 96, 64, 64), ("b", 96, 96, 128), ("c", 2, 3, 3),
               ("d", 41, 64, 64), ("e", 7, 96, 128)]
@@ -311,10 +338,13 @@ class TestFlowPlan:
     @pytest.mark.parametrize("count", [1, 2, 5])
     def test_every_pair_solved_once_in_balanced_bins(self, workers, count):
         rng = np.random.default_rng([workers, count])
-        # every pair moving, then random still masks, then all still
-        for still in (0.0, 0.3, 0.7, 0.95, 1.0):
+        # every pair solved, then random shares of still and repeated
+        # pairs, then all still
+        for still, repeated in [(0.0, 0.0), (0.0, 0.5), (0.3, 0.3),
+                                (0.7, 0.0), (0.7, 0.2), (0.95, 0.0),
+                                (1.0, 0.0)]:
             videos = [(key, n, h, w,
-                       np.flatnonzero(rng.random(n - 1) >= still) + 1)
+                       random_sources(rng, n, still, repeated))
                       for key, n, h, w in self.SHAPES[:count]]
             self.check_plan(videos, workers)
 
@@ -323,28 +353,32 @@ class TestFlowPlan:
         bins = cli.plan_flow(videos, workers)
         assert bins == cli.plan_flow(videos, workers)
         assert len(bins) <= workers
-        assert bool(bins) == any(len(moving) for *_, moving in videos)
-        for key, n, _, _, moving in videos:
+        solved = {key: solved_pairs(sources)
+                  for key, *_, sources in videos}
+        assert bool(bins) == any(map(len, solved.values()))
+        for key, n, *_ in videos:
             ranges = sorted((start, stop) for ranges in bins
                             for k, start, stop in ranges if k == key)
             assert all(1 <= start < stop <= n for start, stop in ranges)
             assert all(a[1] <= b[0] for a, b in zip(ranges, ranges[1:]))
-            # each moving pair in exactly one range, no range without one
-            hits = [sum(start <= k < stop for k in moving)
+            # each solved pair in exactly one range, and each range runs
+            # from a solved pair to a solved pair
+            hits = [sum(start <= k < stop for k in solved[key])
                     for start, stop in ranges]
-            assert sum(hits) == len(moving) and 0 not in hits
+            assert sum(hits) == len(solved[key])
+            assert all({start, stop - 1} <= set(solved[key])
+                       for start, stop in ranges)
         size = {key: h * w for key, _, h, w, _ in videos}
-        moving = {key: moving for key, *_, moving in videos}
-        share = sum(size[key] * len(moving[key]) for key in size) / workers
+        share = sum(size[key] * len(solved[key]) for key in size) / workers
         for ranges in bins:
             assert len({key for key, _, _ in ranges}) == len(ranges)
-            cost = sum(size[key] * np.sum((start <= moving[key])
-                                          & (moving[key] < stop))
+            cost = sum(size[key] * np.sum((start <= solved[key])
+                                          & (solved[key] < stop))
                        for key, start, stop in ranges)
             assert abs(cost - share) <= max(size.values())
 
     def test_align_distinct_shapes_split_without_cutting_a_video(self):
-        videos = [(key, 96, h, w, np.arange(1, 96))
+        videos = [(key, 96, h, w, np.arange(96))
                   for key, h, w in [("s0", 64, 64), ("s1", 64, 64),
                                     ("s2", 64, 64), ("big", 96, 128)]]
         assert cli.plan_flow(videos, 2) == [
@@ -381,7 +415,7 @@ class TestParallelFlow:
         # (the Linux default from Python 3.14) pickle the work
         frames = {path: read_video(path).frames
                   for path, _ in mixed_clips.values()}
-        videos = [(path, *f.shape[:3], motion_analysis.moving_pairs(f))
+        videos = [(path, *f.shape[:3], motion_analysis.pair_sources(f))
                   for path, f in frames.items()]
         flow = FlowParams(iterations=20)
         default = multiprocessing.get_start_method()
@@ -405,8 +439,8 @@ class TestParallelFlow:
         plan = cli.plan_flow
 
         def plan_with_a_broken_worker(videos, workers):
-            [(path, n, h, w, moving)] = videos
-            assert np.array_equal(moving, motion_analysis.moving_pairs(
+            [(path, n, h, w, sources)] = videos
+            assert np.array_equal(sources, motion_analysis.pair_sources(
                 read_video(path).frames))
             bins = plan(videos, workers)
             assert len(bins) == 2
@@ -478,6 +512,42 @@ class TestParallelFlow:
         assert capsys.readouterr().out == expected
         # each distinct video once, to check it: never to score or for flow
         assert reads == [lines[0][0], lines[1][0]]
+        assert multiprocessing.active_children() == []
+
+    def test_repeats_take_their_flow_from_another_bin(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # a 3-frame loop and 4 frames held at the last, 24 frames each:
+        # 3 pairs to solve in each video
+        pool = np.random.default_rng(9).integers(0, 256, (7, 32, 32, 3),
+                                                 dtype=np.uint8)
+        lines = ""
+        for name, pattern in [("loop", [0, 1, 2] * 8),
+                              ("held", [3, 4, 5] + [6] * 21)]:
+            write_video(Video(pool[pattern], 24), tmp_path / f"{name}.rvid")
+            write_wav(AudioSignal(np.random.default_rng(len(name)).uniform(
+                -0.5, 0.5, 16000), 16000), tmp_path / f"{name}.wav")
+            lines += f"{tmp_path / name}.rvid {tmp_path / name}.wav\n"
+        loop, held = (str(tmp_path / f"{name}.rvid")
+                      for name in ("loop", "held"))
+        videos = [(path, *f.shape[:3], motion_analysis.pair_sources(f))
+                  for path, f in ((path, read_video(path).frames)
+                                  for path in (loop, held))]
+        assert videos[0][-1].tolist() == [0] + [1, 2, 3] * 7 + [1, 2]
+        # the cut after the loop's third pair deals its pairs 4..23, all
+        # repeats, to the second bin, which has no range of the loop
+        assert cli.plan_flow(videos, 2) == [[(loop, 1, 4)], [(held, 1, 4)]]
+        flow = FlowParams(iterations=20)
+        for path, curve in cli.solve_curves(videos, flow, 2).items():
+            assert curve.tobytes() == reference_curve(read_video(path),
+                                                      flow).tobytes()
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "worker_count", lambda: workers)
+            monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+            assert main(["av-align", "--batch", "--json",
+                         "--flow-iterations", "20"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
         assert multiprocessing.active_children() == []
 
 

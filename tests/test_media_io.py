@@ -132,6 +132,17 @@ class TestRvid:
         assert back.frames.tobytes() == video.frames.tobytes()
         assert back.fps == pytest.approx(video.fps)
 
+    @pytest.mark.parametrize("frames, fps_num, fps_den", [
+        ((1, 2, 2, 3), 2 ** 32, 1), ((1, 2, 2, 3), 24, 2 ** 33),
+        ((1, 2 ** 32, 0, 3), 24, 1), ((1, 0, 2 ** 32, 3), 24, 1),
+    ], ids=["fps_num", "fps_den", "height", "width"])
+    def test_header_field_past_u32_leaves_no_file(self, frames, fps_num,
+                                                  fps_den, tmp_path):
+        video = Video(np.zeros(frames, np.uint8), fps_num, fps_den)
+        with pytest.raises(ValidationError, match="below 2\\^32"):
+            write_video(video, tmp_path / "big.rvid")
+        assert not (tmp_path / "big.rvid").exists()
+
     def test_truncated_payload_rejected(self, tmp_path):
         rng = np.random.default_rng(2)
         video = Video(rng.integers(0, 256, (10, 4, 4, 3), dtype=np.uint8), 24)
@@ -230,7 +241,7 @@ class TestCondition:
         np.testing.assert_array_equal(back.values, values.astype(np.float64))
         assert back.tokens_per_frame == 4
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_value_past_the_float32_range_rejected(self, tmp_path):
         # finite as float64, so the container takes it; inf as float32
         cond = ConditionFile(np.full((1, 1, 2), 1e300))

@@ -4,14 +4,14 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.ndimage import convolve
 
+from oracles import reference_curve, reference_flow
 from tempokit import motion_analysis
 from tempokit.errors import ShapeError
 from tempokit.media_io import Video
 from tempokit.motion_analysis import (PIXELS, FlowParams,
                                       detect_motion_peaks, motion_curve,
-                                      moving_pairs, optical_flow,
+                                      optical_flow, pair_sources,
                                       to_grayscale)
 from tempokit.synthgen import SynthConfig, generate
 
@@ -152,42 +152,6 @@ class TestMotionPeaks:
 # The stencil solver against the per-pair convolution it replaced
 # ---------------------------------------------------------------------------
 
-_AVG_KERNEL = np.array([
-    [1 / 12, 1 / 6, 1 / 12],
-    [1 / 6, 0.0, 1 / 6],
-    [1 / 12, 1 / 6, 1 / 12],
-])
-
-
-def reference_flow(frame1, frame2, params):
-    """One frame pair, two scipy.ndimage convolutions per sweep."""
-    i1 = np.asarray(frame1, dtype=np.float64) * 255.0
-    i2 = np.asarray(frame2, dtype=np.float64) * 255.0
-    padded = np.pad((i1 + i2) / 2.0, 1, mode="reflect")
-    ix = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
-    iy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
-    it = i2 - i1
-    denom = params.alpha ** 2 + ix ** 2 + iy ** 2
-    u = np.zeros_like(i1)
-    v = np.zeros_like(i1)
-    for _ in range(params.iterations):
-        u_avg = convolve(u, _AVG_KERNEL, mode="reflect")
-        v_avg = convolve(v, _AVG_KERNEL, mode="reflect")
-        shared = (ix * u_avg + iy * v_avg + it) / denom
-        u = u_avg - ix * shared
-        v = v_avg - iy * shared
-    return u, v
-
-
-def reference_curve(video, params):
-    grays = [to_grayscale(f) for f in video.frames]
-    curve = np.zeros(video.frame_count)
-    for i in range(1, video.frame_count):
-        u, v = reference_flow(grays[i - 1], grays[i], params)
-        curve[i] = np.sqrt(u ** 2 + v ** 2).mean()
-    return curve
-
-
 # (width, height, frames, kind): 64x64 and 128x96 as in the corpus, and
 # a small clip whose pairs do not fill the last chunk evenly
 REFERENCE_CLIPS = [(64, 64, 24, "bounce"), (128, 96, 20, "flash"),
@@ -268,11 +232,80 @@ def test_motion_curve_with_still_pairs_is_bit_exact(pattern, width, height):
         0, 256, (max(pattern) + 1, height, width, 3), dtype=np.uint8)
     video = Video(pool[pattern], 24)
     moving = [k for k in range(1, 10) if pattern[k] != pattern[k - 1]]
-    assert moving_pairs(video.frames).tolist() == moving
+    assert np.flatnonzero(pair_sources(video.frames)).tolist() == moving
     params = FlowParams(alpha=7.0, iterations=40)
     curve = motion_curve(video, params)
     assert np.array_equal(curve, reference_curve(video, params))
     assert np.flatnonzero(curve).tolist() == moving
+
+
+# ---------------------------------------------------------------------------
+# Repeated pairs: solved once, each repeat takes its source's value
+# ---------------------------------------------------------------------------
+
+# frame indices into a pool of distinct random frames, and the source
+# pair_sources gives each pair
+REPEAT_PATTERNS = {
+    "loop": ([0, 1, 2, 0, 1, 2, 0, 1, 2, 3],
+             [0, 1, 2, 3, 1, 2, 3, 1, 2, 9]),
+    "held loop": ([0, 0, 1, 1, 0, 0, 1, 1, 2, 2],
+                  [0, 0, 2, 0, 4, 0, 2, 0, 8, 0]),
+    "back and forth": ([0, 1, 0, 1, 0, 1, 2, 1, 2, 1],
+                       [0, 1, 2, 1, 2, 1, 6, 7, 6, 7]),
+}
+
+
+def flash_clip(width, height):
+    """A 2-s flash clip with 3 events, and its pair sources: each flash
+    lights the same disk at frame e, dims it at e+1 and e+2 and puts it
+    out at e+3, so its 4 pairs repeat the first flash's."""
+    pair, events = generate(SynthConfig(width=width, height=height,
+                                        duration=2.0, n_events=3,
+                                        event_kind="flash", seed=width))
+    sources = np.zeros(pair.video.frame_count, dtype=int)
+    for e in events:
+        for step in range(4):
+            if e + step < len(sources):
+                sources[e + step] = events[0] + step
+    return pair.video, sources
+
+
+def repeated_clips(width, height):
+    pool = np.random.default_rng(width).integers(
+        0, 256, (4, height, width, 3), dtype=np.uint8)
+    for pattern, sources in REPEAT_PATTERNS.values():
+        yield Video(pool[pattern], 24), np.array(sources)
+    yield flash_clip(width, height)
+
+
+@pytest.mark.parametrize("width, height", [(64, 64), (128, 96)],
+                         ids=["64x64", "128x96"])
+def test_motion_curve_with_repeated_pairs_is_bit_exact(width, height):
+    params = FlowParams(alpha=7.0, iterations=40)
+    clips = list(repeated_clips(width, height))
+    for video, sources in clips:
+        assert pair_sources(video.frames).tolist() == sources.tolist()
+        curve = motion_curve(video, params)
+        assert curve.tobytes() == reference_curve(video, params).tobytes()
+    # the flash clip: 12 moving pairs, 4 of them distinct
+    flash = clips[-1][1]
+    assert np.count_nonzero(flash) == 12 and len(set(flash) - {0}) == 4
+
+
+def test_a_hash_collision_only_misses_repeats(monkeypatch):
+    pool = np.random.default_rng(1).integers(0, 256, (4, 24, 32, 3),
+                                             dtype=np.uint8)
+    video = Video(pool[[0, 1, 2, 0, 1, 2, 3, 3, 1, 2]], 24)
+    assert pair_sources(video.frames).tolist() == [0, 1, 2, 3, 1, 2, 6, 0,
+                                                   8, 2]
+    # every frame now hits frame 0's hash: its copies still match it,
+    # no other frame matches, and the still pair 7 is solved to +0.0
+    monkeypatch.setattr(motion_analysis, "_frame_hash", lambda frame: 0)
+    assert pair_sources(video.frames).tolist() == list(range(10))
+    params = FlowParams(alpha=7.0, iterations=40)
+    curve = motion_curve(video, params)
+    assert curve.tobytes() == reference_curve(video, params).tobytes()
+    assert curve[7] == 0.0
 
 
 def test_motion_curve_memory_does_not_grow_with_frames():
@@ -416,3 +449,44 @@ def test_reversed_video_has_the_reversed_motion_curve(frames, pairs_per_chunk,
         forward = motion_curve(Video(frames, 24), params)
         backward = motion_curve(Video(frames[::-1], 24), params)
     assert backward[1:].tobytes() == forward[1:][::-1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Pair independence, the invariant behind chunks, bins and pair_sources
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(frames=small_videos(),
+       params=st.builds(FlowParams, st.sampled_from([1.0, 10.0]),
+                        st.sampled_from([1, 13, 100])))
+def test_stacked_flow_is_each_pairs_flow_alone(frames, params):
+    # on flat background the stack's live box bounds every pair's, so
+    # a pair is swept over more of its background in the stack
+    grays = np.stack([to_grayscale(f) for f in frames])
+    stacked = optical_flow(grays[:-1], grays[1:], params)
+    for k in range(len(grays) - 1):
+        alone = optical_flow(grays[k], grays[k + 1], params)
+        assert stacked.u[k].tobytes() == alone.u.tobytes()
+        assert stacked.v[k].tobytes() == alone.v.tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(frames=small_videos(), where=st.integers(0, 7),
+       pairs_per_chunk=st.sampled_from([1, 2, 8]), collide=st.booleans(),
+       params=st.builds(FlowParams, st.sampled_from([1.0, 10.0]),
+                        st.sampled_from([1, 13, 100])))
+def test_duplicated_frame_inserts_an_exact_zero(frames, where,
+                                                pairs_per_chunk, collide,
+                                                params):
+    # with every frame on one hash, the copy and the pair after it are
+    # solved rather than matched to the pairs they repeat
+    where %= len(frames)
+    longer = np.insert(frames, where + 1, frames[where], axis=0)
+    pixels = pairs_per_chunk * frames.shape[1] * frames.shape[2]
+    with mock.patch.object(motion_analysis, "PIXELS", pixels):
+        curve = motion_curve(Video(frames, 24), params)
+        with mock.patch.object(motion_analysis, "_frame_hash",
+                               (lambda frame: 0) if collide
+                               else motion_analysis._frame_hash):
+            got = motion_curve(Video(longer, 24), params)
+    assert got.tobytes() == np.insert(curve, where + 1, 0.0).tobytes()
