@@ -17,7 +17,7 @@ Checkpoints are TTCKPT1 files (see tempokit.media_io): named float32
 tensor records for every parameter plus two metadata records,
 "schedule.betas" (the noise schedule) and "meta.dims", the integer
 ModelDims fields named by META_DIMS followed by fps_num and fps_den,
-each a whole number in [1, META_MAX].
+each a positive u32, which save_checkpoint checks as load_checkpoint does.
 Each component checks its own shapes when it is built, and
 load_checkpoint checks that meta.dims agrees with the tensors and that
 the model reads every record, so a checkpoint whose parts do not fit
@@ -29,7 +29,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
-from .media_io import Video, read_named_tensors, write_named_tensors
+from .media_io import (Video, encode_float32, pack_header, read_named_tensors,
+                       write_named_tensors)
 from .numerics import LinearLayer, Rng, gelu_grad, normal_cdf, softmax
 from .tempo_tokens import (MapperParams, PoolingParams, build_condition,
                            condition_backward, condition_values, map_audio,
@@ -570,13 +571,9 @@ class ModelDims:
         return self.embed_layers * self.token_dim
 
 
-# The ModelDims fields of a checkpoint's "meta.dims" record, in order;
-# the two fps entries (numerator, denominator) follow them. Every entry
-# is a whole number of at most META_MAX, the largest u32: an RVID
-# header stores the frame size and fps as u32 fields.
+# the ModelDims fields of "meta.dims", in order, before fps_num, fps_den
 META_DIMS = ("embed_layers", "embed_dim", "token_dim", "time_dim",
              "frames_per_video", "width", "height")
-META_MAX = 2 ** 32 - 1
 
 
 def desk_train_dims():
@@ -630,8 +627,22 @@ def _checkpoint_records(c):
     return records
 
 
+def _meta_dims(meta):
+    """The ModelDims fields and fps of a meta.dims record as stored in
+    float32: each a positive u32, as the RVID header generate writes."""
+    meta, n = encode_float32(meta, "checkpoint meta.dims"), len(META_DIMS) + 2
+    if meta.shape != (n,) or not np.all((meta >= 1) & (meta % 1 == 0)):
+        raise ValidationError(
+            f"checkpoint meta.dims must be {n} positive whole numbers")
+    values = [int(v) for v in meta]
+    pack_header("checkpoint meta.dims entries", f"<{n}I", *values)
+    return dict(zip(META_DIMS, values), fps=tuple(values[-2:]))
+
+
 def save_checkpoint(components, path):
-    write_named_tensors(_checkpoint_records(components), path)
+    records = _checkpoint_records(components)
+    _meta_dims(records["meta.dims"])  # as load_checkpoint checks it
+    write_named_tensors(records, path)
 
 
 def _params_from_records(cls, prefix, records, **scalars):
@@ -645,16 +656,7 @@ def _params_from_records(cls, prefix, records, **scalars):
 def load_checkpoint(path):
     records = read_named_tensors(path)
     try:
-        meta = records["meta.dims"]
-        want = (len(META_DIMS) + 2,)
-        if meta.shape != want:
-            raise ValidationError(
-                f"checkpoint meta.dims has shape {meta.shape}, want {want}")
-        if not np.all((meta >= 1) & (meta <= META_MAX) & (meta % 1 == 0)):
-            raise ValidationError("checkpoint meta.dims entries must be "
-                                  "whole numbers in [1, 2^32 - 1]")
-        *sizes, fps_num, fps_den = (int(v) for v in meta)
-        meta_dims = dict(zip(META_DIMS, sizes), fps=(fps_num, fps_den))
+        meta_dims = _meta_dims(records["meta.dims"])
         betas = records["schedule.betas"]
 
         layers = [LinearLayer(records[f"mapper.{i}.weight"],

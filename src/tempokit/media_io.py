@@ -24,6 +24,10 @@ one frame filename per line.
 Every fixed-layout payload is read by _read_exact into one buffer, so
 an RVID read holds the file plus at most one READ_PIECE, and its frames
 are that buffer; a tensor file also holds its float64 widening.
+
+A binary writer encodes its whole file, headers by pack_header (the one
+u32 rule: whole numbers below 2^32) and floats by encode_float32, before
+_write opens it, so a value it refuses leaves no file.
 """
 
 import math
@@ -179,6 +183,31 @@ def _read_header(fh, magic, fields):
     return _read_u32(fh, fields, f"{magic.decode()} header")
 
 
+def pack_header(what, fmt, *fields):
+    """struct.pack(fmt, *fields), refusing a field its format cannot hold."""
+    try:
+        return struct.pack(fmt, *fields)
+    except struct.error:
+        raise ValidationError(f"{what} must be whole numbers below 2^32"
+                              ) from None
+
+
+def encode_float32(values, what):
+    """values as a C-order "<f4" array of the same shape, 0-d included;
+    a value that is not finite as float32 (NaN, inf, 1e300) is refused."""
+    with np.errstate(over="ignore"):  # the check below refuses the inf
+        values = np.asarray(values, dtype="<f4", order="C")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{what} has values not finite in float32")
+    return values
+
+
+def _write(path, parts):
+    """The one place a binary writer opens its file."""
+    with open(path, "wb") as fh:
+        fh.writelines(parts)
+
+
 def _check_end(fh, what):
     if fh.read(1):
         raise FormatError(f"trailing bytes after {what}")
@@ -268,12 +297,10 @@ def write_wav(signal, path):
     clipped = np.clip(signal.samples, -1.0, 1.0)
     pcm = np.clip(np.rint(clipped * PCM_SCALE), -32768, 32767).astype("<i2")
     # the canonical 44-byte header: RIFF, a 16-byte fmt chunk, data
-    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes,
-                         b"WAVE", b"fmt ", 16, 1, 1, signal.sample_rate,
-                         signal.sample_rate * 2, 2, 16, b"data", pcm.nbytes)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pcm)
+    _write(path, [pack_header(
+        "WAV sizes and rates", "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes,
+        b"WAVE", b"fmt ", 16, 1, 1, signal.sample_rate,
+        signal.sample_rate * 2, 2, 16, b"data", pcm.nbytes), pcm])
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +308,13 @@ def write_wav(signal, path):
 # ---------------------------------------------------------------------------
 
 def write_video(video, path):
-    """Write an RVID file. Its u32 header fields are checked before the
-    file is opened, so a video that does not fit leaves no file."""
+    """Write an RVID file; like read_video, refuse a frame of no pixels."""
     count, height, width, _ = video.frames.shape
-    try:
-        header = struct.pack("<5I", width, height, count, video.fps_num,
-                             video.fps_den)
-    except struct.error:
-        raise ValidationError("RVID sizes and fps must be whole numbers "
-                              "below 2^32") from None
-    with open(path, "wb") as fh:
-        fh.write(b"RVID" + header)
-        fh.write(np.ascontiguousarray(video.frames))
+    header = pack_header("RVID sizes and fps", "<4s5I", b"RVID", width,
+                         height, count, video.fps_num, video.fps_den)
+    if height < 1 or width < 1:
+        raise ValidationError(f"RVID frames of {width}x{height} are empty")
+    _write(path, [header, np.ascontiguousarray(video.frames)])
 
 
 def read_video(path):
@@ -353,14 +375,12 @@ def _read_video_ppm_dir(dirpath):
 
 def write_video_ppm(video, dirpath):
     os.makedirs(dirpath, exist_ok=True)
-    names = []
     height, width = video.frames.shape[1:3]
-    for i in range(video.frame_count):
-        name = f"frame_{i:06d}.ppm"
-        names.append(name)
-        with open(os.path.join(dirpath, name), "wb") as fh:
-            fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-            fh.write(np.ascontiguousarray(video.frames[i]))
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
+    names = [f"frame_{i:06d}.ppm" for i in range(video.frame_count)]
+    for name, frame in zip(names, video.frames):
+        _write(os.path.join(dirpath, name),
+               [header, np.ascontiguousarray(frame)])
     with open(os.path.join(dirpath, "manifest.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(f"fps {video.fps_num} {video.fps_den}\n")
@@ -372,16 +392,10 @@ def write_video_ppm(video, dirpath):
 # ---------------------------------------------------------------------------
 
 def _write_tensor3(values, magic, path):
-    """Write a 3-d tensor as float32 after its magic and three u32 sizes.
-    A finite float64 beyond the float32 range becomes inf, and is
-    refused."""
-    with np.errstate(over="ignore"):  # the check below refuses the inf
-        values = np.asarray(values, dtype="<f4")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("tensor contains non-finite values")
-    with open(path, "wb") as fh:
-        fh.write(magic + struct.pack("<3I", *values.shape))
-        fh.write(np.ascontiguousarray(values))
+    """Write a 3-d tensor as float32 after its magic and three u32 sizes."""
+    values = encode_float32(values, f"{magic.decode()} tensor")
+    _write(path, [pack_header(f"{magic.decode()} sizes", "<4s3I", magic,
+                              *values.shape), values])
 
 
 def _read_tensor3(path, magic):
@@ -420,18 +434,18 @@ CHECKPOINT_MAGIC = b"TTCKPT1"
 
 def write_named_tensors(records, path):
     """Write an ordered mapping of name -> array as a TTCKPT1 file."""
-    items = list(records.items())
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(items)))
-        for name, array in items:
-            array = np.asarray(array, dtype="<f4")
-            if not np.all(np.isfinite(array)):
-                raise ValidationError(f"record {name!r} has non-finite values")
+    parts = [CHECKPOINT_MAGIC, pack_header("record count", "<I", len(records))]
+    for name, array in records.items():
+        try:
             encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)) + encoded)
-            fh.write(struct.pack(f"<{array.ndim + 1}I", array.ndim,
-                                 *array.shape))
-            fh.write(np.ascontiguousarray(array))
+        except UnicodeEncodeError:
+            raise ValidationError(f"record name {name!r} not UTF-8") from None
+        array = encode_float32(array, f"record {name!r}")
+        parts += [pack_header(f"record {name!r} sizes",
+                              f"<I{len(encoded)}s{array.ndim + 1}I",
+                              len(encoded), encoded, array.ndim,
+                              *array.shape), array]
+    _write(path, parts)
 
 
 def read_named_tensors(path):
@@ -444,6 +458,8 @@ def read_named_tensors(path):
                 name = _read_exact(fh, name_len, "record name").decode()
             except UnicodeDecodeError:
                 raise FormatError(f"{path}: record name not UTF-8") from None
+            if name in records:
+                raise FormatError(f"{path}: record {name!r} appears twice")
             (ndim,) = _read_u32(fh, 1, "rank")
             shape = _read_u32(fh, ndim, "dims")
             records[name] = require_finite(

@@ -4,9 +4,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (flatten_grads, flatten_trainable, grad_check,
                      params_hash, write_trainable)
@@ -504,6 +506,39 @@ class TestCheckpoint:
         path = tmp_path / "d.ckpt"
         dt.save_checkpoint(comp, path)
         assert path.read_bytes()[:7] == b"TTCKPT1"
+
+
+# Meta entries up to 2^40, with the edges of float32 rounding next to
+# 2^32: from 2^32 - 128 on a whole number rounds up to 2^32, and below
+# it to at most 4,294,967,040.
+META_ENTRIES = st.one_of(
+    st.integers(1, 2 ** 40),
+    st.sampled_from([2 ** 32 - 129, 2 ** 32 - 128, 4_294_967_040,
+                     4_294_967_041, 2 ** 32 - 1, 2 ** 32, 2 ** 40]))
+TINY_COMPONENTS = dt.build_components(TINY, seed=34)
+
+
+# frames_per_video and fps size no tensor, so any value of them leaves
+# the records of a checkpoint fitting together
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(entries=st.tuples(META_ENTRIES, META_ENTRIES, META_ENTRIES))
+@example(entries=(2, 2 ** 33, 1))
+@example(entries=(2, 2 ** 32 - 1, 1))
+def test_meta_dims_round_trip_or_refusal(entries):
+    frames, fps_num, fps_den = entries
+    comp = dataclasses.replace(TINY_COMPONENTS, dims=dataclasses.replace(
+        TINY, frames_per_video=frames, fps=(fps_num, fps_den)))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "k.ckpt")
+        if max(entries) >= 2 ** 32 - 128:
+            with pytest.raises(ValidationError, match="below 2\\^32"):
+                dt.save_checkpoint(comp, path)
+            assert not os.path.exists(path)
+            return
+        dt.save_checkpoint(comp, path)
+        loaded = dt.load_checkpoint(path)
+    assert (loaded.dims.frames_per_video, *loaded.dims.fps) == tuple(
+        int(np.float32(v)) for v in entries)
 
 
 class TestGenerate:

@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import struct
@@ -7,7 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tempokit.errors import FormatError, ValidationError
 from tempokit.media_io import (READ_PIECE, AudioEmbeddings, AudioSignal,
@@ -427,3 +429,168 @@ def test_damaged_input_fails_cleanly_in_bounded_memory(kind, data):
             tracemalloc.stop()
     size = sum(len(blob) for blob in files.values())
     assert peak <= MEMORY_MULTIPLE * size + READ_PIECE + MEMORY_SLACK
+
+
+# ---------------------------------------------------------------------------
+# Writers accept only what their readers accept
+# ---------------------------------------------------------------------------
+
+# A u32 header field holds 0 to 2^32 - 1. A float64 rounds to a finite
+# float32 only below 2^128 - 2^103, half a float32 step above the
+# largest float32 (2^128 - 2^104).
+U32_END = 2 ** 32
+FLOAT32_END = 2.0 ** 128 - 2.0 ** 103
+# header fields up to 2^40, with the edges of the u32 range, of twice a
+# sample rate, and of the float32 values next to 2^32 (4,294,967,040 is
+# the largest one below it)
+HEADER_FIELDS = st.one_of(
+    st.integers(1, 2 ** 40), st.integers(U32_END, 2 ** 40),
+    st.sampled_from([2 ** 31 - 1, 2 ** 31, U32_END - 1, U32_END,
+                     4_294_967_040, 4_294_967_041, 2 ** 40]))
+# any finite float64, with the edges of the float32 range
+WIDE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([FLOAT32_END, -FLOAT32_END,
+                     np.nextafter(FLOAT32_END, 0), 1e300]))
+ROUND_TRIP = settings(derandomize=True, deadline=None, database=None,
+                      max_examples=40)
+
+
+@st.composite
+def sizes(draw, ndim, first_min=0):
+    """A shape of ndim sizes up to 3; when one of them is 0, another may
+    be a header field, as an empty array of any size costs nothing."""
+    shape = [draw(st.integers(first_min if i == 0 else 0, 3))
+             for i in range(ndim)]
+    others = [i for i in range(ndim) if 0 in shape and i != shape.index(0)]
+    if others and draw(st.booleans()):
+        shape[draw(st.sampled_from(others))] = draw(HEADER_FIELDS)
+    return tuple(shape)
+
+
+def float_values(draw, shape):
+    """Float64 values of shape in [-10, 10], half the time with one of
+    them replaced by a WIDE_FLOATS value."""
+    if math.prod(shape) == 0:
+        return np.zeros(shape)
+    values = draw(arrays(np.float64, shape, elements=st.floats(-10, 10)))
+    if draw(st.booleans()):
+        values.flat[draw(st.integers(0, values.size - 1))] = draw(WIDE_FLOATS)
+    return values
+
+
+def as_float32(values):
+    """values as the float32 files store them, widened back."""
+    return np.asarray(values, np.float32).astype(np.float64)
+
+
+def round_trip(ok, write, read, path):
+    """read(path) after write(path) wrote it, when ok; otherwise None,
+    after write refused with ValidationError and left no file."""
+    if not ok:
+        with pytest.raises(ValidationError):
+            write(path)
+        assert not os.path.exists(path)
+        return None
+    write(path)
+    return read(path)
+
+
+@ROUND_TRIP
+@given(samples=arrays(np.float64, st.integers(1, 6),
+                      elements=st.floats(-1, 1)),
+       rate=HEADER_FIELDS)
+@example(samples=np.zeros(4), rate=2 ** 31)
+def test_wav_round_trip_or_refusal(samples, rate):
+    # the header holds the byte rate, twice the sample rate, as a u32
+    with tempfile.TemporaryDirectory() as d:
+        back = round_trip(2 * rate < U32_END,
+                          lambda p: write_wav(AudioSignal(samples, rate), p),
+                          read_wav, os.path.join(d, "a.wav"))
+    if back is not None:
+        assert back.sample_rate == rate
+        pcm = np.clip(np.rint(samples * 32768), -32768, 32767)
+        np.testing.assert_array_equal(back.samples, pcm / 32768)
+
+
+@ROUND_TRIP
+@given(shape=sizes(3, first_min=1), fps_num=HEADER_FIELDS,
+       fps_den=HEADER_FIELDS, seed=st.integers(0, 9))
+@example(shape=(1, 3, 0), fps_num=24, fps_den=1, seed=0)
+def test_rvid_round_trip_or_refusal(shape, fps_num, fps_den, seed):
+    frames = np.random.default_rng(seed).integers(0, 256, (*shape, 3),
+                                                  dtype=np.uint8)
+    video = Video(frames, fps_num, fps_den)
+    # read_video refuses a header field of 0: an empty frame
+    ok = max(*shape, fps_num, fps_den) < U32_END and min(shape) > 0
+    with tempfile.TemporaryDirectory() as d:
+        back = round_trip(ok, lambda p: write_video(video, p), read_video,
+                          os.path.join(d, "v.rvid"))
+    if back is not None:
+        assert (back.fps_num, back.fps_den) == (fps_num, fps_den)
+        assert back.frames.tobytes() == frames.tobytes()
+        assert back.frames.shape == frames.shape
+
+
+@pytest.mark.parametrize("container, write, read, first_min", [
+    (AudioEmbeddings, write_embeddings, read_embeddings, 1),
+    (ConditionFile, write_condition, read_condition, 0),
+], ids=["TTE1", "TTC1"])
+@ROUND_TRIP
+@given(data=st.data())
+def test_tensor3_round_trip_or_refusal(container, write, read, first_min,
+                                       data):
+    shape = data.draw(sizes(3, first_min))
+    values = float_values(data.draw, shape)
+    ok = max(shape) < U32_END and np.all(np.abs(values) < FLOAT32_END)
+    with tempfile.TemporaryDirectory() as d:
+        back = round_trip(ok, lambda p: write(container(values), p), read,
+                          os.path.join(d, "t.bin"))
+    if back is not None:
+        assert back.values.shape == shape
+        np.testing.assert_array_equal(back.values, as_float32(values))
+
+
+@st.composite
+def records(draw):
+    names = draw(st.lists(st.text(max_size=4), max_size=3, unique=True))
+    if names and draw(st.integers(0, 3)) == 0:
+        # st.text() draws no lone surrogate, which has no UTF-8 encoding
+        names[-1] += draw(st.characters(categories=["Cs"]))
+    return {name: float_values(draw, draw(sizes(draw(st.integers(0, 3)))))
+            for name in names}
+
+
+@ROUND_TRIP
+@given(records=records())
+@example(records={"a": np.array([1.0]), "b": np.array([1e300])})
+@example(records={"a": np.array(np.nan)})
+@example(records={"a": np.zeros(1), "\ud800": np.zeros(1)})
+def test_ttckpt1_round_trip_or_refusal(records):
+    ok = all(not any(0xD800 <= ord(c) <= 0xDFFF for c in name)
+             and max(values.shape, default=0) < U32_END
+             and np.all(np.abs(values) < FLOAT32_END)
+             for name, values in records.items())
+    with tempfile.TemporaryDirectory() as d:
+        back = round_trip(ok, lambda p: write_named_tensors(records, p),
+                          read_named_tensors, os.path.join(d, "k.ckpt"))
+    if back is not None:
+        assert list(back) == list(records)
+        for name, values in records.items():
+            assert back[name].shape == values.shape
+            np.testing.assert_array_equal(back[name], as_float32(values))
+
+
+def test_ttckpt1_with_a_record_name_twice_rejected(tmp_path):
+    # write_named_tensors takes a mapping, so only a crafted file can
+    # hold a name twice
+    def record(name, values):
+        values = np.asarray(values, "<f4")
+        return (struct.pack("<I", len(name)) + name
+                + struct.pack("<2I", 1, values.size) + values.tobytes())
+
+    path = tmp_path / "twice.ckpt"
+    path.write_bytes(b"TTCKPT1" + struct.pack("<I", 2)
+                     + record(b"a", [1]) + record(b"a", [2, 3]))
+    with pytest.raises(FormatError, match="record 'a' appears twice"):
+        read_named_tensors(path)
