@@ -11,10 +11,10 @@ av-align checks every pair (files, frame shapes, durations) before it
 solves any flow. It then splits the optical flow of the distinct videos
 into frame-pair ranges across one process per core in its affinity mask
 (see worker_count; taskset restricts it), balanced on the pixels of the
-pairs it solves. Each distinct frame pair is solved once: a pair that
-repeats an earlier pair's frames, byte for byte, takes its flow, and a
-still pair has exactly zero flow. The output is byte-identical for any
-number of processes.
+pairs it solves. Each distinct frame pair is solved once: a pair whose
+two frames an earlier pair holds, byte for byte and in either order,
+takes that pair's motion value, and a still pair has exactly zero flow.
+The output is byte-identical for any number of processes.
 
 Exit codes: 0 success, 2 format or input error, OSError or MemoryError,
 3 duration mismatch beyond the truncation policy, 4 numeric failure
@@ -114,9 +114,10 @@ def worker_count():
 class CheckedVideo(NamedTuple):
     """What av-align keeps of a video once its check passed: the sizes
     and pair sources (motion_analysis.pair_sources, one solve per
-    distinct pair) that plan_flow takes, and the frame_count and fps
-    that av_align_from_media reads when it is given the motion curve.
-    No frame is kept."""
+    distinct unordered pair) that plan_flow takes, and the frame_count
+    and fps that av_align_from_media reads when it is given the motion
+    curve. No frame is kept; the flow refuses a file that no longer has
+    these sizes."""
     frame_count: int
     fps: float
     height: int
@@ -128,8 +129,8 @@ def plan_flow(videos, workers):
     """Deal the frame pairs of videos, (key, frame_count, height, width,
     sources) tuples, into at most `workers` bins of about equal cost: a
     pair k with sources[k] == k (motion_analysis.pair_sources) is solved
-    and costs height x width; a repeated or still pair costs 0, as
-    motion_curve does not solve it.
+    and costs height x width; a pair that repeats or reverses an earlier
+    one, or a still pair, costs 0, as motion_curve does not solve it.
 
     The pairs of all videos are laid end to end in the order given and
     cut at the pair boundaries nearest to each equal share. So every
@@ -161,19 +162,22 @@ def plan_flow(videos, workers):
     return [ranges for ranges in bins if ranges]
 
 
-def _solve_range(path, start, stop, flow):
+def _solve_range(path, start, stop, flow, shapes):
     video = media_io.read_video(path)
+    if video.frames.shape[:3] != shapes[path]:
+        raise FormatError(f"{path} changed since it was checked")
     # the flow of a frame pair depends only on that pair
     part = Video(video.frames[start - 1:stop], video.fps_num, video.fps_den)
     return motion_analysis.motion_curve(part, flow)[1:]
 
 
-def solve_ranges(ranges, flow):
+def solve_ranges(ranges, flow, shapes):
     """The motion-curve pieces curve[start:stop] of the video file at
-    each (path, start, stop) range. Pool workers run this too: it gets
-    only paths, ranges and FlowParams, and returns float64 arrays. Each
-    video is freed before the next one is read."""
-    return [_solve_range(*where, flow) for where in ranges]
+    each (path, start, stop) range, refusing a file whose (frame_count,
+    height, width) is no longer shapes[path]. Pool workers run this too:
+    it gets only paths, ranges, shapes and FlowParams, and returns
+    float64 arrays. Each video is freed before the next one is read."""
+    return [_solve_range(*where, flow, shapes) for where in ranges]
 
 
 def solve_curves(videos, flow, workers):
@@ -183,14 +187,15 @@ def solve_curves(videos, flow, workers):
     source's value, which may come from another bin. The curves are
     bit-identical for any number of workers."""
     bins = plan_flow(videos, workers)
+    shapes = {path: (n, h, w) for path, n, h, w, _ in videos}
     if len(bins) > 1:
         import multiprocessing  # only a command that starts a pool pays
         with multiprocessing.Pool(len(bins) - 1) as pool:
             pending = pool.starmap_async(
-                solve_ranges, [(ranges, flow) for ranges in bins[1:]])
-            results = [solve_ranges(bins[0], flow)] + pending.get()
+                solve_ranges, [(ranges, flow, shapes) for ranges in bins[1:]])
+            results = [solve_ranges(bins[0], flow, shapes)] + pending.get()
     else:
-        results = [solve_ranges(ranges, flow) for ranges in bins]
+        results = [solve_ranges(ranges, flow, shapes) for ranges in bins]
     curves = {path: np.zeros(n) for path, n, *_ in videos}
     for ranges, pieces in zip(bins, results):
         for (path, start, stop), piece in zip(ranges, pieces):

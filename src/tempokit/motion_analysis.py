@@ -27,9 +27,12 @@ gradient or a non-finite temporal derivative, over the whole stack. On
 flat background (zero gradient, finite temporal derivative) the update
 subtracts a signed zero from the neighbor average, so there a sweep is
 just that average, bit for bit. A pair's flow depends only on the bytes
-of its two frames, so ``motion_curve`` solves each distinct pair once
-(``pair_sources``): a pair that repeats an earlier pair's frames takes
-its flow, and a still pair keeps an exact 0.0.
+of its two frames, and swapping them negates it exactly (a zero may
+change sign), so its motion value is the same in either order, bit for
+bit. ``motion_curve`` solves each distinct unordered pair once
+(``pair_sources``): a pair whose two frames an earlier pair holds, in
+either order, takes that pair's motion value, and a still pair keeps an
+exact 0.0.
 """
 
 import zlib
@@ -216,10 +219,11 @@ def _frame_hash(frame):
 
 
 def pair_sources(frames):
-    """For each frame pair k (frames k-1 and k), the pair whose flow it
-    has: k if it is solved, j < k if pair j has the same two frames, byte
-    for byte, and 0 for a still pair, whose flow, solved from zero, is
-    exactly +0.0 everywhere, like index 0's. An int array of len(frames).
+    """For each frame pair k (frames k-1 and k), the pair whose motion
+    value it has: k if it is solved, the first j < k with the same two
+    frames, byte for byte and in either order, and 0 for a still pair,
+    whose flow, solved from zero, is exactly +0.0 everywhere, like index
+    0's. An int array of len(frames).
 
     Frames are matched on a hash of their bytes, confirmed by comparing
     the bytes; a hash collision can only miss a repeat."""
@@ -232,7 +236,7 @@ def pair_sources(frames):
     src, seen = np.zeros(len(frames), dtype=np.intp), {}
     for k in range(1, len(frames)):
         if ids[k - 1] != ids[k]:
-            src[k] = seen.setdefault((ids[k - 1], ids[k]), k)
+            src[k] = seen.setdefault(frozenset(ids[k - 1:k + 1]), k)
     return src
 
 

@@ -144,3 +144,17 @@ def reference_curve(video, params):
         u, v = reference_flow(grays[i - 1], grays[i], params)
         curve[i] = np.sqrt(u ** 2 + v ** 2).mean()
     return curve
+
+
+def iou_av_align(audio_peaks, video_peaks, tolerance=1):
+    """AV-Align in the form usually read from its paper (arXiv
+    2309.16429), which calls it an intersection over union of the two
+    peak sets: I / (|A| + |V| - I), where I counts the audio peaks with a
+    video peak within tolerance frames. The paper's code is not part of
+    this repository, so this is the formula as written there. Unlike
+    av_align_score, a pair matched within the tolerance does not grow
+    the denominator. Two empty sets score 1.0, as in av_align_score."""
+    a, v = set(audio_peaks), set(video_peaks)
+    matched = sum(1 for x in a if any(abs(x - y) <= tolerance for y in v))
+    size = len(a) + len(v) - matched
+    return matched / size if size else 1.0

@@ -140,8 +140,7 @@ class TestDetectOnsets:
         with pytest.raises(ValidationError):
             detect_onsets(signal, FPS, win=0)
 
-    @settings(derandomize=True, deadline=None, database=None,
-              max_examples=60)
+    @settings(max_examples=60)
     @given(times=st.lists(st.floats(0.0, 1.9), max_size=6),
            amp=st.floats(0.01, 0.9), freq=st.sampled_from([440.0, 2000.0]),
            noise=st.sampled_from([0.0, 1e-3, 0.05]),

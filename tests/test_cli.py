@@ -458,6 +458,31 @@ class TestParallelFlow:
         assert captured.err == f"error: {raised.value}\n"
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("change", ["fewer frames", "smaller frames"])
+    def test_video_changed_since_its_check_exits_2(self, change, mixed_clips,
+                                                   monkeypatch, capsys):
+        # the flow reads the file again; here that read finds it rewritten
+        reads = []
+
+        def read_a_changed_video(path):
+            video = read_video(path)
+            reads.append(path)
+            if len(reads) == 1:
+                return video
+            frames = (video.frames[:len(video.frames) // 2]
+                      if change == "fewer frames" else video.frames[:, 1:])
+            return Video(frames, video.fps_num, video.fps_den)
+
+        monkeypatch.setattr(cli, "worker_count", lambda: 1)
+        monkeypatch.setattr(media_io, "read_video", read_a_changed_video)
+        video, audio = mixed_clips["small"]
+        assert main(["av-align", "--video", video, "--audio", audio,
+                     "--flow-iterations", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {video} changed since it was checked\n"
+        assert reads == [video, video]
+
     def test_solving_a_bin_holds_one_video_at_a_time(self, corpus_dir,
                                                      tmp_path):
         # 4-s clips: reading the 128x96 one while the 64x64 one is alive
@@ -468,10 +493,11 @@ class TestParallelFlow:
         large = str(tmp_path / "clip_0000.rvid")
         flow = FlowParams(iterations=1)
         peaks = []
+        shapes = {small: (96, 64, 64), large: (96, 96, 128)}
         for ranges in ([(large, 1, 96)], [(small, 1, 96), (large, 1, 96)]):
             tracemalloc.start()
             try:
-                cli.solve_ranges(ranges, flow)
+                cli.solve_ranges(ranges, flow, shapes)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1278,8 +1304,7 @@ def command_lines(draw, command, files):
     return argv
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=300,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_command_line_fuzz_exits_cleanly(data, fuzz_files):
     """Any drawn command line exits 0, 2, 3 or 4 without a traceback,

@@ -520,7 +520,7 @@ TINY_COMPONENTS = dt.build_components(TINY, seed=34)
 
 # frames_per_video and fps size no tensor, so any value of them leaves
 # the records of a checkpoint fitting together
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@settings(max_examples=40)
 @given(entries=st.tuples(META_ENTRIES, META_ENTRIES, META_ENTRIES))
 @example(entries=(2, 2 ** 33, 1))
 @example(entries=(2, 2 ** 32 - 1, 1))

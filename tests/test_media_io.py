@@ -408,7 +408,7 @@ def damaged(draw, blob):
 
 
 @pytest.mark.parametrize("kind", sorted(VALID_INPUTS))
-@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@settings(max_examples=120)
 @given(data=st.data())
 def test_damaged_input_fails_cleanly_in_bounded_memory(kind, data):
     reader, files = VALID_INPUTS[kind]
@@ -452,8 +452,7 @@ WIDE_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([FLOAT32_END, -FLOAT32_END,
                      np.nextafter(FLOAT32_END, 0), 1e300]))
-ROUND_TRIP = settings(derandomize=True, deadline=None, database=None,
-                      max_examples=40)
+ROUND_TRIP = settings(max_examples=40)
 
 
 @st.composite

@@ -244,14 +244,17 @@ def test_motion_curve_with_still_pairs_is_bit_exact(pattern, width, height):
 # ---------------------------------------------------------------------------
 
 # frame indices into a pool of distinct random frames, and the source
-# pair_sources gives each pair
+# pair_sources gives each pair: a pair whose two frames an earlier pair
+# holds, in either order, takes that pair's value
 REPEAT_PATTERNS = {
     "loop": ([0, 1, 2, 0, 1, 2, 0, 1, 2, 3],
              [0, 1, 2, 3, 1, 2, 3, 1, 2, 9]),
     "held loop": ([0, 0, 1, 1, 0, 0, 1, 1, 2, 2],
-                  [0, 0, 2, 0, 4, 0, 2, 0, 8, 0]),
+                  [0, 0, 2, 0, 2, 0, 2, 0, 8, 0]),
     "back and forth": ([0, 1, 0, 1, 0, 1, 2, 1, 2, 1],
-                       [0, 1, 2, 1, 2, 1, 6, 7, 6, 7]),
+                       [0, 1, 1, 1, 1, 1, 6, 6, 6, 6]),
+    "palindrome": ([0, 1, 2, 3, 2, 1, 0, 1, 2, 3],
+                   [0, 1, 2, 3, 3, 2, 1, 1, 2, 3]),
 }
 
 
@@ -270,11 +273,25 @@ def flash_clip(width, height):
     return pair.video, sources
 
 
+def bounce_clip(width, height):
+    """A 1-s bounce clip with 2 events, and its pair sources found by
+    comparing frame bytes: each arc is a parabola, so its falling half
+    holds its rising half's frame pairs in reverse order."""
+    video = generate(SynthConfig(width=width, height=height, duration=1.0,
+                                 n_events=2, seed=width))[0].video
+    frames = [frame.tobytes() for frame in video.frames]
+    pairs = [{a, b} for a, b in zip(frames, frames[1:])]
+    sources = [0] + [0 if len(pair) == 1 else pairs.index(pair) + 1
+                     for pair in pairs]
+    return video, np.array(sources)
+
+
 def repeated_clips(width, height):
     pool = np.random.default_rng(width).integers(
         0, 256, (4, height, width, 3), dtype=np.uint8)
     for pattern, sources in REPEAT_PATTERNS.values():
         yield Video(pool[pattern], 24), np.array(sources)
+    yield bounce_clip(width, height)
     yield flash_clip(width, height)
 
 
@@ -287,6 +304,10 @@ def test_motion_curve_with_repeated_pairs_is_bit_exact(width, height):
         assert pair_sources(video.frames).tolist() == sources.tolist()
         curve = motion_curve(video, params)
         assert curve.tobytes() == reference_curve(video, params).tobytes()
+    # the bounce clip solves a pair and its reverse once
+    bounce = clips[-2][1]
+    solved = np.count_nonzero(bounce == np.arange(len(bounce))) - 1
+    assert solved < np.count_nonzero(bounce)
     # the flash clip: 12 moving pairs, 4 of them distinct
     flash = clips[-1][1]
     assert np.count_nonzero(flash) == 12 and len(set(flash) - {0}) == 4
@@ -412,11 +433,13 @@ def test_infinite_temporal_derivative_with_flat_mean_is_live():
 # ---------------------------------------------------------------------------
 
 @st.composite
-def small_videos(draw):
-    """2-8 frames of at most 20x20: random pixels, or a square moving on
-    a flat background; any frame may repeat the one before it."""
+def small_videos(draw, shape=None):
+    """2-8 frames of at most 20x20, or of the given (height, width):
+    random pixels, or a square moving on a flat background; any frame
+    may repeat the one before it."""
     count = draw(st.integers(2, 8))
-    height, width = draw(st.integers(3, 20)), draw(st.integers(3, 20))
+    height, width = shape or (draw(st.integers(3, 20)),
+                              draw(st.integers(3, 20)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
         frames = rng.integers(0, 256, (count, height, width, 3),
@@ -435,7 +458,7 @@ def small_videos(draw):
     return frames
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@settings(max_examples=60)
 @given(frames=small_videos(), pairs_per_chunk=st.sampled_from([1, 2, 3, 8]),
        params=st.builds(FlowParams, st.sampled_from([1.0, 10.0]),
                         st.sampled_from([1, 13, 100])))
@@ -455,7 +478,7 @@ def test_reversed_video_has_the_reversed_motion_curve(frames, pairs_per_chunk,
 # Pair independence, the invariant behind chunks, bins and pair_sources
 # ---------------------------------------------------------------------------
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@settings(max_examples=60)
 @given(frames=small_videos(),
        params=st.builds(FlowParams, st.sampled_from([1.0, 10.0]),
                         st.sampled_from([1, 13, 100])))
@@ -470,7 +493,7 @@ def test_stacked_flow_is_each_pairs_flow_alone(frames, params):
         assert stacked.v[k].tobytes() == alone.v.tobytes()
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@settings(max_examples=60)
 @given(frames=small_videos(), where=st.integers(0, 7),
        pairs_per_chunk=st.sampled_from([1, 2, 8]), collide=st.booleans(),
        params=st.builds(FlowParams, st.sampled_from([1.0, 10.0]),
@@ -490,3 +513,40 @@ def test_duplicated_frame_inserts_an_exact_zero(frames, where,
                                else motion_analysis._frame_hash):
             got = motion_curve(Video(longer, 24), params)
     assert got.tobytes() == np.insert(curve, where + 1, 0.0).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Concatenation, the invariant behind av-align's frame-pair ranges
+# ---------------------------------------------------------------------------
+
+@st.composite
+def video_pairs(draw):
+    """Two small videos of one frame size; the second has its own frames,
+    or frames of the first in any order, so that its pairs may repeat or
+    reverse pairs of the first."""
+    first = draw(small_videos())
+    if draw(st.booleans()):
+        return first, draw(small_videos(shape=first.shape[1:3]))
+    order = draw(st.lists(st.integers(0, len(first) - 1), min_size=2,
+                          max_size=8))
+    return first, first[order]
+
+
+@settings(max_examples=60)
+@given(videos=video_pairs(), pairs_per_chunk=st.sampled_from([1, 2, 8]),
+       params=st.builds(FlowParams, st.sampled_from([1.0, 10.0]),
+                        st.sampled_from([1, 13, 100])))
+def test_concatenated_videos_have_the_joined_motion_curves(videos,
+                                                           pairs_per_chunk,
+                                                           params):
+    # the curve of A then B is A's curve, the value of the pair that
+    # joins them, and B's curve after its first entry, though B's pairs
+    # may take their values from A's
+    a, b = videos
+    pixels = pairs_per_chunk * a.shape[1] * a.shape[2]
+    with mock.patch.object(motion_analysis, "PIXELS", pixels):
+        curves = [motion_curve(Video(frames, 24), params)
+                  for frames in (a, np.stack([a[-1], b[0]]), b,
+                                 np.concatenate([a, b]))]
+    joined = np.concatenate([curves[0], curves[1][1:], curves[2][1:]])
+    assert curves[3].tobytes() == joined.tobytes()
