@@ -70,7 +70,7 @@ def av_align_score(audio_peaks, video_peaks, tolerance=1):
 
 def av_align_from_media(video, audio, peak_params=None, flow_params=None,
                         tolerance=1, fps_override=None, onset_win=1024,
-                        motion=None):
+                        motion=None, onsets=None):
     """Full pipeline: media in, alignment report out.
 
     One peak_params (PeakPickParams) picks the peaks of both the audio
@@ -86,6 +86,13 @@ def av_align_from_media(video, audio, peak_params=None, flow_params=None,
     truncated video is a prefix of it. With motion given, only the
     video's frame_count and fps are read: any object that has those two
     will do, and no frames need to be held.
+
+    onsets, if given, are the audio's onsets as this function detects
+    them: audio_analysis.detect_onsets(cut, fps, peak_params,
+    n_frames=n, win=onset_win), where n and cut are the frame count and
+    audio that _reconcile_durations gives. So a caller can detect them
+    elsewhere, or earlier. With onsets given, only the audio's duration
+    and sample_rate are read.
     """
     fps = fps_override if fps_override is not None else video.fps
     if fps <= 0:
@@ -93,10 +100,12 @@ def av_align_from_media(video, audio, peak_params=None, flow_params=None,
     if motion is not None and len(motion) != video.frame_count:
         raise ShapeError(f"motion curve has {len(motion)} entries for "
                          f"{video.frame_count} frames")
-    n_frames, audio = _reconcile_durations(video.frame_count, audio, fps)
-
-    onsets = audio_analysis.detect_onsets(
-        audio, fps, peak_params, n_frames=n_frames, win=onset_win)
+    if onsets is None:
+        n_frames, audio = _reconcile_durations(video.frame_count, audio, fps)
+        onsets = audio_analysis.detect_onsets(
+            audio, fps, peak_params, n_frames=n_frames, win=onset_win)
+    else:
+        n_frames, _ = _scored_lengths(video.frame_count, audio, fps)
     if motion is None:
         motion = motion_analysis.motion_curve(
             Video(video.frames[:n_frames], video.fps_num, video.fps_den),
@@ -110,11 +119,21 @@ def _reconcile_durations(frame_count, audio, fps):
     """The frame count and audio to score a video of frame_count frames
     at fps against audio: both cut to the shorter stream, or as given
     when they differ by at most one frame."""
+    n_frames, n_samples = _scored_lengths(frame_count, audio, fps)
+    if n_samples is not None:
+        audio = AudioSignal(audio.samples[:n_samples], audio.sample_rate)
+    return n_frames, audio
+
+
+def _scored_lengths(frame_count, audio, fps):
+    """The frame and sample counts _reconcile_durations cuts to, with
+    None for samples when the audio is scored whole. Only the audio's
+    duration and sample_rate are read."""
     video_dur = frame_count / fps
     audio_dur = audio.duration
     mismatch = abs(video_dur - audio_dur)
     if mismatch <= 1.0 / fps:
-        return frame_count, audio
+        return frame_count, None
     longer = max(video_dur, audio_dur)
     if mismatch > TRUNCATION_LIMIT * longer:
         raise DurationError(
@@ -123,8 +142,7 @@ def _reconcile_durations(frame_count, audio, fps):
             f"beyond the truncation policy")
     warnings.warn(
         f"durations differ by {mismatch:.3f}s; truncating to the shorter "
-        f"stream", stacklevel=2)
+        f"stream", stacklevel=3)
     shorter = min(video_dur, audio_dur)
     n_frames = min(frame_count, max(2, int(np.floor(shorter * fps + 1e-9))))
-    n_samples = max(1, int(round(shorter * audio.sample_rate)))
-    return n_frames, AudioSignal(audio.samples[:n_samples], audio.sample_rate)
+    return n_frames, max(1, int(round(shorter * audio.sample_rate)))

@@ -8,13 +8,15 @@ Subcommands:
   generate   sample a video from a checkpoint and an audio file
 
 av-align checks every pair (files, frame shapes, durations) before it
-solves any flow. It then splits the optical flow of the distinct videos
-into frame-pair ranges across one process per core in its affinity mask
-(see worker_count; taskset restricts it), balanced on the pixels of the
-pairs it solves. Each distinct frame pair is solved once: a pair whose
-two frames an earlier pair holds, byte for byte and in either order,
-takes that pair's motion value, and a still pair has exactly zero flow.
-The output is byte-identical for any number of processes.
+solves any flow. It then cuts the optical flow of the distinct videos
+into jobs of motion_curve's own chunks, which one process per core in
+its affinity mask (see worker_count; taskset restricts it) claims from
+one shared counter, so a process that finishes early takes the next
+job. The command's own process detects the audio onsets while the
+other processes solve. Each distinct frame pair is solved once: a pair
+whose two frames an earlier pair holds, byte for byte and in either
+order, takes that pair's motion value, and a still pair has exactly
+zero flow. The output is byte-identical for any number of processes.
 
 Exit codes: 0 success, 2 format or input error, OSError or MemoryError,
 3 duration mismatch beyond the truncation policy, 4 numeric failure
@@ -36,11 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import (av_align, diffusion_toy, media_io, motion_analysis, synthgen,
-               tempo_tokens)
+from . import (audio_analysis, av_align, diffusion_toy, media_io,
+               motion_analysis, synthgen, tempo_tokens)
 from .audio_analysis import toy_audio_features
 from .errors import FormatError, TempokitError, ValidationError
-from .media_io import Video
 from .motion_analysis import FlowParams
 from .numerics import Rng
 from .peaks import PeakPickParams
@@ -112,95 +113,145 @@ def worker_count():
 
 
 class CheckedVideo(NamedTuple):
-    """What av-align keeps of a video once its check passed: the sizes
-    and pair sources (motion_analysis.pair_sources, one solve per
-    distinct unordered pair) that plan_flow takes, and the frame_count
-    and fps that av_align_from_media reads when it is given the motion
-    curve. No frame is kept; the flow refuses a file that no longer has
-    these sizes."""
+    """What av-align keeps of a video once its check passed: its sizes
+    and pair sources, from which flow_jobs are made, one CRC-32 per frame
+    (motion_analysis.frame_hashes), and the frame_count and fps that
+    av_align_from_media reads when it is given the motion curve. No
+    frame is kept; a flow job refuses a file that no longer has these
+    sizes, or whose frames that the job uses no longer have these CRCs."""
     frame_count: int
     fps: float
     height: int
     width: int
     sources: np.ndarray
+    crcs: list
+
+    @classmethod
+    def of(cls, video):
+        crcs = motion_analysis.frame_hashes(video.frames)
+        return cls(video.frame_count, video.fps, *video.frames.shape[1:3],
+                   motion_analysis.pair_sources(video.frames, crcs), crcs)
 
 
-def plan_flow(videos, workers):
-    """Deal the frame pairs of videos, (key, frame_count, height, width,
-    sources) tuples, into at most `workers` bins of about equal cost: a
-    pair k with sources[k] == k (motion_analysis.pair_sources) is solved
-    and costs height x width; a pair that repeats or reverses an earlier
-    one, or a still pair, costs 0, as motion_curve does not solve it.
-
-    The pairs of all videos are laid end to end in the order given and
-    cut at the pair boundaries nearest to each equal share. So every
-    solved pair lands in exactly one bin, each bin's cost is within one
-    pair of its share, and a bin holds at most one range of each video.
-    A bin is a list of (key, start, stop) ranges, the pairs that end at
-    frames start..stop-1 (1 <= start < stop <= frame_count), cut down to
-    run from the first solved pair to the last; ranges with none and
-    empty bins are dropped, so still videos get none. A pair outside
-    every range is not solved: solve_curves fills it from its source.
-    """
-    ends = np.cumsum(np.concatenate([[0]] + [  # cost before each boundary
-        (sources[1:] == np.arange(1, n)) * (h * w)
-        for _, n, h, w, sources in videos]))
-    shares = ends[-1] * np.arange(1, workers if ends[-1] else 0) / workers
-    cuts = np.searchsorted(ends, shares)
-    cuts -= shares - ends[cuts - 1] < ends[cuts] - shares
-    bounds = [0, *cuts.tolist(), len(ends) - 1]
-    bins = [[] for _ in bounds[1:]]
-    first = 0  # index of each video's first pair in the whole sequence
-    for key, n, *_ in videos:
-        for ranges, lo, hi in zip(bins, bounds, bounds[1:]):
-            lo, hi = max(lo, first), min(hi, first + n - 1)
-            solved = (np.flatnonzero(np.diff(ends[lo:hi + 1]))
-                      + lo - first + 1).tolist()
-            if solved:
-                ranges.append((key, solved[0], solved[-1] + 1))
-        first += n - 1
-    return [ranges for ranges in bins if ranges]
+class CheckedAudio(NamedTuple):
+    """What av_align_from_media reads of an audio given its onsets."""
+    duration: float
+    sample_rate: int
 
 
-def _solve_range(path, start, stop, flow, shapes):
-    video = media_io.read_video(path)
-    if video.frames.shape[:3] != shapes[path]:
-        raise FormatError(f"{path} changed since it was checked")
-    # the flow of a frame pair depends only on that pair
-    part = Video(video.frames[start - 1:stop], video.fps_num, video.fps_den)
-    return motion_analysis.motion_curve(part, flow)[1:]
+def flow_jobs(videos):
+    """The flow of videos (path -> CheckedVideo) as one list of jobs,
+    (path, pairs): each video's solved pairs, in check order, cut into
+    motion_curve's own chunks (motion_analysis.flow_chunks)."""
+    return [(path, ks) for path, v in videos.items()
+            for ks in motion_analysis.flow_chunks(v.sources, v.height,
+                                                  v.width)]
 
 
-def solve_ranges(ranges, flow, shapes):
-    """The motion-curve pieces curve[start:stop] of the video file at
-    each (path, start, stop) range, refusing a file whose (frame_count,
-    height, width) is no longer shapes[path]. Pool workers run this too:
-    it gets only paths, ranges, shapes and FlowParams, and returns
-    float64 arrays. Each video is freed before the next one is read."""
-    return [_solve_range(*where, flow, shapes) for where in ranges]
+def _claims(counter, total):
+    """Job indices claimed from a shared counter until none is left."""
+    while True:
+        with counter.get_lock():
+            job = counter.value
+            counter.value = job + 1
+        if job >= total:
+            return
+        yield job
 
 
-def solve_curves(videos, flow, workers):
-    """Full-length motion curves of videos, plan_flow's tuples keyed by
-    path: the flow is split by plan_flow, this process solves the first
-    bin and a multiprocessing pool the rest. Each pair then takes its
-    source's value, which may come from another bin. The curves are
-    bit-identical for any number of workers."""
-    bins = plan_flow(videos, workers)
-    shapes = {path: (n, h, w) for path, n, h, w, _ in videos}
-    if len(bins) > 1:
-        import multiprocessing  # only a command that starts a pool pays
-        with multiprocessing.Pool(len(bins) - 1) as pool:
-            pending = pool.starmap_async(
-                solve_ranges, [(ranges, flow, shapes) for ranges in bins[1:]])
-            results = [solve_ranges(bins[0], flow, shapes)] + pending.get()
-    else:
-        results = [solve_ranges(ranges, flow, shapes) for ranges in bins]
-    curves = {path: np.zeros(n) for path, n, *_ in videos}
-    for ranges, pieces in zip(bins, results):
-        for (path, start, stop), piece in zip(ranges, pieces):
-            curves[path][start:stop] = piece
-    return {path: curves[path][sources] for path, *_, sources in videos}
+def _solve_jobs(jobs, claimed, videos, flow):
+    """{index: values} for the claimed indices into jobs, (path, pairs)
+    of the videos (path -> CheckedVideo). Each video is read when a job
+    first needs it, after the last one is freed, and refused if it
+    changed since it was checked."""
+    solved, path, video = {}, None, None
+    for index in claimed:
+        job_path, ks = jobs[index]
+        checked = videos[job_path]
+        if job_path != path:
+            video = None  # free the last video before reading the next
+            path, video = job_path, media_io.read_video(job_path)
+        used = sorted({*(ks - 1), *ks})
+        if (video.frames.shape[:3] != (checked.frame_count, checked.height,
+                                       checked.width)
+                or motion_analysis.frame_hashes(video.frames[used])
+                != [checked.crcs[i] for i in used]):
+            raise FormatError(f"{path} changed since it was checked")
+        sources = np.zeros(checked.frame_count, dtype=np.intp)
+        sources[ks] = ks
+        solved[index] = motion_analysis.motion_curve(
+            video, flow, sources=sources)[ks]
+    return solved
+
+
+def _help(conn, jobs, counter, videos, flow):
+    """A helper process: solve claimed jobs and send ({index: values},
+    None), or (None, the error) after leaving no job to claim."""
+    try:
+        result = _solve_jobs(jobs, _claims(counter, len(jobs)), videos,
+                             flow), None
+    except Exception as exc:  # the parent raises it in its own process
+        with counter.get_lock():
+            counter.value = len(jobs)
+        result = None, exc
+    conn.send(result)
+    conn.close()
+
+
+def solve_curves(videos, flow, workers, meanwhile):
+    """Full-length motion curves of videos (path -> CheckedVideo), and
+    what meanwhile() returns.
+
+    This process and up to workers - 1 helper processes (at most one
+    per job after the first) claim the flow_jobs from one counter. With
+    helpers, this process solves job 0 first, then runs meanwhile,
+    holding no frames, while they solve; without, it runs meanwhile
+    first. Each pair then takes its source's value, which any process
+    may have solved, so the curves are bit-identical for any number of
+    workers and any start method. A helper's error is raised here, and
+    no helper outlives the call."""
+    jobs = flow_jobs(videos)
+    solved, helpers = {}, []
+    first, claimed = [], range(len(jobs))
+    try:
+        if min(workers, len(jobs)) > 1:
+            import multiprocessing  # only a command that starts helpers pays
+            counter = multiprocessing.Value("q", 1)
+            first, claimed = [0], _claims(counter, len(jobs))
+            for _ in range(min(workers, len(jobs)) - 1):
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                helper = multiprocessing.Process(
+                    target=_help, args=(writer, jobs, counter, videos, flow))
+                helper.start()
+                writer.close()
+                helpers.append((helper, reader))
+        solved.update(_solve_jobs(jobs, first, videos, flow))
+        extra = meanwhile()
+        solved.update(_solve_jobs(jobs, claimed, videos, flow))
+        for helper, reader in helpers:
+            try:
+                part, error = reader.recv()
+            except EOFError:
+                helper.join()
+                raise ChildProcessError(
+                    f"a flow process exited with code {helper.exitcode}"
+                ) from None
+            if error is not None:
+                raise error
+            solved.update(part)
+    except BaseException:
+        for helper, _ in helpers:
+            helper.terminate()
+        raise
+    finally:
+        for helper, reader in helpers:
+            helper.join()
+            reader.close()
+    curves = {path: np.zeros(v.frame_count) for path, v in videos.items()}
+    for index, (path, ks) in enumerate(jobs):
+        curves[path][ks] = solved[index]
+    return {path: curves[path][v.sources]
+            for path, v in videos.items()}, extra
 
 
 def cmd_av_align(args):
@@ -220,17 +271,16 @@ def cmd_av_align(args):
     # Each video (by path, as written) is read and checked once, and
     # only its CheckedVideo is kept: a video listed on several --batch
     # lines is solved once, and a repeat checks only the durations.
-    pairs, videos = [], {}
+    pairs, videos, audios = [], {}, {}
 
     def check_pair(video_path, audio_path):
         if video_path not in videos:
             video = media_io.read_video(video_path)
             motion_analysis.check_video(video)
-            videos[video_path] = CheckedVideo(
-                video.frame_count, video.fps, *video.frames.shape[1:3],
-                motion_analysis.pair_sources(video.frames))
+            videos[video_path] = CheckedVideo.of(video)
         video = videos[video_path]
         audio = media_io.read_wav(audio_path)
+        audios[audio_path] = CheckedAudio(audio.duration, audio.sample_rate)
         # warns once here when the pair will be truncated
         _, audio = av_align._reconcile_durations(
             video.frame_count, audio, fps if fps is not None else video.fps)
@@ -257,18 +307,34 @@ def cmd_av_align(args):
     else:
         check_pair(args.video, args.audio)
 
-    curves = solve_curves([(path, v.frame_count, v.height, v.width,
-                            v.sources) for path, v in videos.items()],
-                          flow, worker_count())
+    # The onsets of each audio against each frame count and frame rate
+    # it is scored at, detected while the flow is solved elsewhere.
+    keys = [(audio_path, videos[video_path].frame_count,
+             fps if fps is not None else videos[video_path].fps)
+            for video_path, audio_path in pairs]
+
+    def detect_every_onset():
+        onsets = {}
+        for key in dict.fromkeys(keys):
+            audio_path, frame_count, rate = key
+            n_frames, audio = av_align._reconcile_durations(
+                frame_count, media_io.read_wav(audio_path), rate)
+            onsets[key] = audio_analysis.detect_onsets(
+                audio, rate, peaks, n_frames=n_frames, win=args.onset_win)
+        return onsets
+
     reports = []
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "durations differ", UserWarning)
-        for video_path, audio_path in pairs:
+        curves, onsets = solve_curves(videos, flow, worker_count(),
+                                      detect_every_onset)
+        for (video_path, audio_path), key in zip(pairs, keys):
             reports.append((video_path, av_align.av_align_from_media(
-                videos[video_path], media_io.read_wav(audio_path),
+                videos[video_path], audios[audio_path],
                 peak_params=peaks, flow_params=flow,
                 tolerance=args.tolerance, fps_override=fps,
-                onset_win=args.onset_win, motion=curves[video_path])))
+                onset_win=args.onset_win, motion=curves[video_path],
+                onsets=onsets[key])))
 
     if not args.batch:
         report = reports[0][1]

@@ -218,19 +218,27 @@ def _frame_hash(frame):
     return zlib.crc32(np.ascontiguousarray(frame))
 
 
-def pair_sources(frames):
+def frame_hashes(frames):
+    """The CRC-32 of each frame's bytes, as pair_sources matches them."""
+    return [_frame_hash(frame) for frame in frames]
+
+
+def pair_sources(frames, hashes=None):
     """For each frame pair k (frames k-1 and k), the pair whose motion
     value it has: k if it is solved, the first j < k with the same two
     frames, byte for byte and in either order, and 0 for a still pair,
     whose flow, solved from zero, is exactly +0.0 everywhere, like index
     0's. An int array of len(frames).
 
-    Frames are matched on a hash of their bytes, confirmed by comparing
-    the bytes; a hash collision can only miss a repeat."""
+    Frames are matched on their frame_hashes (hashes, if the caller has
+    them), confirmed by comparing the bytes; a hash collision can only
+    miss a repeat."""
+    if hashes is None:
+        hashes = frame_hashes(frames)
     # the first frame with each hash; each frame's first byte-equal one
     first, ids = {}, []
-    for i, frame in enumerate(frames):
-        j = first.setdefault(_frame_hash(frame), i)
+    for i, (frame, key) in enumerate(zip(frames, hashes)):
+        j = first.setdefault(key, i)
         ids.append(j if j == i or frames[j].tobytes() == frame.tobytes()
                    else i)
     src, seen = np.zeros(len(frames), dtype=np.intp), {}
@@ -240,26 +248,47 @@ def pair_sources(frames):
     return src
 
 
-def motion_curve(video, params=None):
-    """Mean flow magnitude per frame; index 0 has no predecessor and is 0.
-    Only the pairs that pair_sources maps to themselves are solved, in
-    chunks of about PIXELS pixels with grays made per chunk; every other
-    pair takes its source's value, and a still pair an exact 0.0."""
-    check_video(video)
-    height, width = video.frames.shape[1:3]
+def flow_chunks(sources, height, width):
+    """The pairs motion_curve solves for sources, those k >= 1 with
+    sources[k] == k, in its chunks: runs of at most max(1, PIXELS //
+    (height * width)) pairs, in order."""
+    solved = np.flatnonzero(sources == np.arange(len(sources)))[1:]
     chunk = max(1, PIXELS // (height * width))
-    curve = np.zeros(video.frame_count)
-    src = pair_sources(video.frames)
-    solved = np.flatnonzero(src == np.arange(len(src)))[1:]
+    return [solved[start:start + chunk]
+            for start in range(0, len(solved), chunk)]
+
+
+def motion_curve(video, params=None, sources=None):
+    """Mean flow magnitude per frame; index 0 has no predecessor and is 0.
+
+    sources (default pair_sources(video.frames)) gives each pair k the
+    pair sources[k] <= k whose value it takes. Only the pairs that map
+    to themselves are solved, in flow_chunks with grays made per chunk;
+    every other pair takes its source's value, which is an exact 0.0
+    when the source is 0 or is not solved. So a caller may split the
+    solved pairs of pair_sources over several calls, each solving its
+    share, and join the pieces."""
+    check_video(video)
+    n = video.frame_count
+    if sources is None:
+        sources = pair_sources(video.frames)
+    sources = np.asarray(sources)
+    if sources.shape != (n,):
+        raise ShapeError(f"pair sources of shape {sources.shape} for {n} "
+                         "frames")
+    if (sources.dtype.kind not in "iu" or np.any(sources < 0)
+            or np.any(sources > np.arange(n))):
+        raise ValidationError("each pair source must be an index from 0 "
+                              "to its own pair")
+    curve = np.zeros(n)
     grays = {}
-    for start in range(0, len(solved), chunk):
-        ks = solved[start:start + chunk]
+    for ks in flow_chunks(sources, *video.frames.shape[1:3]):
         grays = {i: grays[i] if i in grays else to_grayscale(video.frames[i])
                  for i in {*(ks - 1), *ks}}
         flow = optical_flow(np.stack([grays[k - 1] for k in ks]),
                             np.stack([grays[k] for k in ks]), params)
         curve[ks] = [m.mean() for m in flow.magnitude]
-    return curve[src]
+    return curve[sources]
 
 
 def detect_motion_peaks(curve, params=None):

@@ -1,4 +1,5 @@
 import json
+import types
 import warnings
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import iou_av_align
-from tempokit.av_align import av_align_from_media, av_align_score
+from tempokit.audio_analysis import detect_onsets
+from tempokit.av_align import (_reconcile_durations, av_align_from_media,
+                              av_align_score)
 from tempokit.errors import DurationError, ShapeError, ValidationError
 from tempokit.media_io import AudioSignal, Video
 from tempokit.motion_analysis import FlowParams, motion_curve
@@ -218,3 +221,49 @@ class TestPrecomputedMotion:
         wrong = curve[:delta] if delta < 0 else np.append(curve, 0.0)
         with pytest.raises(ShapeError):
             av_align_from_media(video, audio, motion=wrong)
+
+
+class TestPrecomputedOnsets:
+    """onsets= are the audio's onsets as detected here; they must not
+    change a report, and only the audio's duration and rate are read."""
+
+    CASES = [(0, 0, {}), (12, 0, {}), (0, 19840, {}),
+             (0, 0, {"fps_override": 32.0}),
+             (0, 0, {"fps_override": 30000 / 1001})]
+    IDS = ["synced", "shifted 12 frames", "truncated video", "fps override",
+           "ntsc fps override"]
+
+    @staticmethod
+    def check(video, audio, kwargs):
+        fps = kwargs.get("fps_override", video.fps)
+        curve = motion_curve(video)
+        with warnings.catch_warnings(record=True) as plain_warnings:
+            warnings.simplefilter("always")
+            plain = av_align_from_media(video, audio, motion=curve, **kwargs)
+            n_frames, cut = _reconcile_durations(video.frame_count, audio,
+                                                 fps)
+            onsets = detect_onsets(cut, fps, n_frames=n_frames)
+        duration_only = types.SimpleNamespace(duration=audio.duration,
+                                              sample_rate=audio.sample_rate)
+        with warnings.catch_warnings(record=True) as given_warnings:
+            warnings.simplefilter("always")
+            given = av_align_from_media(video, duration_only, motion=curve,
+                                        onsets=onsets, **kwargs)
+        assert given.to_dict() == plain.to_dict()
+        assert len(given_warnings) == len(plain_warnings) // 2
+        assert plain.audio_peaks > 0
+        return len(given_warnings)
+
+    @pytest.mark.parametrize("shift, audio_cut, kwargs", CASES, ids=IDS)
+    def test_report_equals_detecting_the_onsets(self, shift, audio_cut,
+                                                kwargs):
+        video, audio = _clip(shift)
+        if audio_cut:
+            audio = AudioSignal(audio.samples[:-audio_cut], audio.sample_rate)
+        truncates = bool(audio_cut) or "fps_override" in kwargs
+        assert self.check(video, audio, kwargs) == int(truncates)
+
+    @pytest.mark.parametrize("shift", [0, 12])
+    def test_acceptance_clip_report_equals_detecting_the_onsets(self, shift):
+        pair, _ = generate(SynthConfig(seed=0, shift_frames=shift))
+        assert self.check(pair.video, pair.audio, {}) == 0

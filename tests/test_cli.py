@@ -10,9 +10,11 @@ import pathlib
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 import warnings
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -20,10 +22,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import reference_curve
-from tempokit import (av_align, cli, diffusion_toy, media_io,
-                      motion_analysis, synthgen, tempo_tokens)
+from tempokit import (audio_analysis, av_align, cli, diffusion_toy,
+                      media_io, motion_analysis, synthgen, tempo_tokens)
 from tempokit.cli import build_parser, main
-from tempokit.errors import FormatError, ValidationError
+from tempokit.errors import (DurationError, FormatError, NumericError,
+                             ValidationError)
 from tempokit.media_io import (AudioEmbeddings, AudioSignal, Video,
                                read_condition, read_named_tensors,
                                read_video, read_wav, write_embeddings,
@@ -148,26 +151,32 @@ class TestBatchSolvesEachVideoOnce:
 
     def test_one_solve_per_distinct_video(self, corpus_dir, tmp_path,
                                           monkeypatch):
-        # calls counted in a pool worker would not reach this list; the
-        # split across workers is covered by TestFlowPlan
+        # calls counted in a helper process would not reach this list; the
+        # claims across processes are covered by TestFlowPlan and
+        # TestParallelFlow
         monkeypatch.setattr(cli, "worker_count", lambda: 1)
         lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
         solved = []
         curve = motion_analysis.motion_curve
 
-        def counting_curve(video, params=None):
-            solved.append(video.frame_count)
-            return curve(video, params)
+        def counting_curve(video, params=None, sources=None):
+            solved.append((zlib.crc32(video.frames),
+                           solved_pairs(sources).tolist()))
+            return curve(video, params, sources)
 
         monkeypatch.setattr(motion_analysis, "motion_curve", counting_curve)
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
         with pytest.warns(UserWarning, match="durations differ"):
             assert main(["av-align", "--batch"]) == 0
-        # one range per video, from its first solved pair to its last
-        spans = [solved_pairs(motion_analysis.pair_sources(
-            read_video(f"clip_{i:04d}.rvid").frames))[[0, -1]]
-            for i in range(2)]
-        assert solved == [last - first + 2 for first, last in spans]
+        # the solved pairs of each video, each in one call, in order
+        for i in range(2):
+            frames = read_video(f"clip_{i:04d}.rvid").frames
+            pairs = [k for crc, ks in solved if crc == zlib.crc32(frames)
+                     for k in ks]
+            assert pairs == solved_pairs(
+                motion_analysis.pair_sources(frames)).tolist()
+        assert sum(len(ks) for _, ks in solved) == len(
+            {(crc, k) for crc, ks in solved for k in ks})
 
     def test_each_video_is_read_once_to_check_and_once_to_solve(
             self, corpus_dir, tmp_path, monkeypatch, capsys):
@@ -204,9 +213,9 @@ class TestChecksBeforeFlow:
         calls = []
         curve = motion_analysis.motion_curve
 
-        def counting_curve(video, params=None):
+        def counting_curve(video, params=None, sources=None):
             calls.append(video.frame_count)
-            return curve(video, params)
+            return curve(video, params, sources)
 
         monkeypatch.setattr(motion_analysis, "motion_curve", counting_curve)
         return calls
@@ -343,53 +352,119 @@ class TestFlowPlan:
         for still, repeated in [(0.0, 0.0), (0.0, 0.5), (0.3, 0.3),
                                 (0.7, 0.0), (0.7, 0.2), (0.95, 0.0),
                                 (1.0, 0.0)]:
-            videos = [(key, n, h, w,
-                       random_sources(rng, n, still, repeated))
-                      for key, n, h, w in self.SHAPES[:count]]
-            self.check_plan(videos, workers)
+            videos = {key: cli.CheckedVideo(
+                n, 24.0, h, w, random_sources(rng, n, still, repeated), [])
+                for key, n, h, w in self.SHAPES[:count]}
+            self.check_claims(videos, workers)
 
     @staticmethod
-    def check_plan(videos, workers):
-        bins = cli.plan_flow(videos, workers)
-        assert bins == cli.plan_flow(videos, workers)
-        assert len(bins) <= workers
-        solved = {key: solved_pairs(sources)
-                  for key, *_, sources in videos}
-        assert bool(bins) == any(map(len, solved.values()))
-        for key, n, *_ in videos:
-            ranges = sorted((start, stop) for ranges in bins
-                            for k, start, stop in ranges if k == key)
-            assert all(1 <= start < stop <= n for start, stop in ranges)
-            assert all(a[1] <= b[0] for a, b in zip(ranges, ranges[1:]))
-            # each solved pair in exactly one range, and each range runs
-            # from a solved pair to a solved pair
-            hits = [sum(start <= k < stop for k in solved[key])
-                    for start, stop in ranges]
-            assert sum(hits) == len(solved[key])
-            assert all({start, stop - 1} <= set(solved[key])
-                       for start, stop in ranges)
-        size = {key: h * w for key, _, h, w, _ in videos}
-        share = sum(size[key] * len(solved[key]) for key in size) / workers
-        for ranges in bins:
-            assert len({key for key, _, _ in ranges}) == len(ranges)
-            cost = sum(size[key] * np.sum((start <= solved[key])
-                                          & (solved[key] < stop))
-                       for key, start, stop in ranges)
-            assert abs(cost - share) <= max(size.values())
+    def check_claims(videos, workers):
+        """Claim the flow jobs as solve_curves does: process 0 takes job
+        0, then each process claims its next job from one counter once
+        its last one is done. With a job's time its pixels, each
+        process's bin of jobs ends within one job of every other's."""
+        jobs = cli.flow_jobs(videos)
+        assert [path for path, _ in jobs] == sorted(
+            (path for path, _ in jobs), key=list(videos).index)
+        for key, v in videos.items():
+            pieces = [ks for path, ks in jobs if path == key]
+            chunk = max(1, motion_analysis.PIXELS // (v.height * v.width))
+            assert all(1 <= len(ks) <= chunk for ks in pieces)
+            assert (np.concatenate(pieces).tolist() if pieces else []) == \
+                solved_pairs(v.sources).tolist()
+        counter = multiprocessing.Value("q", min(1, len(jobs)))
+        claims = [cli._claims(counter, len(jobs)) for _ in range(workers)]
+        bins = [[0] if jobs else []] + [[] for _ in range(workers - 1)]
 
-    def test_align_distinct_shapes_split_without_cutting_a_video(self):
-        videos = [(key, 96, h, w, np.arange(96))
+        def cost(index):
+            path, ks = jobs[index]
+            return len(ks) * videos[path].height * videos[path].width
+
+        loads = [sum(map(cost, done)) for done in bins]
+        busy = set(range(workers))
+        while busy:
+            free = min(busy, key=lambda p: (loads[p], p))
+            index = next(claims[free], None)
+            if index is None:
+                busy.discard(free)
+            else:
+                bins[free].append(index)
+                loads[free] += cost(index)
+        assert sorted(sum(bins, [])) == list(range(len(jobs)))
+        assert max(loads) - min(loads) <= max(map(cost, range(len(jobs))),
+                                              default=0)
+
+    def test_jobs_are_the_stacks_motion_curve_solves(self, mixed_clips,
+                                                     monkeypatch):
+        stacks = []
+        flow = motion_analysis.optical_flow
+
+        def counting_flow(frame1, frame2, params=None):
+            stacks.append(len(frame1))
+            return flow(frame1, frame2, params)
+
+        monkeypatch.setattr(motion_analysis, "optical_flow", counting_flow)
+        for path, _ in mixed_clips.values():
+            video = read_video(path)
+            motion_analysis.motion_curve(video, FlowParams(iterations=1))
+            jobs = cli.flow_jobs({path: cli.CheckedVideo.of(video)})
+            assert stacks == [len(ks) for _, ks in jobs]
+            stacks.clear()
+        # align-distinct's shapes: 2 pairs a job at 64x64, 1 at 128x96
+        videos = {key: cli.CheckedVideo(96, 24.0, h, w, np.arange(96), [])
                   for key, h, w in [("s0", 64, 64), ("s1", 64, 64),
-                                    ("s2", 64, 64), ("big", 96, 128)]]
-        assert cli.plan_flow(videos, 2) == [
-            [("s0", 1, 96), ("s1", 1, 96), ("s2", 1, 96)],
-            [("big", 1, 96)]]
+                                    ("s2", 64, 64), ("big", 96, 128)]}
+        jobs = [(key, ks.tolist()) for key, ks in cli.flow_jobs(videos)]
+        assert jobs == [(key, [k, k + 1][:96 - k]) for key in ("s0", "s1",
+                                                                "s2")
+                        for k in range(1, 96, 2)] + [
+            ("big", [k]) for k in range(1, 96)]
 
     def test_no_videos_no_bins(self):
-        assert cli.plan_flow([], 2) == []
+        assert cli.flow_jobs({}) == []
+        assert cli.solve_curves({}, FlowParams(), 4,
+                                lambda: "onsets") == ({}, "onsets")
+        assert multiprocessing.active_children() == []
+
+
+def solve_log(monkeypatch, log, wait_for=0):
+    """Make every process append "pid crc32 pair..." to log for each
+    motion_curve call, and make this process's onset detection, which
+    runs while helpers solve, wait until helpers have logged wait_for
+    calls, so that they solve every job after the first."""
+    curve, onsets = motion_analysis.motion_curve, audio_analysis.detect_onsets
+    parent = os.getpid()
+
+    def logged_curve(video, params=None, sources=None):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(" ".join(map(str, [os.getpid(), zlib.crc32(video.frames),
+                                        *solved_pairs(sources)])) + "\n")
+        return curve(video, params, sources)
+
+    def waiting_onsets(*args, **kwargs):
+        deadline = time.monotonic() + 60
+        while (os.getpid() == parent and time.monotonic() < deadline
+               and len(helper_lines(log, parent)) < wait_for):
+            time.sleep(0.01)
+        return onsets(*args, **kwargs)
+
+    monkeypatch.setattr(motion_analysis, "motion_curve", logged_curve)
+    monkeypatch.setattr(audio_analysis, "detect_onsets", waiting_onsets)
+    log.touch()
+    return parent
+
+
+def helper_lines(log, parent):
+    lines = log.read_text(encoding="ascii").splitlines()
+    return [line for line in lines if int(line.split()[0]) != parent]
 
 
 class TestParallelFlow:
+    @pytest.fixture(autouse=True)
+    def no_process_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("flags", [["--batch"], ["--batch", "--json"],
                                        [], ["--json"]],
                              ids=["batch", "batch-json", "pair", "pair-json"])
@@ -410,55 +485,127 @@ class TestParallelFlow:
         assert outputs[0] == outputs[1]
         assert outputs[0].count("score") == (4 if "--batch" in flags else 1)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_every_solved_pair_once_across_processes(self, workers,
+                                                     mixed_clips, tmp_path,
+                                                     monkeypatch, capsys):
+        log = tmp_path / "solves.log"
+        parent = solve_log(monkeypatch, log)
+        monkeypatch.setattr(cli, "worker_count", lambda: workers)
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(
+            f"{video} {audio}\n" for video, audio in mixed_clips.values())))
+        assert main(["av-align", "--batch", "--flow-iterations", "5"]) == 0
+        capsys.readouterr()
+        solves = [line.split() for line in log.read_text().splitlines()]
+        # this process solves job 0 first
+        videos = {video: cli.CheckedVideo.of(read_video(video))
+                  for video, _ in mixed_clips.values()}
+        mine = [ks for pid, _, *ks in solves if int(pid) == parent]
+        assert mine[0] == [str(k) for k in cli.flow_jobs(videos)[0][1]]
+        assert len({pid for pid, *_ in solves}) <= workers
+        for video, _ in mixed_clips.values():
+            frames = read_video(video).frames
+            pairs = sorted(int(k) for _, crc, *ks in solves
+                           if int(crc) == zlib.crc32(frames) for k in ks)
+            assert pairs == solved_pairs(
+                motion_analysis.pair_sources(frames)).tolist()
+
     def test_spawned_workers_give_the_serial_curves(self, mixed_clips):
         # spawn is the default start method on macOS; it and forkserver
         # (the Linux default from Python 3.14) pickle the work
-        frames = {path: read_video(path).frames
+        videos = {path: cli.CheckedVideo.of(read_video(path))
                   for path, _ in mixed_clips.values()}
-        videos = [(path, *f.shape[:3], motion_analysis.pair_sources(f))
-                  for path, f in frames.items()]
         flow = FlowParams(iterations=20)
         default = multiprocessing.get_start_method()
         multiprocessing.set_start_method("spawn", force=True)
         try:
-            spawned = cli.solve_curves(videos, flow, 3)
+            spawned, _ = cli.solve_curves(videos, flow, 3, dict)
         finally:
             multiprocessing.set_start_method(default, force=True)
-        assert multiprocessing.active_children() == []
-        for path, *_ in videos:
+        for path in videos:
             assert np.array_equal(spawned[path], motion_analysis.motion_curve(
                 read_video(path), flow))
 
+    @staticmethod
+    def fail_in_a_helper(fail, tmp_path, monkeypatch):
+        """Run av-align at 2 workers on a clip of 4 jobs, where a
+        helper's first read of a video calls fail(); this process waits
+        to detect its onsets until it has."""
+        failed = tmp_path / "failed"
+        parent = os.getpid()
+
+        def read_failing_in_a_helper(path):
+            if os.getpid() == parent:
+                return read_video(path)
+            failed.write_text("")
+            fail()
+
+        onsets = audio_analysis.detect_onsets
+
+        def waiting_onsets(*args, **kwargs):
+            deadline = time.monotonic() + 60
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return onsets(*args, **kwargs)
+
+        monkeypatch.setattr(media_io, "read_video", read_failing_in_a_helper)
+        monkeypatch.setattr(audio_analysis, "detect_onsets", waiting_onsets)
+        monkeypatch.setattr(cli, "worker_count", lambda: 2)
+        return failed
+
     def test_worker_error_exits_with_its_code(self, mixed_clips, tmp_path,
                                               monkeypatch, capsys):
-        broken = tmp_path / "broken.rvid"
-        with open(mixed_clips["large"][0], "rb") as fh:
-            broken.write_bytes(fh.read(100))
-        with pytest.raises(FormatError) as raised:
-            read_video(broken)
-        plan = cli.plan_flow
+        def fail():
+            raise NumericError("a helper failed")
 
-        def plan_with_a_broken_worker(videos, workers):
-            [(path, n, h, w, sources)] = videos
-            assert np.array_equal(sources, motion_analysis.pair_sources(
-                read_video(path).frames))
-            bins = plan(videos, workers)
-            assert len(bins) == 2
-            bins[1] = [(str(broken), start, stop)
-                       for _, start, stop in bins[1]]
-            return bins
+        failed = self.fail_in_a_helper(fail, tmp_path, monkeypatch)
+        video, audio = mixed_clips["large"]
+        assert main(["av-align", "--video", video, "--audio", audio,
+                     "--flow-iterations", "20"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a helper failed\n"
+        assert failed.exists()
 
-        monkeypatch.setattr(cli, "plan_flow", plan_with_a_broken_worker)
-        monkeypatch.setattr(cli, "worker_count", lambda: 2)
+    def test_a_helper_that_dies_exits_2(self, mixed_clips, tmp_path,
+                                        monkeypatch, capsys):
+        failed = self.fail_in_a_helper(lambda: os._exit(7), tmp_path,
+                                       monkeypatch)
         video, audio = mixed_clips["large"]
         assert main(["av-align", "--video", video, "--audio", audio,
                      "--flow-iterations", "20"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {raised.value}\n"
-        assert multiprocessing.active_children() == []
+        assert captured.err == "error: a flow process exited with code 7\n"
+        assert failed.exists()
 
-    @pytest.mark.parametrize("change", ["fewer frames", "smaller frames"])
+    def test_an_error_here_stops_every_helper(self, mixed_clips,
+                                              monkeypatch, capsys):
+        # the helpers are still in their first job when this process fails
+        parent, curve = os.getpid(), motion_analysis.motion_curve
+
+        def stuck_in_a_helper(*args, **kwargs):
+            deadline = time.monotonic() + 60
+            while os.getpid() != parent and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return curve(*args, **kwargs)
+
+        def failing_onsets(*args, **kwargs):
+            assert len(multiprocessing.active_children()) == 2
+            raise DurationError("the audio changed")
+
+        monkeypatch.setattr(motion_analysis, "motion_curve",
+                            stuck_in_a_helper)
+        monkeypatch.setattr(audio_analysis, "detect_onsets", failing_onsets)
+        monkeypatch.setattr(cli, "worker_count", lambda: 3)
+        video, audio = mixed_clips["small"]
+        start = time.monotonic()
+        assert main(["av-align", "--video", video, "--audio", audio]) == 3
+        assert capsys.readouterr().err == "error: the audio changed\n"
+        assert time.monotonic() - start < 30
+
+    @pytest.mark.parametrize("change", ["fewer frames", "smaller frames",
+                                        "rolled frames"])
     def test_video_changed_since_its_check_exits_2(self, change, mixed_clips,
                                                    monkeypatch, capsys):
         # the flow reads the file again; here that read finds it rewritten
@@ -469,8 +616,10 @@ class TestParallelFlow:
             reads.append(path)
             if len(reads) == 1:
                 return video
-            frames = (video.frames[:len(video.frames) // 2]
-                      if change == "fewer frames" else video.frames[:, 1:])
+            frames = {"fewer frames": video.frames[:len(video.frames) // 2],
+                      "smaller frames": video.frames[:, 1:],
+                      "rolled frames": np.roll(video.frames, 7, axis=0),
+                      }[change]
             return Video(frames, video.fps_num, video.fps_den)
 
         monkeypatch.setattr(cli, "worker_count", lambda: 1)
@@ -483,25 +632,46 @@ class TestParallelFlow:
         assert captured.err == f"error: {video} changed since it was checked\n"
         assert reads == [video, video]
 
-    def test_solving_a_bin_holds_one_video_at_a_time(self, corpus_dir,
-                                                     tmp_path):
-        # 4-s clips: reading the 128x96 one while the 64x64 one is alive
-        # would peak above solving the 128x96 one alone
-        assert main(["gen-synth", "--out", str(tmp_path), "--clips", "1",
-                     "--width", "128", "--height", "96"]) == 0
-        small = str(corpus_dir / "clip_0000.rvid")
-        large = str(tmp_path / "clip_0000.rvid")
+    def test_a_process_holds_one_video_at_a_time(self, tmp_path):
+        # 12-s clips, long enough that reading the 128x96 one peaks above
+        # solving its flow; with the 64x64 one still alive, it would peak
+        # about 1.3 times as high
+        paths = []
+        for size in ("64", "64"), ("128", "96"):
+            out = tmp_path / "x".join(size)
+            assert main(["gen-synth", "--out", str(out), "--clips", "1",
+                         "--duration", "12", "--width", size[0], "--height",
+                         size[1]]) == 0
+            paths.append(str(out / "clip_0000.rvid"))
+        checked = {path: cli.CheckedVideo.of(read_video(path))
+                   for path in paths}
         flow = FlowParams(iterations=1)
         peaks = []
-        shapes = {small: (96, 64, 64), large: (96, 96, 128)}
-        for ranges in ([(large, 1, 96)], [(small, 1, 96), (large, 1, 96)]):
+        for solved in (paths[1:], paths):
             tracemalloc.start()
             try:
-                cli.solve_ranges(ranges, flow, shapes)
+                cli.solve_curves({path: checked[path] for path in solved},
+                                 flow, 1, dict)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_onsets_are_detected_holding_no_frames(self, corpus_dir):
+        path = str(corpus_dir / "clip_0000.rvid")
+        video = {path: cli.CheckedVideo.of(read_video(path))}
+        size = os.path.getsize(path)
+        flow = FlowParams(iterations=1)
+        cli.solve_curves(video, flow, 2, dict)  # first-use imports
+        held = []
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cli.solve_curves(video, flow, 2, lambda: held.append(
+                tracemalloc.get_traced_memory()[0] - start))
+        finally:
+            tracemalloc.stop()
+        assert held[0] < size / 10
 
     def test_still_batch_starts_no_pool(self, mixed_clips, tmp_path,
                                         monkeypatch, capsys):
@@ -526,11 +696,11 @@ class TestParallelFlow:
             reads.append(path)
             return read_video(path)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a still batch started a pool")
+        def no_helper(*args, **kwargs):
+            raise AssertionError("a still batch started a helper")
 
         monkeypatch.setattr(cli, "worker_count", lambda: 2)
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Process", no_helper)
         monkeypatch.setattr(cli.media_io, "read_video", counting_read)
         monkeypatch.setattr("sys.stdin", io.StringIO(
             "".join(f"{video} {audio}\n" for video, audio in lines)))
@@ -538,32 +708,38 @@ class TestParallelFlow:
         assert capsys.readouterr().out == expected
         # each distinct video once, to check it: never to score or for flow
         assert reads == [lines[0][0], lines[1][0]]
-        assert multiprocessing.active_children() == []
 
-    def test_repeats_take_their_flow_from_another_bin(self, tmp_path,
-                                                      monkeypatch, capsys):
-        # a 3-frame loop and 4 frames held at the last, 24 frames each:
-        # 3 pairs to solve in each video
+    def test_repeats_take_their_flow_from_another_process(
+            self, tmp_path, monkeypatch, capsys):
+        # 4 frames held at the last and a 3-frame loop, 24 frames each:
+        # 3 pairs to solve in each video, one job each
         pool = np.random.default_rng(9).integers(0, 256, (7, 32, 32, 3),
                                                  dtype=np.uint8)
         lines = ""
-        for name, pattern in [("loop", [0, 1, 2] * 8),
-                              ("held", [3, 4, 5] + [6] * 21)]:
+        for name, pattern in [("held", [3, 4, 5] + [6] * 21),
+                              ("loop", [0, 1, 2] * 8)]:
             write_video(Video(pool[pattern], 24), tmp_path / f"{name}.rvid")
             write_wav(AudioSignal(np.random.default_rng(len(name)).uniform(
                 -0.5, 0.5, 16000), 16000), tmp_path / f"{name}.wav")
             lines += f"{tmp_path / name}.rvid {tmp_path / name}.wav\n"
-        loop, held = (str(tmp_path / f"{name}.rvid")
-                      for name in ("loop", "held"))
-        videos = [(path, *f.shape[:3], motion_analysis.pair_sources(f))
-                  for path, f in ((path, read_video(path).frames)
-                                  for path in (loop, held))]
-        assert videos[0][-1].tolist() == [0] + [1, 2, 3] * 7 + [1, 2]
-        # the cut after the loop's third pair deals its pairs 4..23, all
-        # repeats, to the second bin, which has no range of the loop
-        assert cli.plan_flow(videos, 2) == [[(loop, 1, 4)], [(held, 1, 4)]]
+        held, loop = (str(tmp_path / f"{name}.rvid")
+                      for name in ("held", "loop"))
+        videos = {path: cli.CheckedVideo.of(read_video(path))
+                  for path in (held, loop)}
+        assert videos[loop].sources.tolist() == [0] + [1, 2, 3] * 7 + [1, 2]
+        assert [(path, ks.tolist()) for path, ks in cli.flow_jobs(videos)] \
+            == [(held, [1, 2, 3]), (loop, [1, 2, 3])]
         flow = FlowParams(iterations=20)
-        for path, curve in cli.solve_curves(videos, flow, 2).items():
+        # a helper solves the loop's job; this process fills its repeats
+        log = tmp_path / "solves.log"
+        parent = solve_log(monkeypatch, log, wait_for=1)
+        curves, _ = cli.solve_curves(videos, flow, 2,
+                                     lambda: audio_analysis.detect_onsets(
+                                         read_wav(tmp_path / "loop.wav"),
+                                         24))
+        assert [line.split()[2:] for line in helper_lines(log, parent)] == [
+            ["1", "2", "3"]]
+        for path, curve in curves.items():
             assert curve.tobytes() == reference_curve(read_video(path),
                                                       flow).tobytes()
         outputs = []
@@ -574,7 +750,35 @@ class TestParallelFlow:
                          "--flow-iterations", "20"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
-        assert multiprocessing.active_children() == []
+
+    def test_this_process_runs_every_traced_align_stage(self, tmp_path,
+                                                        monkeypatch, capsys):
+        # perfbench's traced align runs record only this process's spans
+        assert main(["gen-synth", "--out", str(tmp_path), "--clips", "1",
+                     "--kind", "flash", "--duration", "2", "--events",
+                     "3"]) == 0
+        video, audio = (str(tmp_path / f"clip_0000.{ext}")
+                        for ext in ("rvid", "wav"))
+        assert len(cli.flow_jobs(
+            {video: cli.CheckedVideo.of(read_video(video))})) == 2
+        parent, calls = os.getpid(), []
+        for module, name in [(motion_analysis, "motion_curve"),
+                             (motion_analysis, "optical_flow"),
+                             (audio_analysis, "detect_onsets"),
+                             (av_align, "av_align_from_media")]:
+            def counted(*args, _name=name, _fn=getattr(module, name),
+                        **kwargs):
+                if os.getpid() == parent:
+                    calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(cli, "worker_count", lambda: 2)
+        assert main(["av-align", "--video", video, "--audio", audio,
+                     "--flow-iterations", "5"]) == 0
+        capsys.readouterr()
+        assert set(calls) == {"motion_curve", "optical_flow",
+                              "detect_onsets", "av_align_from_media"}
 
 
 class TestTokens:

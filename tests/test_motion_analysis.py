@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import reference_curve, reference_flow
 from tempokit import motion_analysis
-from tempokit.errors import ShapeError
+from tempokit.errors import ShapeError, ValidationError
 from tempokit.media_io import Video
 from tempokit.motion_analysis import (PIXELS, FlowParams,
                                       detect_motion_peaks, motion_curve,
@@ -329,6 +329,56 @@ def test_a_hash_collision_only_misses_repeats(monkeypatch):
     assert curve[7] == 0.0
 
 
+@pytest.mark.parametrize("width, height", [(64, 64), (128, 96)],
+                         ids=["64x64", "128x96"])
+def test_given_sources_are_the_default(width, height):
+    params = FlowParams(alpha=7.0, iterations=40)
+    for video, _ in repeated_clips(width, height):
+        assert motion_curve(video, params, sources=pair_sources(
+            video.frames)).tobytes() == motion_curve(video, params).tobytes()
+
+
+def test_sources_solve_only_the_pairs_that_map_to_themselves(monkeypatch):
+    video, sources = flash_clip(64, 64)
+    params = FlowParams(iterations=20)
+    whole = motion_curve(video, params)
+    solved = []
+    flow = motion_analysis.optical_flow
+
+    def counting_flow(frame1, frame2, params=None):
+        solved.append(len(frame1))
+        return flow(frame1, frame2, params)
+
+    monkeypatch.setattr(motion_analysis, "optical_flow", counting_flow)
+    # the second and fourth distinct pairs, and a repeat of the second
+    mine = sources[sources > 0][[1, 3]]
+    part = np.zeros_like(sources)
+    part[mine] = mine
+    later = np.flatnonzero(sources == mine[0])[1]
+    part[later] = mine[0]
+    curve = motion_curve(video, params, sources=part)
+    assert solved == [2]
+    assert curve[[*mine, later]].tobytes() == whole[[*mine, later]].tobytes()
+    rest = np.ones(len(curve), bool)
+    rest[[*mine, later]] = False
+    assert curve[rest].tobytes() == bytes(8 * rest.sum())  # +0.0 each
+
+
+@pytest.mark.parametrize("change, error", [
+    (lambda s: s[:-1], ShapeError),
+    (lambda s: np.append(s, 0), ShapeError),
+    (lambda s: s.reshape(1, -1), ShapeError),
+    (lambda s: np.where(np.arange(len(s)) == 5, 6, s), ValidationError),
+    (lambda s: np.where(np.arange(len(s)) == 5, -1, s), ValidationError),
+    (lambda s: s.astype(float), ValidationError),
+], ids=["short", "long", "2-d", "past its pair", "negative", "float"])
+def test_bad_sources_are_refused(change, error):
+    video = block_video([20, 22, 24, 26, 28, 30, 32, 34])
+    with pytest.raises(error):
+        motion_curve(video, FlowParams(iterations=1),
+                     sources=change(pair_sources(video.frames)))
+
+
 def test_motion_curve_memory_does_not_grow_with_frames():
     config = SynthConfig(width=128, height=96, event_kind="bounce", seed=3)
     frames = generate(config)[0].video.frames
@@ -475,7 +525,8 @@ def test_reversed_video_has_the_reversed_motion_curve(frames, pairs_per_chunk,
 
 
 # ---------------------------------------------------------------------------
-# Pair independence, the invariant behind chunks, bins and pair_sources
+# Pair independence, the invariant behind chunks, flow jobs and
+# pair_sources
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60)
@@ -516,7 +567,7 @@ def test_duplicated_frame_inserts_an_exact_zero(frames, where,
 
 
 # ---------------------------------------------------------------------------
-# Concatenation, the invariant behind av-align's frame-pair ranges
+# Concatenation: a video's curve is its pieces' curves, joined
 # ---------------------------------------------------------------------------
 
 @st.composite
