@@ -87,12 +87,13 @@ def av_align_from_media(video, audio, peak_params=None, flow_params=None,
     video's frame_count and fps are read: any object that has those two
     will do, and no frames need to be held.
 
-    onsets, if given, are the audio's onsets as this function detects
-    them: audio_analysis.detect_onsets(cut, fps, peak_params,
-    n_frames=n, win=onset_win), where n and cut are the frame count and
-    audio that _reconcile_durations gives. So a caller can detect them
-    elsewhere, or earlier. With onsets given, only the audio's duration
-    and sample_rate are read.
+    onsets, if given, is (n, peaks): the frame count to score and the
+    audio's onsets, as this function works them out itself. n and cut
+    are what _reconcile_durations(video.frame_count, audio, fps) gives,
+    and peaks is audio_analysis.detect_onsets(cut, fps, peak_params,
+    n_frames=n, win=onset_win). So a caller that has checked the
+    durations can detect the onsets elsewhere, or earlier. With onsets
+    given, audio is not read: pass None.
     """
     fps = fps_override if fps_override is not None else video.fps
     if fps <= 0:
@@ -102,10 +103,9 @@ def av_align_from_media(video, audio, peak_params=None, flow_params=None,
                          f"{video.frame_count} frames")
     if onsets is None:
         n_frames, audio = _reconcile_durations(video.frame_count, audio, fps)
-        onsets = audio_analysis.detect_onsets(
+        onsets = n_frames, audio_analysis.detect_onsets(
             audio, fps, peak_params, n_frames=n_frames, win=onset_win)
-    else:
-        n_frames, _ = _scored_lengths(video.frame_count, audio, fps)
+    n_frames, onsets = onsets
     if motion is None:
         motion = motion_analysis.motion_curve(
             Video(video.frames[:n_frames], video.fps_num, video.fps_den),
@@ -119,21 +119,11 @@ def _reconcile_durations(frame_count, audio, fps):
     """The frame count and audio to score a video of frame_count frames
     at fps against audio: both cut to the shorter stream, or as given
     when they differ by at most one frame."""
-    n_frames, n_samples = _scored_lengths(frame_count, audio, fps)
-    if n_samples is not None:
-        audio = AudioSignal(audio.samples[:n_samples], audio.sample_rate)
-    return n_frames, audio
-
-
-def _scored_lengths(frame_count, audio, fps):
-    """The frame and sample counts _reconcile_durations cuts to, with
-    None for samples when the audio is scored whole. Only the audio's
-    duration and sample_rate are read."""
     video_dur = frame_count / fps
     audio_dur = audio.duration
     mismatch = abs(video_dur - audio_dur)
     if mismatch <= 1.0 / fps:
-        return frame_count, None
+        return frame_count, audio
     longer = max(video_dur, audio_dur)
     if mismatch > TRUNCATION_LIMIT * longer:
         raise DurationError(
@@ -142,7 +132,8 @@ def _scored_lengths(frame_count, audio, fps):
             f"beyond the truncation policy")
     warnings.warn(
         f"durations differ by {mismatch:.3f}s; truncating to the shorter "
-        f"stream", stacklevel=3)
+        f"stream", stacklevel=2)
     shorter = min(video_dur, audio_dur)
     n_frames = min(frame_count, max(2, int(np.floor(shorter * fps + 1e-9))))
-    return n_frames, max(1, int(round(shorter * audio.sample_rate)))
+    n_samples = max(1, int(round(shorter * audio.sample_rate)))
+    return n_frames, AudioSignal(audio.samples[:n_samples], audio.sample_rate)

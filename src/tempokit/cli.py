@@ -8,15 +8,19 @@ Subcommands:
   generate   sample a video from a checkpoint and an audio file
 
 av-align checks every pair (files, frame shapes, durations) before it
-solves any flow. It then cuts the optical flow of the distinct videos
-into jobs of motion_curve's own chunks, which one process per core in
-its affinity mask (see worker_count; taskset restricts it) claims from
-one shared counter, so a process that finishes early takes the next
-job. The command's own process detects the audio onsets while the
-other processes solve. Each distinct frame pair is solved once: a pair
-whose two frames an earlier pair holds, byte for byte and in either
-order, takes that pair's motion value, and a still pair has exactly
-zero flow. The output is byte-identical for any number of processes.
+solves any flow; the check decides the frames and samples each pair is
+scored on. Every input is read twice, so it must be a regular file or
+a PPM directory. av-align then cuts the optical flow of the distinct
+videos into jobs of motion_curve's own chunks, which one process per
+core in its affinity mask (see worker_count; taskset restricts it)
+claims from one shared counter, so a process that finishes early takes
+the next job. The command's own process detects the audio onsets while
+the other processes solve, from each WAV read again, refused if it
+changed since the check, and cut as the check decided. Each distinct
+frame pair is solved once: a pair whose two frames an earlier pair
+holds, byte for byte and in either order, takes that pair's motion
+value, and a still pair has exactly zero flow. The output is
+byte-identical for any number of processes.
 
 Exit codes: 0 success, 2 format or input error, OSError or MemoryError,
 3 duration mismatch beyond the truncation policy, 4 numeric failure
@@ -33,7 +37,7 @@ import argparse
 import json
 import os
 import sys
-import warnings
+import zlib
 from typing import NamedTuple
 
 import numpy as np
@@ -131,12 +135,6 @@ class CheckedVideo(NamedTuple):
         crcs = motion_analysis.frame_hashes(video.frames)
         return cls(video.frame_count, video.fps, *video.frames.shape[1:3],
                    motion_analysis.pair_sources(video.frames, crcs), crcs)
-
-
-class CheckedAudio(NamedTuple):
-    """What av_align_from_media reads of an audio given its onsets."""
-    duration: float
-    sample_rate: int
 
 
 def flow_jobs(videos):
@@ -270,25 +268,33 @@ def cmd_av_align(args):
     # Every pair is checked, in input order, before any flow is solved.
     # Each video (by path, as written) is read and checked once, and
     # only its CheckedVideo is kept: a video listed on several --batch
-    # lines is solved once, and a repeat checks only the durations.
-    pairs, videos, audios = [], {}, {}
+    # lines is solved once, and a repeat checks only the durations. Each
+    # line keeps its video path and what its onsets are detected from:
+    # audio path, fps, frame and sample counts, and the samples' CRC-32.
+    pairs, videos = [], {}
 
     def check_pair(video_path, audio_path):
+        for path in (video_path, audio_path):  # a pipe can't be read twice
+            if os.path.exists(path) and not (os.path.isfile(path)
+                                             or os.path.isdir(path)):
+                raise FormatError(f"{path} is not a regular file or a "
+                                  f"directory, and av-align reads it twice")
         if video_path not in videos:
             video = media_io.read_video(video_path)
             motion_analysis.check_video(video)
             videos[video_path] = CheckedVideo.of(video)
         video = videos[video_path]
+        rate = fps if fps is not None else video.fps
         audio = media_io.read_wav(audio_path)
-        audios[audio_path] = CheckedAudio(audio.duration, audio.sample_rate)
         # warns once here when the pair will be truncated
-        _, audio = av_align._reconcile_durations(
-            video.frame_count, audio, fps if fps is not None else video.fps)
-        if audio.samples.size < args.onset_win:
+        n_frames, cut = av_align._reconcile_durations(video.frame_count,
+                                                      audio, rate)
+        if cut.samples.size < args.onset_win:
             raise ValidationError(
-                f"{audio_path} has {audio.samples.size} samples to score, "
+                f"{audio_path} has {cut.samples.size} samples to score, "
                 f"fewer than --onset-win {args.onset_win}")
-        pairs.append((video_path, audio_path))
+        key = audio_path, rate, n_frames, cut.samples.size
+        pairs.append((video_path, (*key, zlib.crc32(audio.samples))))
 
     if args.batch:
         for lineno, raw in enumerate(sys.stdin, 1):
@@ -307,34 +313,25 @@ def cmd_av_align(args):
     else:
         check_pair(args.video, args.audio)
 
-    # The onsets of each audio against each frame count and frame rate
-    # it is scored at, detected while the flow is solved elsewhere.
-    keys = [(audio_path, videos[video_path].frame_count,
-             fps if fps is not None else videos[video_path].fps)
-            for video_path, audio_path in pairs]
-
-    def detect_every_onset():
+    def detect_every_onset():  # while the flow is solved elsewhere
         onsets = {}
-        for key in dict.fromkeys(keys):
-            audio_path, frame_count, rate = key
-            n_frames, audio = av_align._reconcile_durations(
-                frame_count, media_io.read_wav(audio_path), rate)
-            onsets[key] = audio_analysis.detect_onsets(
-                audio, rate, peaks, n_frames=n_frames, win=args.onset_win)
+        for key in dict.fromkeys(key for _, key in pairs):
+            audio_path, rate, n_frames, n_samples, crc = key
+            audio = media_io.read_wav(audio_path)
+            if zlib.crc32(audio.samples) != crc:
+                raise FormatError(f"{audio_path} changed since it was checked")
+            cut = media_io.AudioSignal(audio.samples[:n_samples],
+                                       audio.sample_rate)
+            onsets[key] = n_frames, audio_analysis.detect_onsets(
+                cut, rate, peaks, n_frames=n_frames, win=args.onset_win)
         return onsets
 
-    reports = []
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "durations differ", UserWarning)
-        curves, onsets = solve_curves(videos, flow, worker_count(),
-                                      detect_every_onset)
-        for (video_path, audio_path), key in zip(pairs, keys):
-            reports.append((video_path, av_align.av_align_from_media(
-                videos[video_path], audios[audio_path],
-                peak_params=peaks, flow_params=flow,
-                tolerance=args.tolerance, fps_override=fps,
-                onset_win=args.onset_win, motion=curves[video_path],
-                onsets=onsets[key])))
+    curves, onsets = solve_curves(videos, flow, worker_count(),
+                                  detect_every_onset)
+    reports = [(video_path, av_align.av_align_from_media(
+        videos[video_path], None, peak_params=peaks, tolerance=args.tolerance,
+        fps_override=fps, motion=curves[video_path], onsets=onsets[key]))
+        for video_path, key in pairs]
 
     if not args.batch:
         report = reports[0][1]

@@ -1,5 +1,8 @@
 """Settings shared by the test modules in this directory."""
 
+import multiprocessing
+
+import pytest
 from hypothesis import settings
 
 # Every hypothesis test draws the same examples on every run, records
@@ -8,3 +11,10 @@ from hypothesis import settings
 settings.register_profile("tempokit", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("tempokit")
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Every test leaves no child process running."""
+    yield
+    assert multiprocessing.active_children() == []

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import pathlib
+import signal
 import struct
 import subprocess
 import sys
@@ -30,7 +31,8 @@ from tempokit.errors import (DurationError, FormatError, NumericError,
 from tempokit.media_io import (AudioEmbeddings, AudioSignal, Video,
                                read_condition, read_named_tensors,
                                read_video, read_wav, write_embeddings,
-                               write_named_tensors, write_video, write_wav)
+                               write_named_tensors, write_video,
+                               write_video_ppm, write_wav)
 from tempokit.motion_analysis import FlowParams
 from tempokit.peaks import PeakPickParams
 
@@ -57,7 +59,9 @@ class TestAvAlign:
         code = main(["av-align", "--video", "/nonexistent.rvid",
                      "--audio", "/nonexistent.wav"])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: "
+            "'/nonexistent.rvid'\n")
 
     def test_json_output_matches_schema(self, corpus_dir, capsys):
         code = main(["av-align", "--video", str(corpus_dir / "clip_0000.rvid"),
@@ -304,6 +308,58 @@ class TestChecksBeforeFlow:
                        if "durations differ" in str(w.message)]
         assert len(truncations) == 2  # short.wav is on 2 of 8 lines
 
+    def test_truncation_policy_runs_once_per_line(self, corpus_dir,
+                                                  tmp_path, monkeypatch):
+        lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines + lines))
+        reconcile, calls = av_align._reconcile_durations, []
+        monkeypatch.setattr(av_align, "_reconcile_durations",
+                            lambda *args: calls.append(args[0])
+                            or reconcile(*args))
+        with pytest.warns(UserWarning, match="durations differ"):
+            assert main(["av-align", "--batch", "--flow-iterations",
+                         "10"]) == 0
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("which", ["--video", "--audio"])
+    def test_fifo_without_a_writer_exits_2_at_once(self, which, corpus_dir,
+                                                   tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        paths = {"--video": str(corpus_dir / "clip_0000.rvid"),
+                 "--audio": str(corpus_dir / "clip_0000.wav"),
+                 which: str(fifo)}
+
+        def blocked(signum, frame):  # fails the test instead of hanging
+            raise RuntimeError(f"av-align blocked on {fifo}")
+
+        handler = signal.signal(signal.SIGALRM, blocked)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        start = time.monotonic()
+        try:
+            code = main(["av-align", *(arg for item in paths.items()
+                                       for arg in item)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert time.monotonic() - start < 1
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {fifo} is not a regular file or a directory, and "
+            f"av-align reads it twice\n")
+
+    def test_ppm_directory_scores_as_its_rvid(self, corpus_dir, tmp_path,
+                                              capsys):
+        rvid = corpus_dir / "clip_0000.rvid"
+        write_video_ppm(read_video(rvid), tmp_path / "ppm")
+        outputs = []
+        for video in (rvid, tmp_path / "ppm"):
+            assert main(["av-align", "--video", str(video), "--audio",
+                         str(corpus_dir / "clip_0000.wav"),
+                         "--flow-iterations", "10"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 @pytest.fixture(scope="module")
 def mixed_clips(tmp_path_factory):
@@ -460,11 +516,6 @@ def helper_lines(log, parent):
 
 
 class TestParallelFlow:
-    @pytest.fixture(autouse=True)
-    def no_process_left(self):
-        yield
-        assert multiprocessing.active_children() == []
-
     @pytest.mark.parametrize("flags", [["--batch"], ["--batch", "--json"],
                                        [], ["--json"]],
                              ids=["batch", "batch-json", "pair", "pair-json"])
@@ -631,6 +682,28 @@ class TestParallelFlow:
         assert captured.out == ""
         assert captured.err == f"error: {video} changed since it was checked\n"
         assert reads == [video, video]
+
+    def test_wav_changed_since_its_check_exits_2(self, mixed_clips,
+                                                 monkeypatch, capsys):
+        # the onset step reads the WAV again; here it finds it rewritten
+        reads = []
+
+        def read_a_changed_wav(path):
+            audio = read_wav(path)
+            reads.append(path)
+            if len(reads) == 1:
+                return audio
+            return AudioSignal(np.roll(audio.samples, 4000),
+                               audio.sample_rate)
+
+        monkeypatch.setattr(media_io, "read_wav", read_a_changed_wav)
+        video, audio = mixed_clips["small"]
+        assert main(["av-align", "--video", video, "--audio", audio,
+                     "--flow-iterations", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {audio} changed since it was checked\n"
+        assert reads == [audio, audio]
 
     def test_a_process_holds_one_video_at_a_time(self, tmp_path):
         # 12-s clips, long enough that reading the 128x96 one peaks above
