@@ -37,6 +37,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 import zlib
 from typing import NamedTuple
 
@@ -286,9 +287,13 @@ def cmd_av_align(args):
         video = videos[video_path]
         rate = fps if fps is not None else video.fps
         audio = media_io.read_wav(audio_path)
-        # warns once here when the pair will be truncated
-        n_frames, cut = av_align._reconcile_durations(video.frame_count,
-                                                      audio, rate)
+        # one warning: line for each line whose pair will be truncated
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            n_frames, cut = av_align._reconcile_durations(video.frame_count,
+                                                          audio, rate)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         if cut.samples.size < args.onset_win:
             raise ValidationError(
                 f"{audio_path} has {cut.samples.size} samples to score, "

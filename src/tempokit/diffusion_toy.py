@@ -31,7 +31,7 @@ import numpy as np
 from .errors import NumericError, ShapeError, ValidationError
 from .media_io import (Video, encode_float32, pack_header, read_named_tensors,
                        write_named_tensors)
-from .numerics import LinearLayer, Rng, gelu_grad, normal_cdf, softmax
+from .numerics import Rng, gelu_grad, normal_cdf, softmax
 from .tempo_tokens import (MapperParams, PoolingParams, build_condition,
                            condition_backward, condition_values, map_audio,
                            mapper_backward, mapper_forward, pool_backward,
@@ -448,11 +448,18 @@ def train(items, config, mapper, pooling, denoiser, schedule):
     """Plain SGD on mapper+pooling only, with the global gradient norm
     clipped to MAX_GRAD_NORM; returns the per-step loss list.
 
-    Deterministic given config.seed. Raises NumericError (with the step
-    index) if the loss or the gradient leaves the finite range.
+    Deterministic given config.seed. Raises ValidationError before the
+    first step if any clip is shorter than config.frames_per_video, and
+    NumericError (with the step index) if the loss or the gradient
+    leaves the finite range.
     """
     if not items:
         raise ValidationError("empty training set")
+    for item in items:
+        total_frames = item.latents.shape[0]
+        if total_frames < config.frames_per_video:
+            raise ValidationError(f"clip has {total_frames} frames, need "
+                                  f"{config.frames_per_video}")
     rng = Rng(config.seed).derive(_KEY_TRAIN)
     trainable = mapper.arrays() + pooling.arrays()
     history = []
@@ -462,13 +469,8 @@ def train(items, config, mapper, pooling, denoiser, schedule):
         batch = []
         for j in picks:
             item = items[int(j)]
-            total_frames = item.latents.shape[0]
-            if total_frames < config.frames_per_video:
-                raise ValidationError(
-                    f"clip has {total_frames} frames, need "
-                    f"{config.frames_per_video}")
-            start = int(rng.integers(0,
-                                     total_frames - config.frames_per_video + 1))
+            start = int(rng.integers(
+                0, item.latents.shape[0] - config.frames_per_video + 1))
             stop = start + config.frames_per_video
             batch.append((item.latents[start:stop],
                           item.embeddings[start:stop]))
@@ -659,9 +661,9 @@ def load_checkpoint(path):
         meta_dims = _meta_dims(records["meta.dims"])
         betas = records["schedule.betas"]
 
-        layers = [LinearLayer(records[f"mapper.{i}.weight"],
-                              records[f"mapper.{i}.bias"]) for i in range(4)]
-        mapper = MapperParams(layers)
+        mapper = MapperParams([(records[f"mapper.{i}.weight"],
+                                records[f"mapper.{i}.bias"])
+                               for i in range(4)])
         pooling = _params_from_records(PoolingParams, "pooling", records)
         denoiser = _params_from_records(DenoiserParams, "denoiser", records,
                                         time_dim=meta_dims["time_dim"])
@@ -673,7 +675,7 @@ def load_checkpoint(path):
     schedule = NoiseSchedule(betas)
     dims = ModelDims(
         **meta_dims,
-        mapper_hidden=tuple(l.out_dim for l in layers[:3]),
+        mapper_hidden=tuple(bias.size for _, bias in mapper.layers[:3]),
         pool_hidden=pooling.local_score.size,
         pool_cross=pooling.cross_left.shape[0],
         latent_dim=codec.latent_dim,

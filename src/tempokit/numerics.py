@@ -1,16 +1,16 @@
 """Small dense-math kernel shared by the learning modules.
 
-Everything here operates on plain float64 numpy arrays. Training stays
-in 64-bit precision throughout; 32-bit only appears at the file-format
-boundary (see tempokit.media_io).
+Everything here operates on plain float64 numpy arrays; there is no
+layer type (the mapper, pooling and denoiser keep plain weight arrays on
+their parameter dataclasses). Training stays in 64-bit precision
+throughout; 32-bit only appears at the file-format boundary (see
+tempokit.media_io).
 
 scipy.special, which supplies the normal CDF, is imported by
 normal_cdf on first use, not with this module: it is most of tempokit's
 import time and about 25 MB of memory, and only the commands that run
 the adapter or the denoiser (train-toy, generate, tokens) need it.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,49 +54,6 @@ class Rng:
 
     def integers(self, low, high, size=None):
         return self._gen.integers(low, high, size)
-
-
-@dataclass
-class LinearLayer:
-    """Dense affine map y = W x + b applied along the last axis."""
-
-    weight: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray    # (out_dim,)
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
-            raise ShapeError("weight must be 2-d and bias 1-d")
-        if self.weight.shape[0] != self.bias.shape[0]:
-            raise ShapeError(
-                f"bias length {self.bias.shape[0]} does not match "
-                f"weight rows {self.weight.shape[0]}"
-            )
-
-    @property
-    def in_dim(self):
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self):
-        return self.weight.shape[0]
-
-
-def linear_init(rng, out_dim, in_dim, scale=None):
-    """He-style initialization; bias starts at zero."""
-    if scale is None:
-        scale = np.sqrt(2.0 / in_dim)
-    return LinearLayer(rng.normal((out_dim, in_dim), scale), np.zeros(out_dim))
-
-
-def linear_forward(x, layer):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != layer.in_dim:
-        raise ShapeError(
-            f"input last dim {x.shape[-1]} != layer in_dim {layer.in_dim}"
-        )
-    return x @ layer.weight.T + layer.bias
 
 
 def normal_cdf(x):

@@ -42,9 +42,6 @@ class PeakSet:
     def __iter__(self):
         return iter(self.indices)
 
-    def __contains__(self, idx):
-        return int(idx) in self.indices
-
     def __eq__(self, other):
         if isinstance(other, PeakSet):
             return self.indices == other.indices

@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .media_io import AudioEmbeddings, ConditionFile
-from .numerics import (gelu_grad, linear_forward, linear_init, normal_cdf,
-                       softmax)
+from .numerics import gelu_grad, normal_cdf, softmax
 
 COSINE_NORM_FLOOR = 1e-12
 
@@ -45,42 +44,49 @@ def _t(x):
 
 @dataclass
 class MapperParams:
-    """Four stacked affine layers with GELU between them (shared across
-    segments)."""
+    """Four affine layers with GELU between them, shared across
+    segments. layers[i] is layer i's (weight, bias) pair of float64
+    arrays, shaped (out, in) and (out,), stored as the records
+    mapper.<i>.weight and mapper.<i>.bias; the layer computes
+    x @ weight.T + bias."""
 
     layers: list
 
     def __post_init__(self):
         if len(self.layers) != 4:
             raise ValidationError("the mapper uses exactly 4 linear layers")
-        for prev, cur in zip(self.layers, self.layers[1:]):
-            if prev.out_dim != cur.in_dim:
+        self.layers = [(np.asarray(weight, dtype=np.float64),
+                        np.asarray(bias, dtype=np.float64))
+                       for weight, bias in self.layers]
+        for i, (weight, bias) in enumerate(self.layers):
+            if weight.ndim != 2 or bias.shape != weight.shape[:1]:
+                raise ShapeError("each mapper weight must be 2-d, with a "
+                                 "bias of its row count")
+            if i and weight.shape[1] != self.layers[i - 1][0].shape[0]:
                 raise ShapeError("consecutive layer dimensions do not chain")
 
     @property
     def in_dim(self):
-        return self.layers[0].in_dim
+        return self.layers[0][0].shape[1]
 
     @property
     def out_dim(self):
-        return self.layers[-1].out_dim
+        return self.layers[-1][0].shape[0]
 
     def arrays(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.append((f"mapper.{i}.weight", layer.weight))
-            out.append((f"mapper.{i}.bias", layer.bias))
-        return out
+        return [(f"mapper.{i}.{name}", arr)
+                for i, layer in enumerate(self.layers)
+                for name, arr in zip(("weight", "bias"), layer)]
 
 
 def create_mapper(in_dim, out_dim, hidden, rng, out_gain=1.0):
-    """He-initialized 4-layer mapper. out_gain scales the final layer's
-    init so fresh tokens start with proportionally more energy."""
+    """He-initialized 4-layer mapper, zero biases. out_gain scales the
+    final layer's init so fresh tokens start with more energy."""
     dims = [in_dim, *hidden, out_dim]
-    layers = [linear_init(rng, dims[i + 1], dims[i]) for i in range(3)]
-    layers.append(linear_init(rng, dims[4], dims[3],
-                              out_gain * np.sqrt(2.0 / dims[3])))
-    return MapperParams(layers)
+    gains = [1.0, 1.0, 1.0, out_gain]
+    return MapperParams([
+        (rng.normal((dims[i + 1], dims[i]), gains[i] * np.sqrt(2.0 / dims[i])),
+         np.zeros(dims[i + 1])) for i in range(4)])
 
 
 @dataclass
@@ -102,12 +108,9 @@ class PoolingParams:
     alpha_cross: np.ndarray = field(default_factory=lambda: np.array(1.0))
 
     def __post_init__(self):
-        self.local_proj = np.asarray(self.local_proj, dtype=np.float64)
-        self.local_score = np.asarray(self.local_score, dtype=np.float64)
-        self.cross_left = np.asarray(self.cross_left, dtype=np.float64)
-        self.cross_right = np.asarray(self.cross_right, dtype=np.float64)
-        self.alpha_local = np.asarray(self.alpha_local, dtype=np.float64)
-        self.alpha_cross = np.asarray(self.alpha_cross, dtype=np.float64)
+        for f in fields(self):
+            setattr(self, f.name,
+                    np.asarray(getattr(self, f.name), dtype=np.float64))
         if (self.local_proj.ndim, self.local_score.ndim, self.cross_left.ndim,
                 self.alpha_local.ndim, self.alpha_cross.ndim) != (2, 1, 2, 0, 0):
             raise ShapeError("pooling needs 2-d projections, a 1-d "
@@ -151,12 +154,15 @@ def create_pooling(token_dim, hidden, cross_dim, rng):
 def mapper_forward(flat_in, params):
     """Run the segment MLP on (L, in_dim) or (B, L, in_dim); returns
     output and a cache for mapper_backward."""
-    activations = [np.asarray(flat_in, dtype=np.float64)]
+    x = np.asarray(flat_in, dtype=np.float64)
+    if x.shape[-1] != params.in_dim:
+        raise ShapeError(f"input last dim {x.shape[-1]} != mapper in_dim "
+                         f"{params.in_dim}")
+    activations = [x]
     pre_acts = []
     cdfs = []  # Phi(pre) of each GELU layer, reused by the backward
-    x = activations[0]
-    for i, layer in enumerate(params.layers):
-        pre = linear_forward(x, layer)
+    for i, (weight, bias) in enumerate(params.layers):
+        pre = x @ weight.T + bias
         pre_acts.append(pre)
         if i < 3:
             cdfs.append(normal_cdf(pre))
@@ -178,7 +184,7 @@ def mapper_backward(d_out, cache, params):
             delta = delta * gelu_grad(pre_acts[i], cdfs[i])
         grads[f"mapper.{i}.weight"] = _t(delta) @ activations[i]
         grads[f"mapper.{i}.bias"] = delta.sum(axis=-2)
-        delta = delta @ params.layers[i].weight
+        delta = delta @ params.layers[i][0]
     return delta, grads
 
 

@@ -139,6 +139,10 @@ RESCORE_JSON = {"clips": [
      "audio_peaks": 6, "video_peaks": 6, "union_size": 11, "vacuous": False},
 ], "mean_score": 0.8863636363636364}
 
+# stderr for each rescore_batch line that scores short.wav
+SHORT_WARNING = ("warning: durations differ by 1.900s; truncating to the "
+                 "shorter stream\n")
+
 
 class TestBatchSolvesEachVideoOnce:
     @pytest.mark.parametrize("flags, expected", [
@@ -149,12 +153,11 @@ class TestBatchSolvesEachVideoOnce:
                               monkeypatch, capsys):
         lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        with pytest.warns(UserWarning, match="durations differ"):
-            assert main(["av-align", "--batch"] + flags) == 0
-        assert capsys.readouterr().out == expected
+        assert main(["av-align", "--batch"] + flags) == 0
+        assert capsys.readouterr() == (expected, SHORT_WARNING)
 
     def test_one_solve_per_distinct_video(self, corpus_dir, tmp_path,
-                                          monkeypatch):
+                                          monkeypatch, capsys):
         # calls counted in a helper process would not reach this list; the
         # claims across processes are covered by TestFlowPlan and
         # TestParallelFlow
@@ -170,8 +173,8 @@ class TestBatchSolvesEachVideoOnce:
 
         monkeypatch.setattr(motion_analysis, "motion_curve", counting_curve)
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        with pytest.warns(UserWarning, match="durations differ"):
-            assert main(["av-align", "--batch"]) == 0
+        assert main(["av-align", "--batch"]) == 0
+        assert capsys.readouterr().err == SHORT_WARNING
         # the solved pairs of each video, each in one call, in order
         for i in range(2):
             frames = read_video(f"clip_{i:04d}.rvid").frames
@@ -191,9 +194,8 @@ class TestBatchSolvesEachVideoOnce:
                             lambda path: reads.append(path) or read_video(
                                 path))
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
-        with pytest.warns(UserWarning, match="durations differ"):
-            assert main(["av-align", "--batch"]) == 0
-        assert capsys.readouterr().out == RESCORE_TEXT
+        assert main(["av-align", "--batch"]) == 0
+        assert capsys.readouterr() == (RESCORE_TEXT, SHORT_WARNING)
         # the line checks, then the one flow range of each video
         assert reads == ["clip_0000.rvid", "clip_0001.rvid"] * 2
 
@@ -287,12 +289,12 @@ class TestChecksBeforeFlow:
         monkeypatch.setattr("sys.stdin", io.StringIO(
             f"{corpus_dir / 'clip_0000.rvid'} {wav}\n"
             f"{tmp_path / 'three_s.rvid'} {wav}\n"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["av-align", "--batch", "--onset-win", "50000"]) == 2
+        assert main(["av-align", "--batch", "--onset-win", "50000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {wav} has 48000 samples to score, "
+        assert captured.err == (f"warning: durations differ by 1.000s; "
+                                f"truncating to the shorter stream\n"
+                                f"error: {wav} has 48000 samples to score, "
                                 f"fewer than --onset-win 50000\n")
         assert solved == []
 
@@ -300,13 +302,28 @@ class TestChecksBeforeFlow:
                                             monkeypatch, capsys):
         lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
         monkeypatch.setattr("sys.stdin", io.StringIO(lines + lines))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["av-align", "--batch", "--flow-iterations",
-                         "10"]) == 0
-        truncations = [w for w in caught
-                       if "durations differ" in str(w.message)]
-        assert len(truncations) == 2  # short.wav is on 2 of 8 lines
+        assert main(["av-align", "--batch", "--flow-iterations", "10"]) == 0
+        # short.wav is on 2 of 8 lines
+        assert capsys.readouterr().err == 2 * SHORT_WARNING
+
+    def test_identical_truncated_lines_print_one_warning_line_each(
+            self, corpus_dir, tmp_path, monkeypatch):
+        """Python's default filter shows a repeated warning once, in its
+        own format; each line prints its own warning: line instead. A
+        fresh interpreter, so that Python's own filters apply."""
+        rescore_batch(corpus_dir, tmp_path, monkeypatch)
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "tempokit.cli", "av-align", "--batch",
+             "--flow-iterations", "10"],
+            input="clip_0000.rvid short.wav\n" * 2, env=env, cwd=tmp_path,
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0
+        assert done.stderr == 2 * SHORT_WARNING
+        assert "UserWarning" not in done.stderr
+        assert "cli.py" not in done.stderr
 
     def test_truncation_policy_runs_once_per_line(self, corpus_dir,
                                                   tmp_path, monkeypatch):
@@ -316,9 +333,7 @@ class TestChecksBeforeFlow:
         monkeypatch.setattr(av_align, "_reconcile_durations",
                             lambda *args: calls.append(args[0])
                             or reconcile(*args))
-        with pytest.warns(UserWarning, match="durations differ"):
-            assert main(["av-align", "--batch", "--flow-iterations",
-                         "10"]) == 0
+        assert main(["av-align", "--batch", "--flow-iterations", "10"]) == 0
         assert len(calls) == 8
 
     @pytest.mark.parametrize("which", ["--video", "--audio"])
@@ -1007,6 +1022,29 @@ class TestTrainAndGenerate:
             ckpts.append(path.read_bytes())
         assert ckpts[0] == ckpts[1]
 
+    def test_short_clip_is_refused_before_the_first_step(self, tmp_path,
+                                                         capsys):
+        """One 1.5-s clip (36 frames) among 7 of 4 s: every seed refuses
+        the corpus, whether or not its first batch draws the clip."""
+        for name, flags in (("long", ["--clips", "7"]),
+                            ("short", ["--clips", "1", "--duration", "1.5",
+                                       "--events", "2"])):
+            assert main(["gen-synth", "--out", str(tmp_path / name),
+                         "--seed", "3", *flags]) == 0
+        manifest = tmp_path / "long" / "manifest.txt"
+        with manifest.open("a", encoding="ascii") as fh:
+            fh.write(" ".join(f"../short/{name}" for name in (
+                tmp_path / "short" / "manifest.txt").read_text().split())
+                + "\n")
+        capsys.readouterr()
+        for seed in range(8):
+            assert main(["train-toy", "--corpus", str(manifest), "--frames",
+                         "40", "--steps", "1", "--ckpt",
+                         str(tmp_path / "x.ckpt"), "--seed", str(seed)]) == 2
+            assert capsys.readouterr() == (
+                "", "error: clip has 36 frames, need 40\n")
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_loss_log_written(self, corpus_dir, tmp_path):
         log = tmp_path / "loss.txt"
         main(["train-toy", "--corpus", str(corpus_dir), "--steps", "4",
@@ -1372,6 +1410,21 @@ def desk_checkpoint(corpus_dir, tmp_path_factory):
     assert main(["train-toy", "--corpus", str(corpus_dir), "--steps", "2",
                  "--ckpt", str(ckpt), "--seed", "1"]) == 0
     return read_named_tensors(ckpt)
+
+
+def test_desk_checkpoint_records_in_file_order(desk_checkpoint):
+    assert list(desk_checkpoint) == [
+        "mapper.0.weight", "mapper.0.bias", "mapper.1.weight",
+        "mapper.1.bias", "mapper.2.weight", "mapper.2.bias",
+        "mapper.3.weight", "mapper.3.bias",
+        "pooling.local_proj", "pooling.local_score", "pooling.cross_left",
+        "pooling.cross_right", "pooling.alpha_local", "pooling.alpha_cross",
+        "denoiser.query_proj", "denoiser.query_bias", "denoiser.key_proj",
+        "denoiser.key_bias", "denoiser.value_proj", "denoiser.value_bias",
+        "denoiser.mlp1", "denoiser.mlp1_bias", "denoiser.mlp2",
+        "denoiser.mlp2_bias", "denoiser.out", "denoiser.out_bias",
+        "denoiser.summary_skip", "codec.encoder", "schedule.betas",
+        "meta.dims"]
 
 
 def generate_from(records, corpus_dir, tmp_path, capsys):

@@ -243,8 +243,8 @@ class TestTotalLoss:
 
     def test_zero_tokens_have_zero_regularization(self):
         comp = dt.build_components(TINY, seed=9)
-        for layer in comp.mapper.layers:
-            layer.bias[:] = 0.0
+        for _, bias in comp.mapper.layers:
+            bias[:] = 0.0
         batch = [(Rng(47).normal((3, TINY.latent_dim)),
                   np.zeros((3, TINY.embed_layers, TINY.embed_dim)))]
         with_reg, _ = batch_loss(batch, comp, 5.0, Rng(53))

@@ -3,49 +3,7 @@ import pytest
 
 from oracles import gelu, grad_check
 from tempokit.errors import NumericError, ShapeError, ValidationError
-from tempokit.numerics import (LinearLayer, Rng, gelu_grad, linear_forward,
-                               normal_cdf, softmax)
-
-
-class TestLinearForward:
-    def test_identity_matrix_passes_input_through(self):
-        layer = LinearLayer(np.eye(2), np.zeros(2))
-        np.testing.assert_array_equal(
-            linear_forward(np.array([3.0, -1.0]), layer), [3.0, -1.0])
-
-    def test_zero_input_returns_bias(self):
-        layer = LinearLayer(np.array([[5.0, -2.0], [0.5, 9.0]]),
-                            np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(
-            linear_forward(np.zeros(2), layer), [1.0, 2.0])
-
-    def test_hand_computed_matrix_vector(self):
-        # W @ (1, 1) = (1+2, 3+4)
-        layer = LinearLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
-        np.testing.assert_array_equal(
-            linear_forward(np.array([1.0, 1.0]), layer), [3.0, 7.0])
-
-    def test_batched_last_axis(self):
-        layer = LinearLayer(np.array([[2.0, 0.0], [0.0, 3.0]]), np.zeros(2))
-        x = np.arange(12.0).reshape(2, 3, 2)
-        out = linear_forward(x, layer)
-        assert out.shape == (2, 3, 2)
-        np.testing.assert_allclose(out[..., 0], 2.0 * x[..., 0])
-
-    def test_dimension_mismatch_raises(self):
-        layer = LinearLayer(np.eye(3), np.zeros(3))
-        with pytest.raises(ShapeError):
-            linear_forward(np.zeros(2), layer)
-
-    def test_linearity_without_bias(self):
-        rng = np.random.default_rng(7)
-        layer = LinearLayer(rng.normal(size=(4, 6)), np.zeros(4))
-        for _ in range(20):
-            x, y = rng.normal(size=6), rng.normal(size=6)
-            a, b = rng.normal(), rng.normal()
-            lhs = linear_forward(a * x + b * y, layer)
-            rhs = a * linear_forward(x, layer) + b * linear_forward(y, layer)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+from tempokit.numerics import Rng, gelu_grad, normal_cdf, softmax
 
 
 class TestGelu:

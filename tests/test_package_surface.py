@@ -1,4 +1,5 @@
-"""Every top-level name of src/tempokit is one the package runs.
+"""Every top-level name of src/tempokit is one the package runs, and
+every name a module imports is one it reads.
 
 A module-level def, class or assignment that no other code in the
 package names is run only by tests (it belongs in tests/oracles.py) or
@@ -76,3 +77,27 @@ def test_the_format_halves_are_still_defined_and_unused():
     # an exception that the package starts to use, or drops, goes from
     # the list
     assert FORMAT_HALVES <= {name for _, name in unused_names()}
+
+
+def imported_names(tree):
+    """The names the import statements of a module bind, at any depth:
+    `import a.b` binds a."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # __init__.py imports to re-export, which __all__ lists
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread += [(path.name, name) for name in imported_names(tree)
+                   if name not in read]
+    assert unread == []

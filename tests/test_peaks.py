@@ -87,3 +87,10 @@ def test_pick_peaks_matches_the_loop(threshold_k, smoothing):
         with np.errstate(invalid="ignore"):
             assert (pick_peaks(curve, params)
                     == loop_pick_peaks(curve, params)), curve.tolist()
+
+
+def test_peak_set_membership_is_exact():
+    peaks = PeakSet([2, 5])
+    assert 2 in peaks and 2.0 in peaks and np.int64(5) in peaks
+    assert 2.5 not in peaks
+    assert "x" not in peaks

@@ -32,8 +32,8 @@ def scalar_tokens(values):
 class TestMapAudio:
     def test_zero_embeddings_zero_bias_gives_zero_tokens(self):
         mapper = small_mapper()
-        for layer in mapper.layers:
-            layer.bias[:] = 0.0
+        for _, bias in mapper.layers:
+            bias[:] = 0.0
         emb = AudioEmbeddings(np.zeros((5, 2, 3)))
         np.testing.assert_array_equal(map_audio(emb, mapper).values, 0.0)
 
@@ -53,8 +53,8 @@ class TestMapAudio:
         rng = np.random.default_rng(0)
         emb = AudioEmbeddings(rng.normal(size=(1, 2, 3)))
         x = emb.values.reshape(1, 6)
-        for i, layer in enumerate(mapper.layers):
-            x = x @ layer.weight.T + layer.bias
+        for i, (weight, bias) in enumerate(mapper.layers):
+            x = x @ weight.T + bias
             if i < 3:
                 x = gelu(x)
         got = map_audio(emb, mapper).values.reshape(1, 4)
@@ -76,6 +76,29 @@ class TestMapAudio:
     def test_mapper_requires_four_layers(self):
         with pytest.raises(ValidationError):
             MapperParams(small_mapper().layers[:3])
+
+    @pytest.mark.parametrize("index, layer", [
+        (0, (np.zeros(5), np.zeros(5))),
+        (0, (np.zeros((5, 6)), np.zeros(4))),
+        (0, (np.zeros((5, 6)), np.zeros((5, 1)))),
+        (1, (np.zeros((4, 6)), np.zeros(4))),
+    ], ids=["1-d weight", "short bias", "2-d bias", "no chain"])
+    def test_mapper_layers_must_fit(self, index, layer):
+        layers = small_mapper().layers
+        layers[index] = layer
+        with pytest.raises(ShapeError):
+            MapperParams(layers)
+
+    def test_layers_are_float64_pairs(self):
+        mapper = MapperParams([(np.ones((5, 6), np.float32), [0] * 5),
+                               *small_mapper().layers[1:]])
+        assert all(weight.dtype == bias.dtype == np.float64
+                   for weight, bias in mapper.layers)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5), (3, 2, 7)])
+    def test_forward_rejects_an_input_of_the_wrong_width(self, shape):
+        with pytest.raises(ShapeError, match="in_dim 6"):
+            mapper_forward(np.zeros(shape), small_mapper())
 
 
 class TestWindows:
