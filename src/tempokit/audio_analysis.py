@@ -9,6 +9,7 @@ rule.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .media_io import AudioEmbeddings
@@ -26,10 +27,8 @@ def stft_magnitude(signal, win, hop):
         raise ValidationError(
             f"signal has {samples.size} samples, shorter than win={win}")
     n_cols = (samples.size - win) // hop + 1
-    window = np.hanning(win)
-    starts = hop * np.arange(n_cols)
-    frames = samples[starts[:, None] + np.arange(win)[None, :]]
-    return np.abs(np.fft.rfft(frames * window, axis=1))
+    frames = sliding_window_view(samples, win)[::hop][:n_cols]
+    return np.abs(np.fft.rfft(frames * np.hanning(win), axis=1))
 
 
 def spectral_flux(mag):

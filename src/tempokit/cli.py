@@ -9,9 +9,11 @@ Subcommands:
 
 av-align checks every pair (files, frame shapes, durations) before it
 solves any flow; the check decides the frames and samples each pair is
-scored on. Every input is read twice, so it must be a regular file or
-a PPM directory. av-align then cuts the optical flow of the distinct
-videos into jobs of motion_curve's own chunks, which one process per
+scored on. Every input is read at least twice, so it must be a regular
+file or a PPM directory: the check reads a video a piece of frames at a
+time, and each flow job reads again only the frames of its pairs, so no
+process holds a whole video. av-align then cuts the optical flow of the
+distinct videos into jobs of motion_curve's own chunks, which one process per
 core in its affinity mask (see worker_count; taskset restricts it)
 claims from one shared counter, so a process that finishes early takes
 the next job. The command's own process detects the audio onsets while
@@ -122,8 +124,8 @@ class CheckedVideo(NamedTuple):
     and pair sources, from which flow_jobs are made, one CRC-32 per frame
     (motion_analysis.frame_hashes), and the frame_count and fps that
     av_align_from_media reads when it is given the motion curve. No
-    frame is kept; a flow job refuses a file that no longer has these
-    sizes, or whose frames that the job uses no longer have these CRCs."""
+    frame is kept; a flow job refuses a file whose frames that the job
+    uses no longer have these sizes and CRCs."""
     frame_count: int
     fps: float
     height: int
@@ -132,10 +134,30 @@ class CheckedVideo(NamedTuple):
     crcs: list
 
     @classmethod
-    def of(cls, video):
-        crcs = motion_analysis.frame_hashes(video.frames)
-        return cls(video.frame_count, video.fps, *video.frames.shape[1:3],
-                   motion_analysis.pair_sources(video.frames, crcs), crcs)
+    def read(cls, path):
+        """Check the video at path, reading its frames in pieces of at
+        most media_io.READ_PIECE bytes (one frame, if it is larger). A
+        frame whose CRC-32 matches an earlier frame's is compared with it
+        byte for byte: in the piece held, or read back by index."""
+        count, height, width, fps_num, fps_den = media_io.read_video_header(
+            path)
+        motion_analysis.check_video((count, height, width))
+        step = max(1, media_io.READ_PIECE // (height * width * 3))
+        held = []  # the first index and the frames of the piece held
+
+        def frames():
+            for start in range(0, count, step):
+                held[:] = start, media_io.read_video(
+                    path, range(start, min(start + step, count))).frames
+                yield from held[1]
+
+        def frame(j):
+            start, piece = held
+            return (piece[j - start] if j >= start
+                    else media_io.read_video(path, [j]).frames[0])
+
+        sources, crcs = motion_analysis.pair_sources(frames(), frame)
+        return cls(count, fps_num / fps_den, height, width, sources, crcs)
 
 
 def flow_jobs(videos):
@@ -160,26 +182,29 @@ def _claims(counter, total):
 
 def _solve_jobs(jobs, claimed, videos, flow):
     """{index: values} for the claimed indices into jobs, (path, pairs)
-    of the videos (path -> CheckedVideo). Each video is read when a job
-    first needs it, after the last one is freed, and refused if it
-    changed since it was checked."""
-    solved, path, video = {}, None, None
+    of the videos (path -> CheckedVideo). A job reads only the frames
+    its pairs use, and refuses a video that no longer has them, or whose
+    frames changed size or CRC-32 since it was checked."""
+    solved = {}
     for index in claimed:
-        job_path, ks = jobs[index]
-        checked = videos[job_path]
-        if job_path != path:
-            video = None  # free the last video before reading the next
-            path, video = job_path, media_io.read_video(job_path)
+        path, ks = jobs[index]
+        checked = videos[path]
         used = sorted({*(ks - 1), *ks})
-        if (video.frames.shape[:3] != (checked.frame_count, checked.height,
-                                       checked.width)
-                or motion_analysis.frame_hashes(video.frames[used])
-                != [checked.crcs[i] for i in used]):
+        try:
+            video = media_io.read_video(path, used)
+            same = (video.frames.shape[1:3] == (checked.height, checked.width)
+                    and motion_analysis.frame_hashes(video.frames)
+                    == [checked.crcs[i] for i in used])
+        except FormatError:  # it passed its check, so it changed
+            same = False
+        if not same:
             raise FormatError(f"{path} changed since it was checked")
-        sources = np.zeros(checked.frame_count, dtype=np.intp)
-        sources[ks] = ks
+        # pair k of the video is pair at[k] of the frames read
+        at = np.searchsorted(used, ks)
+        sources = np.zeros(len(used), dtype=np.intp)
+        sources[at] = at
         solved[index] = motion_analysis.motion_curve(
-            video, flow, sources=sources)[ks]
+            video, flow, sources=sources)[at]
     return solved
 
 
@@ -281,9 +306,7 @@ def cmd_av_align(args):
                 raise FormatError(f"{path} is not a regular file or a "
                                   f"directory, and av-align reads it twice")
         if video_path not in videos:
-            video = media_io.read_video(video_path)
-            motion_analysis.check_video(video)
-            videos[video_path] = CheckedVideo.of(video)
+            videos[video_path] = CheckedVideo.read(video_path)
         video = videos[video_path]
         rate = fps if fps is not None else video.fps
         audio = media_io.read_wav(audio_path)

@@ -22,8 +22,14 @@ a UTF-8 manifest.txt whose first line is "fps <num> <den>" followed by
 one frame filename per line.
 
 Every fixed-layout payload is read by _read_exact into one buffer, so
-an RVID read holds the file plus at most one READ_PIECE, and its frames
-are that buffer; a tensor file also holds its float64 widening.
+a whole RVID read holds the file plus at most one READ_PIECE, and its
+frames are that buffer; a tensor file also holds its float64 widening.
+read_video(path, frames) reads only the listed frames: an RVID frame
+sits at a fixed offset after the header, so once the file's size is
+checked against its header, each run of consecutive frames is one read
+into a buffer of just those frames, and a PPM directory reads only
+their files (and its first frame, whose size all must have). Such a
+read holds its frames plus at most one READ_PIECE.
 
 A binary writer encodes its whole file, headers by pack_header (the one
 u32 rule: whole numbers below 2^32) and floats by encode_float32, before
@@ -35,6 +41,7 @@ import os
 import re
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -317,19 +324,101 @@ def write_video(video, path):
     _write(path, [header, np.ascontiguousarray(video.frames)])
 
 
-def read_video(path):
-    """Read an RVID file, or a PPM frame directory with a manifest."""
+class VideoHeader(NamedTuple):
+    """The sizes and frame rate of a video, as read_video_header finds
+    them."""
+    frame_count: int
+    height: int
+    width: int
+    fps_num: int
+    fps_den: int
+
+
+def _read_rvid_header(fh, sized):
+    """The VideoHeader of the RVID file fh. sized: also check that the
+    file holds exactly its frames, by its size, so that each frame can
+    be read at its offset."""
+    width, height, count, fps_num, fps_den = _read_header(fh, b"RVID", 5)
+    if min(width, height, count, fps_num, fps_den) < 1:
+        raise FormatError("RVID header fields must be positive")
+    if sized:
+        have = os.fstat(fh.fileno()).st_size - fh.tell()
+        need = count * height * width * 3
+        if have < need:
+            raise FormatError(
+                f"truncated file: RVID frames has {have} of {need} bytes")
+        if have > need:
+            raise FormatError("trailing bytes after RVID frames")
+    return VideoHeader(count, height, width, fps_num, fps_den)
+
+
+def _frame_indices(frames, count):
+    """frames as a list of ints, each one refused unless it is a frame
+    of a video of count frames."""
+    frames = [int(i) for i in frames]
+    for i in frames:
+        if not 0 <= i < count:
+            raise FormatError(f"no frame {i} in a video of {count} frames")
+    return frames
+
+
+def _read_rvid_frames(fh, header, frames):
+    """The listed frames of the sized RVID file fh, just past its
+    header, each run of consecutive indices in one read into a buffer
+    that holds the frames and nothing more."""
+    frames = _frame_indices(frames, header.frame_count)
+    shape = (header.height, header.width, 3)
+    frame_bytes = math.prod(shape)
+    runs = []  # [first, stop) of each run of consecutive indices
+    for i in frames:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] += 1
+        else:
+            runs.append([i, i + 1])
+    offset, buf, at = fh.tell(), bytearray(len(frames) * frame_bytes), 0
+    with memoryview(buf) as view:
+        for first, stop in runs:
+            need = (stop - first) * frame_bytes
+            fh.seek(offset + first * frame_bytes)
+            have = fh.readinto(view[at:at + need])
+            if have != need:  # cut short since its size was checked
+                raise FormatError(f"truncated file: RVID frames has "
+                                  f"{have} of {need} bytes")
+            at += need
+    return np.frombuffer(buf, np.uint8).reshape(len(frames), *shape)
+
+
+def read_video_header(path):
+    """The VideoHeader of an RVID file or a PPM frame directory (whose
+    first frame sets its size), checked as read_video(path, frames)
+    checks it."""
     if os.path.isdir(path):
-        return _read_video_ppm_dir(path)
+        fps_num, fps_den, names = _read_manifest(path)
+        height, width, _ = _read_ppm(os.path.join(path, names[0])).shape
+        return VideoHeader(len(names), height, width, fps_num, fps_den)
     with open(path, "rb") as fh:
-        width, height, frame_count, fps_num, fps_den = _read_header(
-            fh, b"RVID", 5)
-        if min(width, height, frame_count, fps_num, fps_den) < 1:
-            raise FormatError("RVID header fields must be positive")
-        frames = _read_array(fh, np.uint8, (frame_count, height, width, 3),
-                             "RVID frames")
-        _check_end(fh, "RVID frames")
-    return Video(frames, fps_num, fps_den)
+        return _read_rvid_header(fh, sized=True)
+
+
+def read_video(path, frames=None):
+    """Read an RVID file, or a PPM frame directory with a manifest.
+
+    frames, if given, lists the indices of the only frames to read, in
+    the order the Video holds them. An RVID file's size must then match
+    its header before any frame is read; a PPM directory's listed frames
+    must have its first frame's size."""
+    if os.path.isdir(path):
+        return _read_video_ppm_dir(path, frames)
+    with open(path, "rb") as fh:
+        header = _read_rvid_header(fh, sized=frames is not None)
+        if frames is None:
+            pixels = _read_array(fh, np.uint8, (header.frame_count,
+                                                header.height, header.width,
+                                                3), "RVID frames")
+            _check_end(fh, "RVID frames")
+        else:
+            pixels = _read_rvid_frames(fh, header, frames)
+    return Video(pixels, header.fps_num, header.fps_den)
 
 
 def _read_ppm(path):
@@ -351,7 +440,8 @@ def _read_ppm(path):
     return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3)
 
 
-def _read_video_ppm_dir(dirpath):
+def _read_manifest(dirpath):
+    """fps_num, fps_den and the frame file names of a PPM directory."""
     manifest = os.path.join(dirpath, "manifest.txt")
     if not os.path.exists(manifest):
         raise FormatError(f"{dirpath}: missing manifest.txt")
@@ -366,11 +456,20 @@ def _read_video_ppm_dir(dirpath):
     names = lines[1:]
     if not names:
         raise FormatError("manifest lists no frames")
-    frames = [_read_ppm(os.path.join(dirpath, name)) for name in names]
-    shapes = {f.shape for f in frames}
+    return fps_num, fps_den, names
+
+
+def _read_video_ppm_dir(dirpath, frames):
+    fps_num, fps_den, names = _read_manifest(dirpath)
+    picked = names if frames is None else [
+        names[i] for i in _frame_indices(frames, len(names))]
+    pixels = [_read_ppm(os.path.join(dirpath, name)) for name in picked]
+    shapes = {f.shape for f in pixels}
+    if frames is not None:  # every frame has the first one's size
+        shapes.add(_read_ppm(os.path.join(dirpath, names[0])).shape)
     if len(shapes) != 1:
         raise FormatError("PPM frames have inconsistent dimensions")
-    return Video(np.stack(frames), fps_num, fps_den)
+    return Video(np.stack(pixels), fps_num, fps_den)
 
 
 def write_video_ppm(video, dirpath):

@@ -186,12 +186,12 @@ def _check_grids(shape):
                          "or stacks of them")
 
 
-def check_video(video):
-    """Raise what motion_curve would raise on video's shape, without
-    solving any flow."""
-    if video.frame_count < 2:
+def check_video(shape):
+    """Raise what motion_curve would raise on a video of shape (frames,
+    height, width), without solving any flow."""
+    if shape[0] < 2:
         raise ValidationError("motion curve needs at least 2 frames")
-    _check_grids(video.frames.shape[:3])
+    _check_grids(shape)
 
 
 def optical_flow(frame1, frame2, params=None):
@@ -223,29 +223,32 @@ def frame_hashes(frames):
     return [_frame_hash(frame) for frame in frames]
 
 
-def pair_sources(frames, hashes=None):
+def pair_sources(frames, frame=None):
     """For each frame pair k (frames k-1 and k), the pair whose motion
     value it has: k if it is solved, the first j < k with the same two
     frames, byte for byte and in either order, and 0 for a still pair,
     whose flow, solved from zero, is exactly +0.0 everywhere, like index
-    0's. An int array of len(frames).
+    0's. Returns that int array of len(frames), and the frame_hashes.
 
-    Frames are matched on their frame_hashes (hashes, if the caller has
-    them), confirmed by comparing the bytes; a hash collision can only
-    miss a repeat."""
-    if hashes is None:
-        hashes = frame_hashes(frames)
+    frames is iterated once, in order, so it may yield a file's frames
+    a piece at a time. A frame is matched with the first earlier frame
+    of its hash, frame(j) (default frames[j]) read back by index, and
+    the match confirmed by comparing their bytes; a hash collision can
+    only miss a repeat."""
+    if frame is None:
+        frame = frames.__getitem__
     # the first frame with each hash; each frame's first byte-equal one
-    first, ids = {}, []
-    for i, (frame, key) in enumerate(zip(frames, hashes)):
-        j = first.setdefault(key, i)
-        ids.append(j if j == i or frames[j].tobytes() == frame.tobytes()
+    hashes, first, ids = [], {}, []
+    for i, current in enumerate(frames):
+        hashes.append(_frame_hash(current))
+        j = first.setdefault(hashes[-1], i)
+        ids.append(j if j == i or frame(j).tobytes() == current.tobytes()
                    else i)
-    src, seen = np.zeros(len(frames), dtype=np.intp), {}
-    for k in range(1, len(frames)):
+    src, seen = np.zeros(len(ids), dtype=np.intp), {}
+    for k in range(1, len(ids)):
         if ids[k - 1] != ids[k]:
             src[k] = seen.setdefault(frozenset(ids[k - 1:k + 1]), k)
-    return src
+    return src, hashes
 
 
 def flow_chunks(sources, height, width):
@@ -261,17 +264,17 @@ def flow_chunks(sources, height, width):
 def motion_curve(video, params=None, sources=None):
     """Mean flow magnitude per frame; index 0 has no predecessor and is 0.
 
-    sources (default pair_sources(video.frames)) gives each pair k the
+    sources (default pair_sources(video.frames)[0]) gives each pair k the
     pair sources[k] <= k whose value it takes. Only the pairs that map
     to themselves are solved, in flow_chunks with grays made per chunk;
     every other pair takes its source's value, which is an exact 0.0
     when the source is 0 or is not solved. So a caller may split the
     solved pairs of pair_sources over several calls, each solving its
     share, and join the pieces."""
-    check_video(video)
+    check_video(video.frames.shape[:3])
     n = video.frame_count
     if sources is None:
-        sources = pair_sources(video.frames)
+        sources = pair_sources(video.frames)[0]
     sources = np.asarray(sources)
     if sources.shape != (n,):
         raise ShapeError(f"pair sources of shape {sources.shape} for {n} "

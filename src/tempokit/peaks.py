@@ -45,7 +45,11 @@ class PeakSet:
     def __eq__(self, other):
         if isinstance(other, PeakSet):
             return self.indices == other.indices
-        return self.indices == tuple(other)
+        try:
+            other = tuple(other)
+        except TypeError:  # not iterable: let Python compare identities
+            return NotImplemented
+        return self.indices == other
 
     def __repr__(self):
         return f"PeakSet({list(self.indices)})"

@@ -158,3 +158,13 @@ def iou_av_align(audio_peaks, video_peaks, tolerance=1):
     matched = sum(1 for x in a if any(abs(x - y) <= tolerance for y in v))
     size = len(a) + len(v) - matched
     return matched / size if size else 1.0
+
+
+def gathered_stft_magnitude(signal, win, hop):
+    """stft_magnitude with each column's samples gathered by an index
+    matrix, (columns, win) starts plus offsets, into a copy."""
+    samples = signal.samples
+    n_cols = (samples.size - win) // hop + 1
+    starts = hop * np.arange(n_cols)
+    frames = samples[starts[:, None] + np.arange(win)[None, :]]
+    return np.abs(np.fft.rfft(frames * np.hanning(win), axis=1))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import gathered_stft_magnitude
 from tempokit.audio_analysis import (detect_onsets, spectral_flux,
                                      stft_magnitude, toy_audio_features)
 from tempokit.errors import ValidationError
@@ -26,6 +27,16 @@ def click_signal(times_s, duration_s=4.0, sr=SR, freq=2000.0, decay=0.008,
 
 
 class TestStft:
+    @settings(max_examples=100)
+    @given(size=st.integers(1, 3000), win=st.integers(1, 600),
+           hop=st.integers(1, 700), seed=st.integers(0, 2 ** 32 - 1))
+    def test_strided_columns_are_the_gathered_ones(self, size, win, hop,
+                                                   seed):
+        signal = AudioSignal(np.random.default_rng(seed).uniform(
+            -1, 1, size + win - 1), SR)
+        assert stft_magnitude(signal, win, hop).tobytes() == \
+            gathered_stft_magnitude(signal, win, hop).tobytes()
+
     def test_silence_gives_zero_magnitudes(self):
         spec = stft_magnitude(AudioSignal(np.zeros(SR), SR), 1024, 512)
         assert spec.shape[1] == 513

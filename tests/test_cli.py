@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import functools
 import inspect
 import io
 import json
@@ -11,6 +12,7 @@ import signal
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import types
@@ -20,7 +22,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from oracles import reference_curve
 from tempokit import (audio_analysis, av_align, cli, diffusion_toy,
@@ -167,23 +170,21 @@ class TestBatchSolvesEachVideoOnce:
         curve = motion_analysis.motion_curve
 
         def counting_curve(video, params=None, sources=None):
-            solved.append((zlib.crc32(video.frames),
-                           solved_pairs(sources).tolist()))
+            solved.append(pair_keys(video.frames, solved_pairs(sources)))
             return curve(video, params, sources)
 
         monkeypatch.setattr(motion_analysis, "motion_curve", counting_curve)
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
         assert main(["av-align", "--batch"]) == 0
         assert capsys.readouterr().err == SHORT_WARNING
-        # the solved pairs of each video, each in one call, in order
+        # the solved pairs of the videos, each in one call, in order
+        keys = []
         for i in range(2):
             frames = read_video(f"clip_{i:04d}.rvid").frames
-            pairs = [k for crc, ks in solved if crc == zlib.crc32(frames)
-                     for k in ks]
-            assert pairs == solved_pairs(
-                motion_analysis.pair_sources(frames)).tolist()
-        assert sum(len(ks) for _, ks in solved) == len(
-            {(crc, k) for crc, ks in solved for k in ks})
+            keys += pair_keys(frames, solved_pairs(
+                motion_analysis.pair_sources(frames)[0]))
+        assert sum(solved, []) == keys
+        assert len(set(keys)) == len(keys)
 
     def test_each_video_is_read_once_to_check_and_once_to_solve(
             self, corpus_dir, tmp_path, monkeypatch, capsys):
@@ -191,13 +192,33 @@ class TestBatchSolvesEachVideoOnce:
         lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
         reads = []
         monkeypatch.setattr(media_io, "read_video",
-                            lambda path: reads.append(path) or read_video(
-                                path))
+                            lambda path, frames=None: reads.append(
+                                (path, list(frames))) or read_video(
+                                    path, frames))
+        monkeypatch.setattr(cli, "flow_jobs", lambda videos: reads.append(
+            videos) or FLOW_JOBS(videos))
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
         assert main(["av-align", "--batch"]) == 0
         assert capsys.readouterr() == (RESCORE_TEXT, SHORT_WARNING)
-        # the line checks, then the one flow range of each video
-        assert reads == ["clip_0000.rvid", "clip_0001.rvid"] * 2
+        # the line checks read each video's frames once, in order, in
+        # pieces of at most READ_PIECE bytes, and may read one earlier
+        # frame back; each flow job then reads the frames of its pairs
+        at = next(i for i, read in enumerate(reads) if isinstance(read, dict))
+        checks, videos = reads[:at], reads[at]
+        assert list(videos) == ["clip_0000.rvid", "clip_0001.rvid"]
+        assert list(dict.fromkeys(path for path, _ in checks)) == list(videos)
+        for path, checked in videos.items():
+            frame_bytes = checked.height * checked.width * 3
+            unread = 0
+            for frames in (frames for p, frames in checks if p == path):
+                if frames == list(range(unread, unread + len(frames))):
+                    assert len(frames) * frame_bytes <= media_io.READ_PIECE
+                    unread += len(frames)
+                else:
+                    assert len(frames) == 1 and frames[0] < unread
+            assert unread == checked.frame_count
+        assert reads[at + 1:] == [(path, sorted({*(ks - 1), *ks}))
+                                  for path, ks in FLOW_JOBS(videos)]
 
     def test_malformed_line_exits_2_with_error_line(self, corpus_dir,
                                                     monkeypatch, capsys):
@@ -271,8 +292,8 @@ class TestChecksBeforeFlow:
             solved):
         reads = []
         monkeypatch.setattr(media_io, "read_video",
-                            lambda path: reads.append(path) or read_video(
-                                path))
+                            lambda path, frames=None: reads.append(path)
+                            or read_video(path, frames))
         assert main(["av-align", "--video", str(corpus_dir / "clip_0000.rvid"),
                      "--audio", str(corpus_dir / "clip_0000.wav"), flag,
                      value]) == 2
@@ -396,6 +417,13 @@ def solved_pairs(sources):
     return np.flatnonzero(sources == np.arange(len(sources)))[1:]
 
 
+def pair_keys(frames, ks):
+    """The CRC-32 of the two frames of each pair k of frames, which
+    names a pair of any video: a flow job's video holds only the frames
+    its pairs use."""
+    return [zlib.crc32(frames[k - 1:k + 1]) for k in ks]
+
+
 def random_sources(rng, n, still, repeated):
     """pair_sources of n frames with random still and repeated shares: a
     repeat takes an earlier solved pair as its source."""
@@ -476,9 +504,9 @@ class TestFlowPlan:
 
         monkeypatch.setattr(motion_analysis, "optical_flow", counting_flow)
         for path, _ in mixed_clips.values():
-            video = read_video(path)
-            motion_analysis.motion_curve(video, FlowParams(iterations=1))
-            jobs = cli.flow_jobs({path: cli.CheckedVideo.of(video)})
+            motion_analysis.motion_curve(read_video(path),
+                                         FlowParams(iterations=1))
+            jobs = cli.flow_jobs({path: cli.CheckedVideo.read(path)})
             assert stacks == [len(ks) for _, ks in jobs]
             stacks.clear()
         # align-distinct's shapes: 2 pairs a job at 64x64, 1 at 128x96
@@ -499,7 +527,7 @@ class TestFlowPlan:
 
 
 def solve_log(monkeypatch, log, wait_for=0):
-    """Make every process append "pid crc32 pair..." to log for each
+    """Make every process append "pid pair_key..." to log for each
     motion_curve call, and make this process's onset detection, which
     runs while helpers solve, wait until helpers have logged wait_for
     calls, so that they solve every job after the first."""
@@ -508,8 +536,8 @@ def solve_log(monkeypatch, log, wait_for=0):
 
     def logged_curve(video, params=None, sources=None):
         with open(log, "a", encoding="ascii") as fh:
-            fh.write(" ".join(map(str, [os.getpid(), zlib.crc32(video.frames),
-                                        *solved_pairs(sources)])) + "\n")
+            fh.write(" ".join(map(str, [os.getpid(), *pair_keys(
+                video.frames, solved_pairs(sources))])) + "\n")
         return curve(video, params, sources)
 
     def waiting_onsets(*args, **kwargs):
@@ -523,6 +551,97 @@ def solve_log(monkeypatch, log, wait_for=0):
     monkeypatch.setattr(audio_analysis, "detect_onsets", waiting_onsets)
     log.touch()
     return parent
+
+
+def crc_twin(frame):
+    """Another frame of frame's CRC-32. CRC-32 is affine in the bits of
+    data of one length, so after byte 4 is changed, a linear solve over
+    GF(2) finds the bytes 0 to 3 that give back the CRC."""
+    want = zlib.crc32(frame)
+    data = bytearray(frame.tobytes())
+    data[4] ^= 1
+    data[:4] = bytes(4)
+    base = zlib.crc32(data)
+    # pivots: leading bit -> (a CRC change, the bits that make it)
+    pivots = {}
+    for bit in range(32):
+        probe = bytearray(data)
+        probe[bit // 8] ^= 1 << bit % 8
+        change, bits = zlib.crc32(probe) ^ base, 1 << bit
+        while change and change.bit_length() in pivots:
+            pivot, pivot_bits = pivots[change.bit_length()]
+            change, bits = change ^ pivot, bits ^ pivot_bits
+        if change:
+            pivots[change.bit_length()] = change, bits
+    target, chosen = want ^ base, 0
+    while target:
+        pivot, pivot_bits = pivots[target.bit_length()]
+        target, chosen = target ^ pivot, chosen ^ pivot_bits
+    data[:4] = chosen.to_bytes(4, "little")
+    return np.frombuffer(bytes(data), np.uint8).reshape(frame.shape)
+
+
+FLOW_JOBS, SOLVE_CURVES = cli.flow_jobs, cli.solve_curves
+
+
+@functools.cache
+def rewrite_clip():
+    """A 1.5-s 32x32 bounce clip, cut into several flow jobs."""
+    return synthgen.generate(synthgen.SynthConfig(
+        width=32, height=32, duration=1.5, n_events=3, seed=11))[0]
+
+
+def copy_rewrite_inputs():
+    """Write rewrite_clip as v.rvid and a.wav in the working directory."""
+    pair = rewrite_clip()
+    write_video(pair.video, "v.rvid")
+    write_wav(pair.audio, "a.wav")
+
+
+def rewrite_input(which, how):
+    """Replace v.rvid or a.wav at once by a valid file changed by how:
+    its frames or samples rolled (same size, other bytes), fewer of them,
+    or, for a video, frames a row smaller. The new file is renamed over
+    the old one, so a process reading it sees one or the other."""
+    pair = rewrite_clip()
+    if which == "video":
+        frames = {"same size": np.roll(pair.video.frames, 7, axis=0),
+                  "fewer": pair.video.frames[:-6],
+                  "smaller": pair.video.frames[:, 1:]}[how]
+        write_video(Video(frames, 24), "new")
+        os.replace("new", "v.rvid")
+    else:
+        samples = pair.audio.samples
+        samples = (np.roll(samples, 4000) if how == "same size"
+                   else samples[:-3000])
+        write_wav(AudioSignal(samples, pair.audio.sample_rate), "new")
+        os.replace("new", "a.wav")
+
+
+def run_av_align():
+    """(exit code, stdout, stderr) of av-align on v.rvid and a.wav."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["av-align", "--video", "v.rvid", "--audio", "a.wav",
+                     "--flow-iterations", "5"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def rewrite_runs():
+    """run_av_align on rewrite_clip (key None) and on each rewrite of it,
+    keyed (which, how), each in one process."""
+    runs = {}
+    for key in [None] + [(which, how) for which in ("video", "wav")
+                         for how in ("same size", "fewer", "smaller")]:
+        with tempfile.TemporaryDirectory() as d, contextlib.chdir(d), \
+                mock.patch.object(cli, "worker_count", lambda: 1):
+            copy_rewrite_inputs()
+            if key is not None:
+                rewrite_input(*key)
+            runs[key] = run_av_align()
+    assert runs[None][0] == 0
+    return runs
 
 
 def helper_lines(log, parent):
@@ -564,22 +683,25 @@ class TestParallelFlow:
         capsys.readouterr()
         solves = [line.split() for line in log.read_text().splitlines()]
         # this process solves job 0 first
-        videos = {video: cli.CheckedVideo.of(read_video(video))
+        videos = {video: cli.CheckedVideo.read(video)
                   for video, _ in mixed_clips.values()}
-        mine = [ks for pid, _, *ks in solves if int(pid) == parent]
-        assert mine[0] == [str(k) for k in cli.flow_jobs(videos)[0][1]]
+        mine = [keys for pid, *keys in solves if int(pid) == parent]
+        path, ks = cli.flow_jobs(videos)[0]
+        assert mine[0] == [str(key) for key in pair_keys(
+            read_video(path).frames, ks)]
         assert len({pid for pid, *_ in solves}) <= workers
+        keys = []
         for video, _ in mixed_clips.values():
             frames = read_video(video).frames
-            pairs = sorted(int(k) for _, crc, *ks in solves
-                           if int(crc) == zlib.crc32(frames) for k in ks)
-            assert pairs == solved_pairs(
-                motion_analysis.pair_sources(frames)).tolist()
+            keys += pair_keys(frames, solved_pairs(
+                motion_analysis.pair_sources(frames)[0]))
+        assert sorted(int(key) for _, *got in solves for key in got) == \
+            sorted(keys)
 
     def test_spawned_workers_give_the_serial_curves(self, mixed_clips):
         # spawn is the default start method on macOS; it and forkserver
         # (the Linux default from Python 3.14) pickle the work
-        videos = {path: cli.CheckedVideo.of(read_video(path))
+        videos = {path: cli.CheckedVideo.read(path)
                   for path, _ in mixed_clips.values()}
         flow = FlowParams(iterations=20)
         default = multiprocessing.get_start_method()
@@ -600,9 +722,9 @@ class TestParallelFlow:
         failed = tmp_path / "failed"
         parent = os.getpid()
 
-        def read_failing_in_a_helper(path):
+        def read_failing_in_a_helper(path, frames=None):
             if os.getpid() == parent:
-                return read_video(path)
+                return read_video(path, frames)
             failed.write_text("")
             fail()
 
@@ -677,11 +799,11 @@ class TestParallelFlow:
         # the flow reads the file again; here that read finds it rewritten
         reads = []
 
-        def read_a_changed_video(path):
-            video = read_video(path)
-            reads.append(path)
-            if len(reads) == 1:
+        def read_a_changed_video(path, frames=None):
+            video = read_video(path, frames)
+            if not reads:  # the check
                 return video
+            reads.append(path)
             frames = {"fewer frames": video.frames[:len(video.frames) // 2],
                       "smaller frames": video.frames[:, 1:],
                       "rolled frames": np.roll(video.frames, 7, axis=0),
@@ -690,13 +812,15 @@ class TestParallelFlow:
 
         monkeypatch.setattr(cli, "worker_count", lambda: 1)
         monkeypatch.setattr(media_io, "read_video", read_a_changed_video)
+        monkeypatch.setattr(cli, "flow_jobs", lambda videos: reads.append(
+            "flow") or FLOW_JOBS(videos))
         video, audio = mixed_clips["small"]
         assert main(["av-align", "--video", video, "--audio", audio,
                      "--flow-iterations", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {video} changed since it was checked\n"
-        assert reads == [video, video]
+        assert reads == ["flow", video]
 
     def test_wav_changed_since_its_check_exits_2(self, mixed_clips,
                                                  monkeypatch, capsys):
@@ -720,34 +844,103 @@ class TestParallelFlow:
         assert captured.err == f"error: {audio} changed since it was checked\n"
         assert reads == [audio, audio]
 
-    def test_a_process_holds_one_video_at_a_time(self, tmp_path):
-        # 12-s clips, long enough that reading the 128x96 one peaks above
-        # solving its flow; with the 64x64 one still alive, it would peak
-        # about 1.3 times as high
+    @example(which="video", when="flow job", how="fewer", workers=1)
+    @example(which="video", when="flow job", how="smaller", workers=1)
+    @example(which="video", when="flow job", how="same size", workers=1)
+    @example(which="wav", when="onset step", how="same size", workers=1)
+    @settings(max_examples=30)
+    @given(which=st.sampled_from(["video", "wav"]),
+           when=st.sampled_from(["check", "flow job", "onset step"]),
+           how=st.sampled_from(["same size", "fewer", "smaller"]),
+           workers=st.sampled_from([1, 2]))
+    def test_input_rewritten_between_reads(self, which, when, how, workers):
+        """av-align on a file rewritten on disk before one of its reads:
+        the answer checked from what the check read, byte for byte, or
+        exit 2 with one changed-since-checked line. A WAV has no frames
+        to make smaller, so there "smaller" writes fewer samples too."""
+        rewrite = functools.partial(rewrite_input, which, how)
+        clean = rewrite_runs()
+        points = {"check": contextlib.nullcontext(),
+                  "flow job": mock.patch.object(
+                      cli, "flow_jobs", lambda videos: rewrite()
+                      or FLOW_JOBS(videos)),
+                  "onset step": mock.patch.object(
+                      cli, "solve_curves", lambda *args: SOLVE_CURVES(
+                          *args[:-1], lambda: rewrite() or args[-1]()))}
+        with tempfile.TemporaryDirectory() as d, contextlib.chdir(d):
+            copy_rewrite_inputs()
+            if when == "check":
+                rewrite()
+            with points[when], mock.patch.object(cli, "worker_count",
+                                                  lambda: workers):
+                got = run_av_align()
+        assert multiprocessing.active_children() == []
+        if when == "check":
+            assert got == clean[which, how]
+        else:
+            name = {"video": "v.rvid", "wav": "a.wav"}[which]
+            assert got in (clean[None], (
+                2, "", f"error: {name} changed since it was checked\n"))
+
+    def test_a_process_holds_one_chunk_at_a_time(self, tmp_path):
+        # 4-s and 12-s 128x96 clips, 3.5 and 10.6 MB: the check holds a
+        # piece of frames and a flow job the frames of its pairs, so
+        # neither peak grows with the clip
         paths = []
-        for size in ("64", "64"), ("128", "96"):
-            out = tmp_path / "x".join(size)
+        for seconds in ("4", "12"):
+            out = tmp_path / seconds
             assert main(["gen-synth", "--out", str(out), "--clips", "1",
-                         "--duration", "12", "--width", size[0], "--height",
-                         size[1]]) == 0
+                         "--duration", seconds, "--width", "128",
+                         "--height", "96"]) == 0
             paths.append(str(out / "clip_0000.rvid"))
-        checked = {path: cli.CheckedVideo.of(read_video(path))
-                   for path in paths}
         flow = FlowParams(iterations=1)
-        peaks = []
-        for solved in (paths[1:], paths):
+        checks, flows = [], []
+        for path in paths:
             tracemalloc.start()
             try:
-                cli.solve_curves({path: checked[path] for path in solved},
-                                 flow, 1, dict)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                checked = cli.CheckedVideo.read(path)
+                checks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                cli.solve_curves({path: checked}, flow, 1, dict)
+                flows.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0]
+        assert checks[1] <= 1.1 * checks[0]
+        assert flows[1] <= 1.1 * flows[0]
+        assert checks[0] < 3 * media_io.READ_PIECE
+
+    def test_frames_of_one_crc_are_told_apart(self, tmp_path,
+                                              monkeypatch):
+        rng = np.random.default_rng(4)
+        x, a = rng.integers(0, 256, (2, 16, 16, 3), dtype=np.uint8)
+        b = crc_twin(a)
+        assert zlib.crc32(b) == zlib.crc32(a) and b.tobytes() != a.tobytes()
+        frames = np.stack([x, a, b, a, b, x])
+        path = str(tmp_path / "twins.rvid")
+        write_video(Video(frames, 24), path)
+        # pair 3 repeats pair 2; read as one, a and b would make pairs 2
+        # to 4 still and pair 5 a repeat of pair 1. The second b is
+        # matched with a, the first frame of its CRC, so pair 4 misses
+        # its repeat and is solved
+        assert motion_analysis.pair_sources(frames)[0].tolist() == [
+            0, 1, 2, 2, 4, 5]
+        # one frame a piece, so the check reads each match back
+        monkeypatch.setattr(media_io, "READ_PIECE", a.nbytes)
+        reads = []
+        monkeypatch.setattr(media_io, "read_video",
+                            lambda path, frames=None: reads.append(
+                                list(frames)) or read_video(path, frames))
+        checked = cli.CheckedVideo.read(path)
+        assert checked.sources.tolist() == [0, 1, 2, 2, 4, 5]
+        assert reads == [[0], [1], [2], [1], [3], [1], [4], [1], [5], [0]]
+        flow = FlowParams(iterations=20)
+        curves, _ = cli.solve_curves({path: checked}, flow, 1, dict)
+        assert curves[path].tobytes() == reference_curve(
+            Video(frames, 24), flow).tobytes()
 
     def test_onsets_are_detected_holding_no_frames(self, corpus_dir):
         path = str(corpus_dir / "clip_0000.rvid")
-        video = {path: cli.CheckedVideo.of(read_video(path))}
+        video = {path: cli.CheckedVideo.read(path)}
         size = os.path.getsize(path)
         flow = FlowParams(iterations=1)
         cli.solve_curves(video, flow, 2, dict)  # first-use imports
@@ -780,9 +973,9 @@ class TestParallelFlow:
         expected += f"mean_score={np.mean(scores):.6f}\n"
         reads = []
 
-        def counting_read(path):
+        def counting_read(path, frames=None):
             reads.append(path)
-            return read_video(path)
+            return read_video(path, frames)
 
         def no_helper(*args, **kwargs):
             raise AssertionError("a still batch started a helper")
@@ -790,12 +983,16 @@ class TestParallelFlow:
         monkeypatch.setattr(cli, "worker_count", lambda: 2)
         monkeypatch.setattr(multiprocessing, "Process", no_helper)
         monkeypatch.setattr(cli.media_io, "read_video", counting_read)
+        monkeypatch.setattr(cli, "flow_jobs", lambda videos: reads.append(
+            "flow") or FLOW_JOBS(videos))
         monkeypatch.setattr("sys.stdin", io.StringIO(
             "".join(f"{video} {audio}\n" for video, audio in lines)))
         assert main(["av-align", "--batch"]) == 0
         assert capsys.readouterr().out == expected
-        # each distinct video once, to check it: never to score or for flow
-        assert reads == [lines[0][0], lines[1][0]]
+        # each distinct video, to check it: never to score or for flow
+        assert list(dict.fromkeys(reads)) == [lines[0][0], lines[1][0],
+                                              "flow"]
+        assert reads[-1] == "flow"
 
     def test_repeats_take_their_flow_from_another_process(
             self, tmp_path, monkeypatch, capsys):
@@ -812,7 +1009,7 @@ class TestParallelFlow:
             lines += f"{tmp_path / name}.rvid {tmp_path / name}.wav\n"
         held, loop = (str(tmp_path / f"{name}.rvid")
                       for name in ("held", "loop"))
-        videos = {path: cli.CheckedVideo.of(read_video(path))
+        videos = {path: cli.CheckedVideo.read(path)
                   for path in (held, loop)}
         assert videos[loop].sources.tolist() == [0] + [1, 2, 3] * 7 + [1, 2]
         assert [(path, ks.tolist()) for path, ks in cli.flow_jobs(videos)] \
@@ -825,8 +1022,9 @@ class TestParallelFlow:
                                      lambda: audio_analysis.detect_onsets(
                                          read_wav(tmp_path / "loop.wav"),
                                          24))
-        assert [line.split()[2:] for line in helper_lines(log, parent)] == [
-            ["1", "2", "3"]]
+        assert [line.split()[1:] for line in helper_lines(log, parent)] == [
+            [str(key) for key in pair_keys(read_video(loop).frames,
+                                           [1, 2, 3])]]
         for path, curve in curves.items():
             assert curve.tobytes() == reference_curve(read_video(path),
                                                       flow).tobytes()
@@ -848,7 +1046,7 @@ class TestParallelFlow:
         video, audio = (str(tmp_path / f"clip_0000.{ext}")
                         for ext in ("rvid", "wav"))
         assert len(cli.flow_jobs(
-            {video: cli.CheckedVideo.of(read_video(video))})) == 2
+            {video: cli.CheckedVideo.read(video)})) == 2
         parent, calls = os.getpid(), []
         for module, name in [(motion_analysis, "motion_curve"),
                              (motion_analysis, "optical_flow"),

@@ -15,7 +15,8 @@ from tempokit.errors import FormatError, ValidationError
 from tempokit.media_io import (READ_PIECE, AudioEmbeddings, AudioSignal,
                                ConditionFile, Video, read_condition,
                                read_embeddings, read_named_tensors,
-                               read_video, read_wav, write_condition,
+                               read_video, read_video_header, read_wav,
+                               write_condition,
                                write_embeddings, write_named_tensors,
                                write_video, write_video_ppm, write_wav)
 
@@ -193,6 +194,74 @@ class TestRvid:
         (d / "f.ppm").write_bytes(header + bytes(12))
         with pytest.raises(FormatError):
             read_video(d)
+
+
+class TestFrameReads:
+    """read_video(path, frames) and read_video_header."""
+
+    @staticmethod
+    def write(kind, video, path):
+        (write_video if kind == "rvid" else write_video_ppm)(video, path)
+
+    @pytest.mark.parametrize("kind", ["rvid", "ppm"])
+    def test_listed_frames_are_those_of_the_whole_read(self, kind,
+                                                       tmp_path):
+        frames = np.random.default_rng(5).integers(0, 256, (7, 5, 6, 3),
+                                                   dtype=np.uint8)
+        p = tmp_path / "v"
+        self.write(kind, Video(frames, 30000, 1001), p)
+        assert read_video_header(p) == (7, 5, 6, 30000, 1001)
+        for picked in ([0], [6], [2, 3, 4], [0, 1, 5, 6], [4, 2, 2],
+                       range(7), np.arange(3, 5)):
+            part = read_video(p, picked)
+            assert part.frames.tobytes() == frames[list(picked)].tobytes()
+            assert (part.fps_num, part.fps_den) == (30000, 1001)
+        for past in (7, -1):
+            with pytest.raises(FormatError, match=(
+                    f"^no frame {past} in a video of 7 frames$")):
+                read_video(p, [0, past])
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob: blob[:-1], "truncated file: RVID frames has 71 of 72 "
+                                 "bytes"),
+        (lambda blob: blob + b"\0", "trailing bytes after RVID frames"),
+    ], ids=["truncated", "trailing"])
+    def test_sizes_are_checked_before_any_frame(self, damage, message,
+                                                tmp_path):
+        p = tmp_path / "v.rvid"
+        write_video(Video(np.ones((2, 3, 4, 3), np.uint8), 24), p)
+        p.write_bytes(damage(p.read_bytes()))
+        for read in (read_video, read_video_header,
+                     lambda path: read_video(path, [0])):
+            with pytest.raises(FormatError) as info:
+                read(p)
+            assert str(info.value) == message
+
+    def test_a_ppm_frame_of_another_size_is_refused(self, tmp_path):
+        d = tmp_path / "frames"
+        write_video_ppm(Video(np.zeros((3, 4, 5, 3), np.uint8), 24), d)
+        (d / "frame_000002.ppm").write_bytes(b"P6\n5 3\n255\n" + bytes(45))
+        for picked in (None, [1, 2], [2]):
+            with pytest.raises(FormatError,
+                               match="PPM frames have inconsistent"):
+                read_video(d, picked)
+        assert read_video(d, [1]).frames.shape == (1, 4, 5, 3)
+
+    def test_a_frame_read_holds_its_frames_once(self, tmp_path):
+        # 30 of 96 128x96 frames, 1.1 MB of a 3.5 MB file
+        path = tmp_path / "big.rvid"
+        frames = np.random.default_rng(8).integers(0, 256, (96, 96, 128, 3),
+                                                   dtype=np.uint8)
+        write_video(Video(frames, 24), path)
+        tracemalloc.start()
+        try:
+            video = read_video(path, range(10, 40))
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= frames[10:40].nbytes + READ_PIECE
+        assert video.frames.flags.writeable
+        assert video.frames.tobytes() == frames[10:40].tobytes()
 
 
 class TestEmbeddings:

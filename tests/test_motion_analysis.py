@@ -232,7 +232,7 @@ def test_motion_curve_with_still_pairs_is_bit_exact(pattern, width, height):
         0, 256, (max(pattern) + 1, height, width, 3), dtype=np.uint8)
     video = Video(pool[pattern], 24)
     moving = [k for k in range(1, 10) if pattern[k] != pattern[k - 1]]
-    assert np.flatnonzero(pair_sources(video.frames)).tolist() == moving
+    assert np.flatnonzero(pair_sources(video.frames)[0]).tolist() == moving
     params = FlowParams(alpha=7.0, iterations=40)
     curve = motion_curve(video, params)
     assert np.array_equal(curve, reference_curve(video, params))
@@ -301,7 +301,7 @@ def test_motion_curve_with_repeated_pairs_is_bit_exact(width, height):
     params = FlowParams(alpha=7.0, iterations=40)
     clips = list(repeated_clips(width, height))
     for video, sources in clips:
-        assert pair_sources(video.frames).tolist() == sources.tolist()
+        assert pair_sources(video.frames)[0].tolist() == sources.tolist()
         curve = motion_curve(video, params)
         assert curve.tobytes() == reference_curve(video, params).tobytes()
     # the bounce clip solves a pair and its reverse once
@@ -317,12 +317,12 @@ def test_a_hash_collision_only_misses_repeats(monkeypatch):
     pool = np.random.default_rng(1).integers(0, 256, (4, 24, 32, 3),
                                              dtype=np.uint8)
     video = Video(pool[[0, 1, 2, 0, 1, 2, 3, 3, 1, 2]], 24)
-    assert pair_sources(video.frames).tolist() == [0, 1, 2, 3, 1, 2, 6, 0,
-                                                   8, 2]
+    assert pair_sources(video.frames)[0].tolist() == [0, 1, 2, 3, 1, 2, 6,
+                                                      0, 8, 2]
     # every frame now hits frame 0's hash: its copies still match it,
     # no other frame matches, and the still pair 7 is solved to +0.0
     monkeypatch.setattr(motion_analysis, "_frame_hash", lambda frame: 0)
-    assert pair_sources(video.frames).tolist() == list(range(10))
+    assert pair_sources(video.frames)[0].tolist() == list(range(10))
     params = FlowParams(alpha=7.0, iterations=40)
     curve = motion_curve(video, params)
     assert curve.tobytes() == reference_curve(video, params).tobytes()
@@ -334,8 +334,9 @@ def test_a_hash_collision_only_misses_repeats(monkeypatch):
 def test_given_sources_are_the_default(width, height):
     params = FlowParams(alpha=7.0, iterations=40)
     for video, _ in repeated_clips(width, height):
-        assert motion_curve(video, params, sources=pair_sources(
-            video.frames)).tobytes() == motion_curve(video, params).tobytes()
+        sources = pair_sources(video.frames)[0]
+        assert motion_curve(video, params, sources=sources).tobytes() == \
+            motion_curve(video, params).tobytes()
 
 
 def test_sources_solve_only_the_pairs_that_map_to_themselves(monkeypatch):
@@ -376,7 +377,7 @@ def test_bad_sources_are_refused(change, error):
     video = block_video([20, 22, 24, 26, 28, 30, 32, 34])
     with pytest.raises(error):
         motion_curve(video, FlowParams(iterations=1),
-                     sources=change(pair_sources(video.frames)))
+                     sources=change(pair_sources(video.frames)[0]))
 
 
 def test_motion_curve_memory_does_not_grow_with_frames():

@@ -94,3 +94,9 @@ def test_peak_set_membership_is_exact():
     assert 2 in peaks and 2.0 in peaks and np.int64(5) in peaks
     assert 2.5 not in peaks
     assert "x" not in peaks
+
+
+def test_peak_set_equals_no_object_it_cannot_iterate():
+    assert (PeakSet([1]) == 5) is False
+    assert (PeakSet([1]) != 5) is True
+    assert PeakSet([1]) == [1]
