@@ -49,8 +49,8 @@ def detect_onsets(signal, fps, params=None, n_frames=None, win=1024):
     deduplicated, and capped at n_frames-1 when a frame count is
     supplied.
     """
-    if fps <= 0:
-        raise ValidationError("fps must be positive")
+    if not 0 < fps < np.inf:  # NaN fails too
+        raise ValidationError("fps must be positive and finite")
     hop = max(1, round(signal.sample_rate / fps))
     mag = stft_magnitude(signal, win, hop)
     flux = spectral_flux(mag)

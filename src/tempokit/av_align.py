@@ -96,8 +96,8 @@ def av_align_from_media(video, audio, peak_params=None, flow_params=None,
     given, audio is not read: pass None.
     """
     fps = fps_override if fps_override is not None else video.fps
-    if fps <= 0:
-        raise ValidationError("fps must be positive")
+    if not 0 < fps < np.inf:  # NaN fails too
+        raise ValidationError("fps must be positive and finite")
     if motion is not None and len(motion) != video.frame_count:
         raise ShapeError(f"motion curve has {len(motion)} entries for "
                          f"{video.frame_count} frames")

@@ -21,15 +21,15 @@ read_video also accepts a directory of binary PPM (P6) frames listed by
 a UTF-8 manifest.txt whose first line is "fps <num> <den>" followed by
 one frame filename per line.
 
-Every fixed-layout payload is read by _read_exact into one buffer, so
-a whole RVID read holds the file plus at most one READ_PIECE, and its
-frames are that buffer; a tensor file also holds its float64 widening.
-read_video(path, frames) reads only the listed frames: an RVID frame
-sits at a fixed offset after the header, so once the file's size is
-checked against its header, each run of consecutive frames is one read
-into a buffer of just those frames, and a PPM directory reads only
-their files (and its first frame, whose size all must have). Such a
-read holds its frames plus at most one READ_PIECE.
+Every WAV and tensor payload is read by _read_exact into one buffer
+grown by pieces of at most READ_PIECE; a tensor file also holds its
+float64 widening. read_video reads the listed frames, by default all,
+one way. An RVID must be a regular file (any other path but a directory
+is refused unopened) whose size matches its header; each frame then
+sits at a fixed offset, so each run of consecutive frames is one read
+into the Video's buffer, which holds those frames and nothing more. A
+PPM directory reads the listed frames' files and its first frame, whose
+size all must have.
 
 A binary writer encodes its whole file, headers by pack_header (the one
 u32 rule: whole numbers below 2^32) and floats by encode_float32, before
@@ -334,28 +334,27 @@ class VideoHeader(NamedTuple):
     fps_den: int
 
 
-def _read_rvid_header(fh, sized):
-    """The VideoHeader of the RVID file fh. sized: also check that the
-    file holds exactly its frames, by its size, so that each frame can
-    be read at its offset."""
+def _read_rvid_header(fh):
+    """The VideoHeader of the RVID file fh, checked against the file's
+    size, which must be exactly that of its frames, so that each frame
+    can be read at its offset."""
     width, height, count, fps_num, fps_den = _read_header(fh, b"RVID", 5)
     if min(width, height, count, fps_num, fps_den) < 1:
         raise FormatError("RVID header fields must be positive")
-    if sized:
-        have = os.fstat(fh.fileno()).st_size - fh.tell()
-        need = count * height * width * 3
-        if have < need:
-            raise FormatError(
-                f"truncated file: RVID frames has {have} of {need} bytes")
-        if have > need:
-            raise FormatError("trailing bytes after RVID frames")
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    need = count * height * width * 3
+    if have < need:
+        raise FormatError(
+            f"truncated file: RVID frames has {have} of {need} bytes")
+    if have > need:
+        raise FormatError("trailing bytes after RVID frames")
     return VideoHeader(count, height, width, fps_num, fps_den)
 
 
 def _frame_indices(frames, count):
-    """frames as a list of ints, each one refused unless it is a frame
-    of a video of count frames."""
-    frames = [int(i) for i in frames]
+    """frames as a list of ints, every frame if frames is None, each
+    one refused unless it is a frame of a video of count frames."""
+    frames = [int(i) for i in (range(count) if frames is None else frames)]
     for i in frames:
         if not 0 <= i < count:
             raise FormatError(f"no frame {i} in a video of {count} frames")
@@ -363,7 +362,7 @@ def _frame_indices(frames, count):
 
 
 def _read_rvid_frames(fh, header, frames):
-    """The listed frames of the sized RVID file fh, just past its
+    """The listed frames of the RVID file fh, just past its checked
     header, each run of consecutive indices in one read into a buffer
     that holds the frames and nothing more."""
     frames = _frame_indices(frames, header.frame_count)
@@ -388,36 +387,38 @@ def _read_rvid_frames(fh, header, frames):
     return np.frombuffer(buf, np.uint8).reshape(len(frames), *shape)
 
 
+def _is_ppm_dir(path):
+    """Whether path is a PPM directory rather than an RVID file. A path
+    that is neither, such as a FIFO, whose open waits for a writer, is
+    refused before it is opened."""
+    if os.path.isdir(path):
+        return True
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise FormatError(f"{path} is not a regular file or a PPM directory")
+    return False
+
+
 def read_video_header(path):
     """The VideoHeader of an RVID file or a PPM frame directory (whose
-    first frame sets its size), checked as read_video(path, frames)
-    checks it."""
-    if os.path.isdir(path):
+    first frame sets its size), checked as read_video checks it."""
+    if _is_ppm_dir(path):
         fps_num, fps_den, names = _read_manifest(path)
         height, width, _ = _read_ppm(os.path.join(path, names[0])).shape
         return VideoHeader(len(names), height, width, fps_num, fps_den)
     with open(path, "rb") as fh:
-        return _read_rvid_header(fh, sized=True)
+        return _read_rvid_header(fh)
 
 
 def read_video(path, frames=None):
-    """Read an RVID file, or a PPM frame directory with a manifest.
-
-    frames, if given, lists the indices of the only frames to read, in
-    the order the Video holds them. An RVID file's size must then match
-    its header before any frame is read; a PPM directory's listed frames
+    """The listed frames (by default all, in the listed order) of an
+    RVID file, whose size must match its header before any frame is
+    read, or of a PPM frame directory with a manifest, whose read frames
     must have its first frame's size."""
-    if os.path.isdir(path):
+    if _is_ppm_dir(path):
         return _read_video_ppm_dir(path, frames)
     with open(path, "rb") as fh:
-        header = _read_rvid_header(fh, sized=frames is not None)
-        if frames is None:
-            pixels = _read_array(fh, np.uint8, (header.frame_count,
-                                                header.height, header.width,
-                                                3), "RVID frames")
-            _check_end(fh, "RVID frames")
-        else:
-            pixels = _read_rvid_frames(fh, header, frames)
+        header = _read_rvid_header(fh)
+        pixels = _read_rvid_frames(fh, header, frames)
     return Video(pixels, header.fps_num, header.fps_den)
 
 
@@ -461,13 +462,10 @@ def _read_manifest(dirpath):
 
 def _read_video_ppm_dir(dirpath, frames):
     fps_num, fps_den, names = _read_manifest(dirpath)
-    picked = names if frames is None else [
-        names[i] for i in _frame_indices(frames, len(names))]
-    pixels = [_read_ppm(os.path.join(dirpath, name)) for name in picked]
-    shapes = {f.shape for f in pixels}
-    if frames is not None:  # every frame has the first one's size
-        shapes.add(_read_ppm(os.path.join(dirpath, names[0])).shape)
-    if len(shapes) != 1:
+    pixels = [_read_ppm(os.path.join(dirpath, names[i]))
+              for i in _frame_indices(frames, len(names))]
+    first = _read_ppm(os.path.join(dirpath, names[0])).shape
+    if any(f.shape != first for f in pixels):
         raise FormatError("PPM frames have inconsistent dimensions")
     return Video(np.stack(pixels), fps_num, fps_den)
 

@@ -151,6 +151,12 @@ class TestDetectOnsets:
         with pytest.raises(ValidationError):
             detect_onsets(signal, FPS, win=0)
 
+    @pytest.mark.parametrize("fps", [0, -1, float("nan"), float("inf")])
+    def test_fps_that_is_not_positive_and_finite_is_refused(self, fps):
+        with pytest.raises(ValidationError,
+                           match="^fps must be positive and finite$"):
+            detect_onsets(click_signal([0.5], duration_s=1.0), fps)
+
     @settings(max_examples=60)
     @given(times=st.lists(st.floats(0.0, 1.9), max_size=6),
            amp=st.floats(0.01, 0.9), freq=st.sampled_from([440.0, 2000.0]),

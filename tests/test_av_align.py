@@ -165,6 +165,14 @@ class TestFromMedia:
         rep = av_align_from_media(video, audio, fps_override=32.0)
         assert rep.vacuous
 
+    @pytest.mark.parametrize("fps", [0, -1, float("nan"), float("inf")])
+    def test_fps_that_is_not_positive_and_finite_is_refused(self, fps):
+        video = Video(np.full((48, 16, 16, 3), 40, dtype=np.uint8), 24, 1)
+        audio = AudioSignal(np.zeros(32000), 16000)
+        with pytest.raises(ValidationError,
+                           match="^fps must be positive and finite$"):
+            av_align_from_media(video, audio, fps_override=fps)
+
     def test_peak_params_reach_both_detectors(self):
         pair, _ = generate(SynthConfig(width=32, height=32, duration=2.5,
                                        n_events=4, seed=0))

@@ -1243,6 +1243,31 @@ class TestTrainAndGenerate:
                 "", "error: clip has 36 frames, need 40\n")
         assert not (tmp_path / "x.ckpt").exists()
 
+    def test_a_fifo_in_the_manifest_exits_2_at_once(self, corpus_dir,
+                                                   tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{fifo} {corpus_dir / 'clip_0000.wav'} "
+                            f"{corpus_dir / 'clip_0000.events.txt'}\n",
+                            encoding="ascii")
+
+        def blocked(signum, frame):  # fails the test instead of hanging
+            raise RuntimeError(f"train-toy blocked on {fifo}")
+
+        handler = signal.signal(signal.SIGALRM, blocked)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            code = main(["train-toy", "--corpus", str(manifest), "--steps",
+                         "1", "--ckpt", str(tmp_path / "x.ckpt")])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: {fifo} is not a regular file or a PPM directory\n")
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_loss_log_written(self, corpus_dir, tmp_path):
         log = tmp_path / "loss.txt"
         main(["train-toy", "--corpus", str(corpus_dir), "--steps", "4",

@@ -1,10 +1,10 @@
-"""Every top-level name of src/tempokit is one the package runs, and
-every name a module imports is one it reads.
+"""Every top-level name and method of src/tempokit is one the package
+runs, and every name a module imports is one it reads.
 
-A module-level def, class or assignment that no other code in the
-package names is run only by tests (it belongs in tests/oracles.py) or
-by nobody. The walk reads the ASTs, so a name in a comment or docstring
-does not count as a use.
+A module-level def, class or assignment, or a method of a class, that
+no other code in the package names is run only by tests (it belongs in
+tests/oracles.py) or by nobody. The walk reads the ASTs, so a name in a
+comment or docstring does not count as a use.
 """
 
 import ast
@@ -23,11 +23,16 @@ FORMAT_HALVES = {"write_embeddings", "read_condition", "write_video_ppm"}
 
 def top_level_names(tree):
     """(name, node) for each def, class and assigned name at module
-    level."""
+    level, and for each def in the body of such a class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    yield method.name, method
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
@@ -49,8 +54,8 @@ def named(node):
 
 
 def unused_names():
-    """(module, name) for each top-level name that nothing outside its
-    own definition names."""
+    """(module, name) for each top-level name or method that nothing
+    outside its own definition names."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     uses = [(name, node) for tree in trees.values()
@@ -66,8 +71,8 @@ def unused_names():
 
 
 def test_every_top_level_name_is_named_elsewhere_in_the_package():
-    # dunder names (__all__, __version__) are read by Python and by
-    # packaging tools, not by code
+    # dunder names (__all__, __version__, __post_init__) are read by
+    # Python and by packaging tools, not by code
     unused = [(module, name) for module, name in unused_names()
               if name not in FORMAT_HALVES and not name.startswith("__")]
     assert unused == []
