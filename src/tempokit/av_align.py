@@ -10,6 +10,9 @@ with the union taken over exact indices. Identical peak sets score 1;
 peaks that match only within tolerance still enlarge the union, so the
 measure behaves like an intersection-over-union. When both sets are
 empty the score is defined as 1.0 and the report is flagged vacuous.
+
+Media are scored on the span of the shorter stream: scored_span cuts
+both and returns that fact as a note, which each caller reports.
 """
 
 import json
@@ -23,9 +26,7 @@ from .media_io import AudioSignal, Video
 from .peaks import PeakSet
 from . import audio_analysis, motion_analysis
 
-# Durations may disagree by up to one frame silently; larger mismatches
-# are truncated to the shorter stream with a warning, and beyond this
-# fraction of the longer duration alignment is refused.
+# the largest mismatch scored_span cuts, as a share of the longer stream
 TRUNCATION_LIMIT = 0.5
 
 
@@ -75,9 +76,8 @@ def av_align_from_media(video, audio, peak_params=None, flow_params=None,
 
     One peak_params (PeakPickParams) picks the peaks of both the audio
     flux and the motion curve; onset_win is the STFT window in samples.
-    Durations that disagree by more than one frame are truncated to the
-    shorter stream (with a warning); a mismatch beyond half the longer
-    duration raises DurationError.
+    Both streams are cut as scored_span cuts them, and its note is
+    warned at the caller's line.
 
     motion, if given, is the video's full-length
     motion_analysis.motion_curve(video, flow_params), so a caller that
@@ -89,11 +89,11 @@ def av_align_from_media(video, audio, peak_params=None, flow_params=None,
 
     onsets, if given, is (n, peaks): the frame count to score and the
     audio's onsets, as this function works them out itself. n and cut
-    are what _reconcile_durations(video.frame_count, audio, fps) gives,
-    and peaks is audio_analysis.detect_onsets(cut, fps, peak_params,
-    n_frames=n, win=onset_win). So a caller that has checked the
-    durations can detect the onsets elsewhere, or earlier. With onsets
-    given, audio is not read: pass None.
+    are what scored_span(video.frame_count, audio, fps) gives, and peaks
+    is audio_analysis.detect_onsets(cut, fps, peak_params, n_frames=n,
+    win=onset_win). So a caller that has checked the durations can
+    detect the onsets elsewhere, or earlier. With onsets given, audio is
+    not read (pass None) and nothing is warned.
     """
     fps = fps_override if fps_override is not None else video.fps
     if not 0 < fps < np.inf:  # NaN fails too
@@ -102,7 +102,9 @@ def av_align_from_media(video, audio, peak_params=None, flow_params=None,
         raise ShapeError(f"motion curve has {len(motion)} entries for "
                          f"{video.frame_count} frames")
     if onsets is None:
-        n_frames, audio = _reconcile_durations(video.frame_count, audio, fps)
+        n_frames, audio, note = scored_span(video.frame_count, audio, fps)
+        if note is not None:
+            warnings.warn(note, stacklevel=2)
         onsets = n_frames, audio_analysis.detect_onsets(
             audio, fps, peak_params, n_frames=n_frames, win=onset_win)
     n_frames, onsets = onsets
@@ -115,25 +117,25 @@ def av_align_from_media(video, audio, peak_params=None, flow_params=None,
     return av_align_score(onsets, peaks, tolerance)
 
 
-def _reconcile_durations(frame_count, audio, fps):
-    """The frame count and audio to score a video of frame_count frames
-    at fps against audio: both cut to the shorter stream, or as given
-    when they differ by at most one frame."""
+def scored_span(frame_count, audio, fps):
+    """(n_frames, audio, note) to score frame_count frames at fps against
+    audio: as given, with note None, within one frame; else both cut to
+    the shorter stream, with a note saying so, or DurationError beyond
+    TRUNCATION_LIMIT. Nothing is warned: the caller reports the note."""
     video_dur = frame_count / fps
     audio_dur = audio.duration
     mismatch = abs(video_dur - audio_dur)
     if mismatch <= 1.0 / fps:
-        return frame_count, audio
+        return frame_count, audio, None
     longer = max(video_dur, audio_dur)
     if mismatch > TRUNCATION_LIMIT * longer:
         raise DurationError(
             f"durations differ by {mismatch:.3f}s "
             f"(video {video_dur:.3f}s, audio {audio_dur:.3f}s), "
             f"beyond the truncation policy")
-    warnings.warn(
-        f"durations differ by {mismatch:.3f}s; truncating to the shorter "
-        f"stream", stacklevel=2)
     shorter = min(video_dur, audio_dur)
     n_frames = min(frame_count, max(2, int(np.floor(shorter * fps + 1e-9))))
-    n_samples = max(1, int(round(shorter * audio.sample_rate)))
-    return n_frames, AudioSignal(audio.samples[:n_samples], audio.sample_rate)
+    cut = audio.samples[:max(1, int(round(shorter * audio.sample_rate)))]
+    return n_frames, AudioSignal(cut, audio.sample_rate), (
+        f"durations differ by {mismatch:.3f}s; truncating to the shorter "
+        f"stream")

@@ -8,20 +8,21 @@ Subcommands:
   generate   sample a video from a checkpoint and an audio file
 
 av-align checks every pair (files, frame shapes, durations) before it
-solves any flow; the check decides the frames and samples each pair is
-scored on. Every input is read at least twice, so it must be a regular
-file or a PPM directory: the check reads a video a piece of frames at a
-time, and each flow job reads again only the frames of its pairs, so no
-process holds a whole video. av-align then cuts the optical flow of the
-distinct videos into jobs of motion_curve's own chunks, which one process per
-core in its affinity mask (see worker_count; taskset restricts it)
-claims from one shared counter, so a process that finishes early takes
-the next job. The command's own process detects the audio onsets while
-the other processes solve, from each WAV read again, refused if it
-changed since the check, and cut as the check decided. Each distinct
-frame pair is solved once: a pair whose two frames an earlier pair
-holds, byte for byte and in either order, takes that pair's motion
-value, and a still pair has exactly zero flow. The output is
+solves any flow; the check decides, by av_align.scored_span, the frames
+and samples each pair is scored on, and prints the note of a cut as the
+line's one warning: line. Every input is read at least twice, so it must
+be a regular file or a PPM directory: the check reads a video a piece of
+frames at a time, and each flow job reads again only the frames of its
+pairs, so no process holds a whole video. av-align then cuts the optical
+flow of the distinct videos into jobs of motion_curve's own chunks,
+which one process per core in its affinity mask (see worker_count;
+taskset restricts it) claims from one shared counter, so a process that
+finishes early takes the next job. The command's own process detects the
+audio onsets while the other processes solve, from each WAV read again,
+refused if it changed since the check, and cut as the check decided.
+Each distinct frame pair is solved once: a pair whose two frames an
+earlier pair holds, byte for byte and in either order, takes that pair's
+motion value, and a still pair has exactly zero flow. The output is
 byte-identical for any number of processes.
 
 Exit codes: 0 success, 2 format or input error, OSError or MemoryError,
@@ -39,7 +40,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 import zlib
 from typing import NamedTuple
 
@@ -310,13 +310,10 @@ def cmd_av_align(args):
         video = videos[video_path]
         rate = fps if fps is not None else video.fps
         audio = media_io.read_wav(audio_path)
-        # one warning: line for each line whose pair will be truncated
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            n_frames, cut = av_align._reconcile_durations(video.frame_count,
-                                                          audio, rate)
-        for warning in caught:
-            print(f"warning: {warning.message}", file=sys.stderr)
+        n_frames, cut, note = av_align.scored_span(video.frame_count, audio,
+                                                   rate)
+        if note is not None:  # one warning: line for each truncated line
+            print(f"warning: {note}", file=sys.stderr)
         if cut.samples.size < args.onset_win:
             raise ValidationError(
                 f"{audio_path} has {cut.samples.size} samples to score, "

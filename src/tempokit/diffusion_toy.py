@@ -129,8 +129,7 @@ class LatentCodec:
         if (height, width) != (self.height, self.width):
             raise ShapeError(f"frames are {width}x{height}, the codec "
                              f"takes {self.width}x{self.height}")
-        flat = np.array(frames, dtype=np.float64)
-        flat /= 127.5
+        flat = np.divide(frames, 127.5, dtype=np.float64)
         flat -= 1.0
         return flat.reshape(flat.shape[0], -1) @ self.encoder.T
 

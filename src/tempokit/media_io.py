@@ -28,8 +28,9 @@ one way. An RVID must be a regular file (any other path but a directory
 is refused unopened) whose size matches its header; each frame then
 sits at a fixed offset, so each run of consecutive frames is one read
 into the Video's buffer, which holds those frames and nothing more. A
-PPM directory reads the listed frames' files and its first frame, whose
-size all must have.
+PPM directory reads its first frame once, and each listed frame's file
+into one buffer of the first frame's size, which all must have; its
+manifest and frame files must be regular files too.
 
 A binary writer encodes its whole file, headers by pack_header (the one
 u32 rule: whole numbers below 2^32) and floats by encode_float32, before
@@ -387,14 +388,19 @@ def _read_rvid_frames(fh, header, frames):
     return np.frombuffer(buf, np.uint8).reshape(len(frames), *shape)
 
 
+def _refuse_special(path, what="a regular file"):
+    """Refuse, before it is opened, a path that exists but is not a
+    regular file, such as a FIFO, whose open waits for a writer."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise FormatError(f"{path} is not {what}")
+
+
 def _is_ppm_dir(path):
-    """Whether path is a PPM directory rather than an RVID file. A path
-    that is neither, such as a FIFO, whose open waits for a writer, is
-    refused before it is opened."""
+    """Whether path is a PPM directory rather than an RVID file; a path
+    that is neither is refused unopened."""
     if os.path.isdir(path):
         return True
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise FormatError(f"{path} is not a regular file or a PPM directory")
+    _refuse_special(path, "a regular file or a PPM directory")
     return False
 
 
@@ -423,6 +429,7 @@ def read_video(path, frames=None):
 
 
 def _read_ppm(path):
+    _refuse_special(path)
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -435,10 +442,10 @@ def _read_ppm(path):
     width, height, maxval = (int(field) for field in header.groups())
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported")
-    pixels = blob[header.end():]
-    if len(pixels) != width * height * 3:
+    if len(blob) - header.end() != width * height * 3:
         raise FormatError(f"{path}: PPM payload length mismatch")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3)
+    return np.frombuffer(blob, np.uint8, offset=header.end()).reshape(
+        height, width, 3)
 
 
 def _read_manifest(dirpath):
@@ -446,6 +453,7 @@ def _read_manifest(dirpath):
     manifest = os.path.join(dirpath, "manifest.txt")
     if not os.path.exists(manifest):
         raise FormatError(f"{dirpath}: missing manifest.txt")
+    _refuse_special(manifest)
     lines = read_text_lines(manifest, "utf-8")
     if not lines or not lines[0].startswith("fps "):
         raise FormatError("manifest must start with 'fps <num> <den>'")
@@ -461,13 +469,18 @@ def _read_manifest(dirpath):
 
 
 def _read_video_ppm_dir(dirpath, frames):
+    """The listed frames of a PPM directory, each read into one buffer
+    sized by the first frame, whose size all must have."""
     fps_num, fps_den, names = _read_manifest(dirpath)
-    pixels = [_read_ppm(os.path.join(dirpath, names[i]))
-              for i in _frame_indices(frames, len(names))]
-    first = _read_ppm(os.path.join(dirpath, names[0])).shape
-    if any(f.shape != first for f in pixels):
-        raise FormatError("PPM frames have inconsistent dimensions")
-    return Video(np.stack(pixels), fps_num, fps_den)
+    frames = _frame_indices(frames, len(names))
+    first = _read_ppm(os.path.join(dirpath, names[0]))
+    pixels = np.empty((len(frames), *first.shape), np.uint8)
+    for j, i in enumerate(frames):
+        frame = _read_ppm(os.path.join(dirpath, names[i])) if i else first
+        if frame.shape != first.shape:
+            raise FormatError("PPM frames have inconsistent dimensions")
+        pixels[j] = frame
+    return Video(pixels, fps_num, fps_den)
 
 
 def write_video_ppm(video, dirpath):

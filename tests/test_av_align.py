@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import iou_av_align
 from tempokit.audio_analysis import detect_onsets
-from tempokit.av_align import (_reconcile_durations, av_align_from_media,
-                              av_align_score)
+from tempokit.av_align import (av_align_from_media, av_align_score,
+                              scored_span)
 from tempokit.errors import DurationError, ShapeError, ValidationError
 from tempokit.media_io import AudioSignal, Video
 from tempokit.motion_analysis import FlowParams, motion_curve
@@ -153,6 +153,15 @@ class TestFromMedia:
             rep = av_align_from_media(video, audio)
         assert rep.score == 1.0
 
+    def test_truncation_warning_names_the_callers_line(self):
+        video = Video(np.full((48, 16, 16, 3), 40, dtype=np.uint8), 24, 1)
+        audio = AudioSignal(np.zeros(36000), 16000)  # 0.25 s longer
+        with pytest.warns(UserWarning) as caught:
+            av_align_from_media(video, audio)
+        assert [(w.filename, str(w.message)) for w in caught] == [
+            (__file__, "durations differ by 0.250s; truncating to the "
+                       "shorter stream")]
+
     def test_wild_mismatch_raises_duration_error(self):
         video = Video(np.full((96, 16, 16, 3), 40, dtype=np.uint8), 24, 1)
         audio = AudioSignal(np.zeros(16000), 16000)  # 1 s vs 4 s
@@ -182,6 +191,24 @@ class TestFromMedia:
         rep = av_align_from_media(pair.video, pair.audio,
                                   peak_params=PeakPickParams(smoothing=1))
         assert (rep.audio_peaks, rep.video_peaks) == (0, 0)
+
+
+class TestScoredSpan:
+    def test_a_cut_returns_its_note_and_warns_nothing(self):
+        audio = AudioSignal(np.zeros(36000), 16000)  # 0.25 s past 48 frames
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            n_frames, cut, note = scored_span(48, audio, 24.0)
+        assert caught == []
+        assert (n_frames, cut.samples.size, cut.sample_rate) == (48, 32000,
+                                                                16000)
+        assert note == ("durations differ by 0.250s; truncating to the "
+                        "shorter stream")
+
+    def test_streams_within_a_frame_are_scored_as_given(self):
+        audio = AudioSignal(np.zeros(32600), 16000)  # 0.0375 s past
+        n_frames, cut, note = scored_span(48, audio, 24.0)
+        assert (n_frames, note) == (48, None) and cut is audio
 
 
 def _clip(shift_frames=0):
@@ -242,16 +269,14 @@ class TestPrecomputedOnsets:
 
     @staticmethod
     def check(video, audio, kwargs):
-        """How often the report warns of truncation. The caller's
-        _reconcile_durations warns as often, and the report given the
-        onsets never."""
+        """How often the report warns of truncation; scored_span and the
+        report given the onsets never warn."""
         fps = kwargs.get("fps_override", video.fps)
         curve = motion_curve(video)
         with warnings.catch_warnings(record=True) as plain_warnings:
             warnings.simplefilter("always")
             plain = av_align_from_media(video, audio, motion=curve, **kwargs)
-            n_frames, cut = _reconcile_durations(video.frame_count, audio,
-                                                 fps)
+            n_frames, cut, _ = scored_span(video.frame_count, audio, fps)
             onsets = n_frames, detect_onsets(cut, fps, n_frames=n_frames)
         with warnings.catch_warnings(record=True) as given_warnings:
             warnings.simplefilter("always")
@@ -260,7 +285,7 @@ class TestPrecomputedOnsets:
         assert given.to_dict() == plain.to_dict()
         assert given_warnings == []
         assert plain.audio_peaks > 0
-        return len(plain_warnings) // 2
+        return len(plain_warnings)
 
     @pytest.mark.parametrize("shift, audio_cut, kwargs", CASES, ids=IDS)
     def test_report_equals_detecting_the_onsets(self, shift, audio_cut,

@@ -8,7 +8,6 @@ import json
 import multiprocessing
 import os
 import pathlib
-import signal
 import struct
 import subprocess
 import sys
@@ -25,6 +24,7 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
+from conftest import no_hang
 from oracles import reference_curve
 from tempokit import (audio_analysis, av_align, cli, diffusion_toy,
                       media_io, motion_analysis, synthgen, tempo_tokens)
@@ -350,10 +350,10 @@ class TestChecksBeforeFlow:
                                                   tmp_path, monkeypatch):
         lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
         monkeypatch.setattr("sys.stdin", io.StringIO(lines + lines))
-        reconcile, calls = av_align._reconcile_durations, []
-        monkeypatch.setattr(av_align, "_reconcile_durations",
+        span, calls = av_align.scored_span, []
+        monkeypatch.setattr(av_align, "scored_span",
                             lambda *args: calls.append(args[0])
-                            or reconcile(*args))
+                            or span(*args))
         assert main(["av-align", "--batch", "--flow-iterations", "10"]) == 0
         assert len(calls) == 8
 
@@ -365,19 +365,10 @@ class TestChecksBeforeFlow:
         paths = {"--video": str(corpus_dir / "clip_0000.rvid"),
                  "--audio": str(corpus_dir / "clip_0000.wav"),
                  which: str(fifo)}
-
-        def blocked(signum, frame):  # fails the test instead of hanging
-            raise RuntimeError(f"av-align blocked on {fifo}")
-
-        handler = signal.signal(signal.SIGALRM, blocked)
-        signal.setitimer(signal.ITIMER_REAL, 5)
         start = time.monotonic()
-        try:
+        with no_hang(5):
             code = main(["av-align", *(arg for item in paths.items()
                                        for arg in item)])
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, handler)
         assert time.monotonic() - start < 1
         assert code == 2
         assert capsys.readouterr().err == (
@@ -1251,18 +1242,9 @@ class TestTrainAndGenerate:
         manifest.write_text(f"{fifo} {corpus_dir / 'clip_0000.wav'} "
                             f"{corpus_dir / 'clip_0000.events.txt'}\n",
                             encoding="ascii")
-
-        def blocked(signum, frame):  # fails the test instead of hanging
-            raise RuntimeError(f"train-toy blocked on {fifo}")
-
-        handler = signal.signal(signal.SIGALRM, blocked)
-        signal.setitimer(signal.ITIMER_REAL, 5)
-        try:
+        with no_hang(5):
             code = main(["train-toy", "--corpus", str(manifest), "--steps",
                          "1", "--ckpt", str(tmp_path / "x.ckpt")])
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, handler)
         assert code == 2
         assert capsys.readouterr() == (
             "", f"error: {fifo} is not a regular file or a PPM directory\n")

@@ -1,10 +1,10 @@
 import math
 import os
 import pathlib
-import signal
 import struct
 import tempfile
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import no_hang
 from tempokit.errors import FormatError, ValidationError
 from tempokit.media_io import (READ_PIECE, AudioEmbeddings, AudioSignal,
                                ConditionFile, Video, read_condition,
@@ -251,22 +252,32 @@ class TestFrameReads:
     def test_a_fifo_is_refused_before_it_is_opened(self, tmp_path):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
-
-        def blocked(signum, frame):  # fails the test instead of hanging
-            raise RuntimeError(f"blocked on {fifo}")
-
-        handler = signal.signal(signal.SIGALRM, blocked)
-        signal.setitimer(signal.ITIMER_REAL, 5)
-        try:
+        with no_hang(5):
             for read in (read_video, read_video_header,
                          lambda path: read_video(path, [0])):
                 with pytest.raises(FormatError) as info:
                     read(fifo)
                 assert str(info.value) == (
                     f"{fifo} is not a regular file or a PPM directory")
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, handler)
+
+    @pytest.mark.parametrize("name", ["manifest.txt", "frame_000000.ppm",
+                                      "frame_000002.ppm"])
+    def test_a_fifo_in_a_ppm_directory_is_refused_unopened(self, name,
+                                                           tmp_path):
+        d = tmp_path / "frames"
+        write_video_ppm(Video(np.zeros((3, 4, 5, 3), np.uint8), 24), d)
+        (d / name).unlink()
+        os.mkfifo(d / name)
+        reads = [read_video, lambda path: read_video(path, [2])]
+        if name != "frame_000002.ppm":  # the header reads frame 0 alone
+            reads.append(read_video_header)
+        start = time.monotonic()
+        with no_hang(5):
+            for read in reads:
+                with pytest.raises(FormatError) as info:
+                    read(d)
+                assert str(info.value) == f"{d / name} is not a regular file"
+        assert time.monotonic() - start < 1
 
     def test_a_frame_read_holds_its_frames_once(self, tmp_path):
         # 30 of 96 128x96 frames, 1.1 MB of a 3.5 MB file
@@ -464,19 +475,22 @@ def test_valid_wav_costs_under_seven_times_its_size(tmp_path, channels):
     assert peak <= 7 * size + MEMORY_SLACK
 
 
-def test_valid_rvid_holds_its_frames_once(tmp_path):
-    # 96 frames of 128x96, 3.5 MB: the frames are the one buffer read
-    path = tmp_path / "big.rvid"
-    frames = np.random.default_rng(8).integers(0, 256, (96, 96, 128, 3),
+@pytest.mark.parametrize("write, count, spare", [
+    (write_video, 96, 0), (write_video_ppm, 48, 3)], ids=["rvid", "ppm"])
+def test_a_whole_read_holds_its_frames_once(tmp_path, write, count, spare):
+    # 128x96 frames (3.5 MB of RVID): the frames are the one buffer read.
+    # A PPM directory also holds its first frame's file and the one read.
+    path = tmp_path / "big"
+    frames = np.random.default_rng(8).integers(0, 256, (count, 96, 128, 3),
                                                dtype=np.uint8)
-    write_video(Video(frames, 24), path)
+    write(Video(frames, 24), path)
     tracemalloc.start()
     try:
         video = read_video(path)
     finally:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    assert peak <= frames.nbytes + MEMORY_SLACK
+    assert peak <= frames.nbytes + spare * frames[0].nbytes + MEMORY_SLACK
     assert video.frames.flags.writeable
     np.testing.assert_array_equal(video.frames, frames)
 
