@@ -11,19 +11,19 @@ av-align checks every pair (files, frame shapes, durations) before it
 solves any flow; the check decides, by av_align.scored_span, the frames
 and samples each pair is scored on, and prints the note of a cut as the
 line's one warning: line. Every input is read at least twice, so it must
-be a regular file or a PPM directory: the check reads a video a piece of
-frames at a time, and each flow job reads again only the frames of its
-pairs, so no process holds a whole video. av-align then cuts the optical
-flow of the distinct videos into jobs of motion_curve's own chunks,
-which one process per core in its affinity mask (see worker_count;
-taskset restricts it) claims from one shared counter, so a process that
-finishes early takes the next job. The command's own process detects the
-audio onsets while the other processes solve, from each WAV read again,
-refused if it changed since the check, and cut as the check decided.
-Each distinct frame pair is solved once: a pair whose two frames an
-earlier pair holds, byte for byte and in either order, takes that pair's
-motion value, and a still pair has exactly zero flow. The output is
-byte-identical for any number of processes.
+be a regular file or a PPM directory: the check opens a video once and
+reads it a piece of frames at a time, and each flow job opens it again
+to read only the frames of its pairs, so no process holds a whole video.
+av-align then cuts the optical flow of the distinct videos into jobs of
+motion_curve's own chunks, which one process per core in its affinity
+mask (see worker_count; taskset restricts it) claims from one shared
+counter, so a process that finishes early takes the next job. The
+command's own process detects the audio onsets while the other processes
+solve, from each WAV read again, refused if it changed since the check,
+and cut as the check decided. Each distinct frame pair is solved once: a
+pair whose two frames an earlier pair holds, byte for byte and in either
+order, takes that pair's motion value, and a still pair has exactly zero
+flow. The output is byte-identical for any number of processes.
 
 Exit codes: 0 success, 2 format or input error, OSError or MemoryError,
 3 duration mismatch beyond the truncation policy, 4 numeric failure
@@ -135,28 +135,29 @@ class CheckedVideo(NamedTuple):
 
     @classmethod
     def read(cls, path):
-        """Check the video at path, reading its frames in pieces of at
-        most media_io.READ_PIECE bytes (one frame, if it is larger). A
-        frame whose CRC-32 matches an earlier frame's is compared with it
-        byte for byte: in the piece held, or read back by index."""
-        count, height, width, fps_num, fps_den = media_io.read_video_header(
-            path)
-        motion_analysis.check_video((count, height, width))
-        step = max(1, media_io.READ_PIECE // (height * width * 3))
-        held = []  # the first index and the frames of the piece held
+        """Check the video at path, opened once, reading its frames in
+        pieces of at most media_io.READ_PIECE bytes (one frame, if it is
+        larger). A frame whose CRC-32 matches an earlier frame's is
+        compared with it byte for byte: in the piece held, or read back
+        by index."""
+        with media_io.open_video(path) as (header, read):
+            count, height, width, fps_num, fps_den = header
+            motion_analysis.check_video((count, height, width))
+            step = max(1, media_io.READ_PIECE // (height * width * 3))
+            held = []  # the first index and the frames of the piece held
 
-        def frames():
-            for start in range(0, count, step):
-                held[:] = start, media_io.read_video(
-                    path, range(start, min(start + step, count))).frames
-                yield from held[1]
+            def frames():
+                for start in range(0, count, step):
+                    held[:] = start, read(
+                        range(start, min(start + step, count))).frames
+                    yield from held[1]
 
-        def frame(j):
-            start, piece = held
-            return (piece[j - start] if j >= start
-                    else media_io.read_video(path, [j]).frames[0])
+            def frame(j):
+                start, piece = held
+                return (piece[j - start] if j >= start
+                        else read([j]).frames[0])
 
-        sources, crcs = motion_analysis.pair_sources(frames(), frame)
+            sources, crcs = motion_analysis.pair_sources(frames(), frame)
         return cls(count, fps_num / fps_den, height, width, sources, crcs)
 
 

@@ -23,20 +23,25 @@ one frame filename per line.
 
 Every WAV and tensor payload is read by _read_exact into one buffer
 grown by pieces of at most READ_PIECE; a tensor file also holds its
-float64 widening. read_video reads the listed frames, by default all,
-one way. An RVID must be a regular file (any other path but a directory
-is refused unopened) whose size matches its header; each frame then
-sits at a fixed offset, so each run of consecutive frames is one read
-into the Video's buffer, which holds those frames and nothing more. A
-PPM directory reads its first frame once, and each listed frame's file
-into one buffer of the first frame's size, which all must have; its
-manifest and frame files must be regular files too.
+float64 widening. A video is read through one reader, open_video: it
+checks the path and reads the header once, then reads the listed
+frames, by default all, as often as it is asked while it stays open;
+read_video is one such read. An RVID must be a regular file (any other
+path but a directory is refused unopened) and stays open while the
+reader does; its size must match its header, so each frame sits at a
+fixed offset and each run of consecutive frames is one read into the
+Video's buffer, which holds those frames and nothing more. A PPM
+directory's manifest and first frame are read once, when it is opened;
+a read reads each other listed frame's file into one buffer of the
+first frame's size, which all must have. Its manifest and frame files
+must be regular files too.
 
 A binary writer encodes its whole file, headers by pack_header (the one
 u32 rule: whole numbers below 2^32) and floats by encode_float32, before
 _write opens it, so a value it refuses leaves no file.
 """
 
+import contextlib
 import math
 import os
 import re
@@ -326,8 +331,7 @@ def write_video(video, path):
 
 
 class VideoHeader(NamedTuple):
-    """The sizes and frame rate of a video, as read_video_header finds
-    them."""
+    """The sizes and frame rate of a video, as open_video finds them."""
     frame_count: int
     height: int
     width: int
@@ -362,9 +366,9 @@ def _frame_indices(frames, count):
     return frames
 
 
-def _read_rvid_frames(fh, header, frames):
-    """The listed frames of the RVID file fh, just past its checked
-    header, each run of consecutive indices in one read into a buffer
+def _read_rvid_frames(fh, offset, header, frames):
+    """The listed frames of the RVID file fh, whose checked header ends
+    at offset, each run of consecutive indices in one read into a buffer
     that holds the frames and nothing more."""
     frames = _frame_indices(frames, header.frame_count)
     shape = (header.height, header.width, 3)
@@ -375,7 +379,7 @@ def _read_rvid_frames(fh, header, frames):
             runs[-1][1] += 1
         else:
             runs.append([i, i + 1])
-    offset, buf, at = fh.tell(), bytearray(len(frames) * frame_bytes), 0
+    buf, at = bytearray(len(frames) * frame_bytes), 0
     with memoryview(buf) as view:
         for first, stop in runs:
             need = (stop - first) * frame_bytes
@@ -395,37 +399,45 @@ def _refuse_special(path, what="a regular file"):
         raise FormatError(f"{path} is not {what}")
 
 
-def _is_ppm_dir(path):
-    """Whether path is a PPM directory rather than an RVID file; a path
-    that is neither is refused unopened."""
+@contextlib.contextmanager
+def open_video(path):
+    """Open the RVID file or PPM frame directory at path, and yield its
+    VideoHeader with read(frames=None), which returns the listed frames
+    (by default all, in the listed order) as a Video while the video is
+    open. An RVID's size must match its header before any frame is read;
+    a PPM directory's manifest and first frame, whose size every read
+    frame must have, are read once. Any other path is refused unopened."""
     if os.path.isdir(path):
-        return True
-    _refuse_special(path, "a regular file or a PPM directory")
-    return False
-
-
-def read_video_header(path):
-    """The VideoHeader of an RVID file or a PPM frame directory (whose
-    first frame sets its size), checked as read_video checks it."""
-    if _is_ppm_dir(path):
         fps_num, fps_den, names = _read_manifest(path)
-        height, width, _ = _read_ppm(os.path.join(path, names[0])).shape
-        return VideoHeader(len(names), height, width, fps_num, fps_den)
-    with open(path, "rb") as fh:
-        return _read_rvid_header(fh)
+        first = _read_ppm(os.path.join(path, names[0]))
+
+        def read(frames=None):
+            frames = _frame_indices(frames, len(names))
+            pixels = np.empty((len(frames), *first.shape), np.uint8)
+            for j, i in enumerate(frames):
+                frame = _read_ppm(os.path.join(path, names[i])) if i else first
+                if frame.shape != first.shape:
+                    raise FormatError(
+                        "PPM frames have inconsistent dimensions")
+                pixels[j] = frame
+            return Video(pixels, fps_num, fps_den)
+
+        yield VideoHeader(len(names), *first.shape[:2], fps_num, fps_den), read
+    else:
+        _refuse_special(path, "a regular file or a PPM directory")
+        with open(path, "rb") as fh:
+            header = _read_rvid_header(fh)
+            offset = fh.tell()
+            yield header, lambda frames=None: Video(
+                _read_rvid_frames(fh, offset, header, frames),
+                header.fps_num, header.fps_den)
 
 
 def read_video(path, frames=None):
-    """The listed frames (by default all, in the listed order) of an
-    RVID file, whose size must match its header before any frame is
-    read, or of a PPM frame directory with a manifest, whose read frames
-    must have its first frame's size."""
-    if _is_ppm_dir(path):
-        return _read_video_ppm_dir(path, frames)
-    with open(path, "rb") as fh:
-        header = _read_rvid_header(fh)
-        pixels = _read_rvid_frames(fh, header, frames)
-    return Video(pixels, header.fps_num, header.fps_den)
+    """The listed frames (by default all) of the video at path, read by
+    open_video."""
+    with open_video(path) as (_, read):
+        return read(frames)
 
 
 def _read_ppm(path):
@@ -466,21 +478,6 @@ def _read_manifest(dirpath):
     if not names:
         raise FormatError("manifest lists no frames")
     return fps_num, fps_den, names
-
-
-def _read_video_ppm_dir(dirpath, frames):
-    """The listed frames of a PPM directory, each read into one buffer
-    sized by the first frame, whose size all must have."""
-    fps_num, fps_den, names = _read_manifest(dirpath)
-    frames = _frame_indices(frames, len(names))
-    first = _read_ppm(os.path.join(dirpath, names[0]))
-    pixels = np.empty((len(frames), *first.shape), np.uint8)
-    for j, i in enumerate(frames):
-        frame = _read_ppm(os.path.join(dirpath, names[i])) if i else first
-        if frame.shape != first.shape:
-            raise FormatError("PPM frames have inconsistent dimensions")
-        pixels[j] = frame
-    return Video(pixels, fps_num, fps_den)
 
 
 def write_video_ppm(video, dirpath):

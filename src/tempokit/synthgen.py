@@ -5,9 +5,10 @@ follows parabolic arcs that hit the floor exactly at the event frames;
 each impact also applies a one-frame horizontal recoil jolt so the mean
 flow magnitude has a sharp, unambiguous maximum at the impact frame. In
 "flash" mode a stationary disk lights up at the event frame and decays
-over the next two. A frame starts as BACKGROUND and only the disk's
-bounding box is blended: beyond the soft edge a pixel keeps BACKGROUND
-exactly, so the bytes are those of a blend over the whole frame.
+over the next two. A frame starts as BACKGROUND and only a window
+around the disk is blended, the windows of all frames in one array
+pass: beyond the soft edge a pixel keeps BACKGROUND exactly, so the
+bytes are those of a blend over the whole frame.
 
 Audio is a 2 kHz exponentially decaying click (30 ms, -6 dBFS) per
 event. Clicks are centered half a frame after the visual event so the
@@ -147,39 +148,44 @@ def _ball_positions(config, events, rng):
     return x, floor_y - y
 
 
-def _span(center, reach, size):
-    """The pixels within reach of center along one axis, clipped to
-    [0, size), as a slice."""
-    lo = min(max(int(np.floor(center - reach)), 0), size)
-    hi = min(max(int(np.ceil(center + reach)) + 1, lo), size)
-    return slice(lo, hi)
-
-
-def _paint_disk(frame, cx, cy, radius, color):
-    """Blend a soft-edged disk into a uint8 frame that holds BACKGROUND.
+def _paint_disks(frames, xs, ys, radius, colors):
+    """Blend into each frame f of a uint8 stack that holds BACKGROUND a
+    soft-edged disk centred at (xs[f], ys[f]) in colors[f] (or in one
+    color for all).
 
     Beyond radius + BALL_SOFT_EDGE alpha clips to 0 and the blend leaves
-    BACKGROUND exactly, so only the disk's bounding box, clipped to the
-    frame, is computed and written.
+    BACKGROUND exactly, so each frame computes and writes one window, all
+    in one pass: ceil(2 * reach) + 2 pixels a side (capped at the
+    frame), which hold the disk's bounding box, moved inside the frame.
     """
-    h, w, _ = frame.shape
+    count, h, w, _ = frames.shape
     reach = radius + BALL_SOFT_EDGE
-    rows, cols = _span(cy, reach, h), _span(cx, reach, w)
-    dist = np.sqrt((np.arange(cols.start, cols.stop) - cx) ** 2
-                   + ((np.arange(rows.start, rows.stop) - cy) ** 2)[:, None])
+
+    def window(centers, size):
+        """Each frame's window along one axis, as pixel indices."""
+        side = min(int(np.ceil(2 * reach)) + 2, size)
+        lo = np.clip(np.floor(centers - reach).astype(np.intp), 0, size - side)
+        return lo[:, None] + np.arange(side)
+
+    rows, cols = window(ys, h), window(xs, w)
+    dist = np.sqrt(((cols - xs[:, None]) ** 2)[:, None, :]
+                   + ((rows - ys[:, None]) ** 2)[:, :, None])
     alpha = np.clip((reach - dist) / BALL_SOFT_EDGE, 0, 1)
     background = float(BACKGROUND)
-    blended = background + alpha[..., None] * (color - background)
-    frame[rows, cols] = np.clip(np.rint(blended), 0, 255).astype(np.uint8)
+    # in place from here: the windows of a whole clip are a few MB
+    blended = alpha[..., None] * np.reshape(colors - background, (-1, 1, 1, 3))
+    blended += background
+    np.rint(blended, out=blended)
+    np.clip(blended, 0, 255, out=blended)
+    frames[np.arange(count)[:, None, None], rows[:, :, None],
+           cols[:, None, :]] = blended
 
 
 def _render_bounce(config, events, rng):
     xs, ys = _ball_positions(config, events, rng)
-    color = np.array([235.0, 225.0, 200.0])
     frames = np.full((config.frame_count, config.height, config.width, 3),
                      BACKGROUND, dtype=np.uint8)
-    for f in range(config.frame_count):
-        _paint_disk(frames[f], xs[f], ys[f], BALL_RADIUS, color)
+    _paint_disks(frames, xs, ys, BALL_RADIUS, np.array([235.0, 225.0, 200.0]))
     return frames
 
 
@@ -195,9 +201,9 @@ def _render_flash(config, events, rng):
             brightness[e + 2] = 100.0
     frames = np.full((config.frame_count, config.height, config.width, 3),
                      BACKGROUND, dtype=np.uint8)
-    for f in range(config.frame_count):
-        color = np.array([1.0, 0.95, 0.8]) * brightness[f]
-        _paint_disk(frames[f], cx, cy, 8.0, color)
+    _paint_disks(frames, np.full(config.frame_count, cx),
+                 np.full(config.frame_count, cy), 8.0,
+                 brightness[:, None] * np.array([1.0, 0.95, 0.8]))
     return frames
 
 

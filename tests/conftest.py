@@ -2,6 +2,7 @@
 
 import contextlib
 import multiprocessing
+import os
 import signal
 
 import pytest
@@ -37,3 +38,17 @@ def no_hang(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
+
+
+@contextlib.contextmanager
+def no_fd_leak():
+    """Fail a block that leaves open more file descriptors than it
+    found, counted in /proc/self/fd; skip where that is missing. An
+    unclosed file object is reported as a warning only when the garbage
+    collector happens to finalize it, so that is no check."""
+    fds = "/proc/self/fd"
+    if not os.path.isdir(fds):
+        pytest.skip(f"no {fds} to count file descriptors in")
+    before = len(os.listdir(fds))
+    yield
+    assert len(os.listdir(fds)) == before, "a file descriptor was left open"

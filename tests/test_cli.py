@@ -147,6 +147,25 @@ SHORT_WARNING = ("warning: durations differ by 1.900s; truncating to the "
                  "shorter stream\n")
 
 
+def record_opens(monkeypatch):
+    """A list to which each media_io.open_video, read_video's too,
+    appends (path, reads), where reads lists the frames of each read
+    the open makes."""
+    opens, open_video = [], media_io.open_video
+
+    @contextlib.contextmanager
+    def recording(path):
+        with open_video(path) as (header, read):
+            reads = []
+            opens.append((path, reads))
+            yield header, lambda frames=None: reads.append(list(
+                range(header.frame_count) if frames is None else frames)
+            ) or read(frames)
+
+    monkeypatch.setattr(media_io, "open_video", recording)
+    return opens
+
+
 class TestBatchSolvesEachVideoOnce:
     @pytest.mark.parametrize("flags, expected", [
         ([], RESCORE_TEXT),
@@ -190,34 +209,31 @@ class TestBatchSolvesEachVideoOnce:
             self, corpus_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "worker_count", lambda: 1)
         lines = rescore_batch(corpus_dir, tmp_path, monkeypatch)
-        reads = []
-        monkeypatch.setattr(media_io, "read_video",
-                            lambda path, frames=None: reads.append(
-                                (path, list(frames))) or read_video(
-                                    path, frames))
-        monkeypatch.setattr(cli, "flow_jobs", lambda videos: reads.append(
+        opens = record_opens(monkeypatch)
+        monkeypatch.setattr(cli, "flow_jobs", lambda videos: opens.append(
             videos) or FLOW_JOBS(videos))
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
         assert main(["av-align", "--batch"]) == 0
         assert capsys.readouterr() == (RESCORE_TEXT, SHORT_WARNING)
-        # the line checks read each video's frames once, in order, in
-        # pieces of at most READ_PIECE bytes, and may read one earlier
-        # frame back; each flow job then reads the frames of its pairs
-        at = next(i for i, read in enumerate(reads) if isinstance(read, dict))
-        checks, videos = reads[:at], reads[at]
+        # the line checks open each video once and read its frames once,
+        # in order, in pieces of at most READ_PIECE bytes, and may read
+        # one earlier frame back; each flow job then opens it again to
+        # read the frames of its pairs
+        at = next(i for i, got in enumerate(opens) if isinstance(got, dict))
+        checks, videos = opens[:at], opens[at]
         assert list(videos) == ["clip_0000.rvid", "clip_0001.rvid"]
-        assert list(dict.fromkeys(path for path, _ in checks)) == list(videos)
-        for path, checked in videos.items():
+        assert [path for path, _ in checks] == list(videos)
+        for (path, reads), checked in zip(checks, videos.values()):
             frame_bytes = checked.height * checked.width * 3
             unread = 0
-            for frames in (frames for p, frames in checks if p == path):
+            for frames in reads:
                 if frames == list(range(unread, unread + len(frames))):
                     assert len(frames) * frame_bytes <= media_io.READ_PIECE
                     unread += len(frames)
                 else:
                     assert len(frames) == 1 and frames[0] < unread
             assert unread == checked.frame_count
-        assert reads[at + 1:] == [(path, sorted({*(ks - 1), *ks}))
+        assert opens[at + 1:] == [(path, [sorted({*(ks - 1), *ks})])
                                   for path, ks in FLOW_JOBS(videos)]
 
     def test_malformed_line_exits_2_with_error_line(self, corpus_dir,
@@ -290,15 +306,12 @@ class TestChecksBeforeFlow:
     def test_bad_setting_exits_2_before_any_media_is_read(
             self, flag, value, message, corpus_dir, monkeypatch, capsys,
             solved):
-        reads = []
-        monkeypatch.setattr(media_io, "read_video",
-                            lambda path, frames=None: reads.append(path)
-                            or read_video(path, frames))
+        opens = record_opens(monkeypatch)
         assert main(["av-align", "--video", str(corpus_dir / "clip_0000.rvid"),
                      "--audio", str(corpus_dir / "clip_0000.wav"), flag,
                      value]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert reads == [] and solved == []
+        assert opens == [] and solved == []
 
     def test_onset_window_past_the_truncated_audio_exits_2_before_any_flow(
             self, corpus_dir, tmp_path, monkeypatch, capsys, solved):
@@ -915,19 +928,41 @@ class TestParallelFlow:
         # its repeat and is solved
         assert motion_analysis.pair_sources(frames)[0].tolist() == [
             0, 1, 2, 2, 4, 5]
-        # one frame a piece, so the check reads each match back
+        # one frame a piece, so the check reads each match back, from
+        # the one open of the video
         monkeypatch.setattr(media_io, "READ_PIECE", a.nbytes)
-        reads = []
-        monkeypatch.setattr(media_io, "read_video",
-                            lambda path, frames=None: reads.append(
-                                list(frames)) or read_video(path, frames))
+        opens = record_opens(monkeypatch)
         checked = cli.CheckedVideo.read(path)
         assert checked.sources.tolist() == [0, 1, 2, 2, 4, 5]
-        assert reads == [[0], [1], [2], [1], [3], [1], [4], [1], [5], [0]]
+        assert opens == [(path, [[0], [1], [2], [1], [3], [1], [4], [1], [5],
+                                 [0]])]
         flow = FlowParams(iterations=20)
         curves, _ = cli.solve_curves({path: checked}, flow, 1, dict)
         assert curves[path].tobytes() == reference_curve(
             Video(frames, 24), flow).tobytes()
+
+    @pytest.mark.parametrize("kind", ["rvid", "ppm"])
+    def test_a_check_opens_its_video_once(self, kind, tmp_path,
+                                          monkeypatch):
+        x, a = np.random.default_rng(4).integers(0, 256, (2, 16, 16, 3),
+                                                 dtype=np.uint8)
+        path = str(tmp_path / kind)
+        (write_video if kind == "rvid" else write_video_ppm)(
+            Video(np.stack([x, a, x, a, x, a]), 24), path)
+        # one frame a piece, so each repeated frame is read back
+        monkeypatch.setattr(media_io, "READ_PIECE", x.nbytes)
+        opened = []
+        monkeypatch.setattr(media_io, "open", lambda file, *args, **kwargs:
+                            opened.append(os.path.basename(file))
+                            or open(file, *args, **kwargs), raising=False)
+        checked = cli.CheckedVideo.read(path)
+        assert checked.sources.tolist() == [0, 1, 1, 1, 1, 1]
+        if kind == "rvid":
+            assert opened == ["rvid"]
+        else:  # frame 1 is read back twice, frame 0 is held
+            assert opened.count("manifest.txt") == 1
+            assert opened.count("frame_000000.ppm") == 1
+            assert opened.count("frame_000001.ppm") == 3
 
     def test_onsets_are_detected_holding_no_frames(self, corpus_dir):
         path = str(corpus_dir / "clip_0000.rvid")
@@ -962,28 +997,23 @@ class TestParallelFlow:
         expected = "".join(f"{video} score={score:.6f}\n"
                            for (video, _), score in zip(lines, scores))
         expected += f"mean_score={np.mean(scores):.6f}\n"
-        reads = []
-
-        def counting_read(path, frames=None):
-            reads.append(path)
-            return read_video(path, frames)
 
         def no_helper(*args, **kwargs):
             raise AssertionError("a still batch started a helper")
 
         monkeypatch.setattr(cli, "worker_count", lambda: 2)
         monkeypatch.setattr(multiprocessing, "Process", no_helper)
-        monkeypatch.setattr(cli.media_io, "read_video", counting_read)
-        monkeypatch.setattr(cli, "flow_jobs", lambda videos: reads.append(
-            "flow") or FLOW_JOBS(videos))
+        opens = record_opens(monkeypatch)
+        monkeypatch.setattr(cli, "flow_jobs", lambda videos: opens.append(
+            ("flow", None)) or FLOW_JOBS(videos))
         monkeypatch.setattr("sys.stdin", io.StringIO(
             "".join(f"{video} {audio}\n" for video, audio in lines)))
         assert main(["av-align", "--batch"]) == 0
         assert capsys.readouterr().out == expected
-        # each distinct video, to check it: never to score or for flow
-        assert list(dict.fromkeys(reads)) == [lines[0][0], lines[1][0],
-                                              "flow"]
-        assert reads[-1] == "flow"
+        # each distinct video, once, to check it: never to score or for
+        # flow
+        assert [path for path, _ in opens] == [lines[0][0], lines[1][0],
+                                               "flow"]
 
     def test_repeats_take_their_flow_from_another_process(
             self, tmp_path, monkeypatch, capsys):
@@ -1056,6 +1086,100 @@ class TestParallelFlow:
         capsys.readouterr()
         assert set(calls) == {"motion_curve", "optical_flow",
                               "detect_onsets", "av_align_from_media"}
+
+
+def run_batch(lines):
+    """(exit code, stdout, stderr) of av-align --batch --json on lines,
+    (video, audio) path pairs."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO("".join(
+            f"{video} {audio}\n" for video, audio in lines))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["av-align", "--batch", "--json", "--flow-iterations",
+                     "5"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def align_lines(tmp_path_factory):
+    """The 4 --batch lines of 1.5-s clips (a 32x32 bounce and a 24x24
+    flash) and their audios, one cut to 1.1 s, as {container: lines},
+    and for each line what the default run of that line alone reports:
+    its clip (without the video name) and its stderr."""
+    root = tmp_path_factory.mktemp("inputs_alone")
+    bounce = rewrite_clip()
+    flash, _ = synthgen.generate(synthgen.SynthConfig(
+        width=24, height=24, duration=1.5, n_events=3, seed=12,
+        event_kind="flash"))
+    # frames 0 to 7 of the flash are one frame; frame 3 takes its CRC
+    # twin, so that pairs 3 and 4 are not still
+    frames = flash.video.frames.copy()
+    frames[3] = crc_twin(frames[3])
+    for name, video in [("bounce", bounce.video),
+                        ("flash", Video(frames, 24))]:
+        write_video(video, root / f"{name}.rvid")
+        write_video_ppm(video, root / f"{name}.ppm")
+    write_wav(bounce.audio, root / "bounce.wav")
+    write_wav(flash.audio, root / "flash.wav")
+    write_wav(AudioSignal(bounce.audio.samples[:17600], 16000),
+              root / "short.wav")
+    pairs = [("bounce", "bounce"), ("flash", "flash"), ("bounce", "short"),
+             ("flash", "bounce")]
+    lines = {kind: [(str(root / f"{video}.{kind}"), str(root / f"{audio}.wav"))
+                    for video, audio in pairs] for kind in ("rvid", "ppm")}
+    reports = []
+    with mock.patch.object(cli, "worker_count", lambda: 1):
+        for line in lines["rvid"]:
+            code, out, err = run_batch([line])
+            assert code == 0
+            clip = json.loads(out)["clips"][0]
+            del clip["video"]
+            reports.append((clip, err))
+    assert [bool(err) for _, err in reports] == [False, False, True, False]
+    return lines, reports
+
+
+class TestAnswerDependsOnInputsAlone:
+    ONE_FRAME = 24 * 24 * 3  # of the flash clip; the bounce's are larger
+
+    @example(piece=media_io.READ_PIECE, pixels=motion_analysis.PIXELS,
+             workers=1, container="rvid", order=[0, 1, 2, 3])
+    @example(piece=media_io.READ_PIECE, pixels=motion_analysis.PIXELS,
+             workers=2, container="rvid", order=[0, 1, 2, 3])
+    @example(piece=media_io.READ_PIECE, pixels=motion_analysis.PIXELS,
+             workers=3, container="rvid", order=[0, 1, 2, 3])
+    @example(piece=media_io.READ_PIECE, pixels=motion_analysis.PIXELS,
+             workers=7, container="rvid", order=[0, 1, 2, 3])
+    @example(piece=ONE_FRAME, pixels=motion_analysis.PIXELS, workers=1,
+             container="rvid", order=[1, 3])
+    @example(piece=media_io.READ_PIECE, pixels=motion_analysis.PIXELS,
+             workers=1, container="ppm", order=[0])
+    @settings(max_examples=30)
+    @given(piece=st.integers(ONE_FRAME, 36 * 32 * 32 * 3),
+           pixels=st.integers(24 * 24, 36 * 32 * 32),
+           workers=st.integers(1, 3),
+           container=st.sampled_from(["rvid", "ppm"]),
+           order=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    def test_each_line_reports_what_it_reports_alone(
+            self, align_lines, piece, pixels, workers, container, order):
+        """av-align --batch on the lines in order, repeats allowed, with
+        pieces of piece bytes, flow chunks of pixels pixels, workers
+        processes, and RVID files or PPM directories: each line's clip
+        and warning: lines are those of its default run alone."""
+        lines, reports = align_lines
+        with mock.patch.object(media_io, "READ_PIECE", piece), \
+                mock.patch.object(motion_analysis, "PIXELS", pixels), \
+                mock.patch.object(cli, "worker_count", lambda: workers):
+            code, out, err = run_batch([lines[container][i] for i in order])
+        assert multiprocessing.active_children() == []
+        assert code == 0
+        got = json.loads(out)
+        assert [clip.pop("video") for clip in got["clips"]] == [
+            lines[container][i][0] for i in order]
+        assert got["clips"] == [reports[i][0] for i in order]
+        assert got["mean_score"] == float(np.mean(
+            [reports[i][0]["score"] for i in order]))
+        assert err == "".join(reports[i][1] for i in order)
 
 
 class TestTokens:

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import no_hang
+from conftest import no_fd_leak, no_hang
 from tempokit.errors import FormatError, ValidationError
 from tempokit.media_io import (READ_PIECE, AudioEmbeddings, AudioSignal,
-                               ConditionFile, Video, read_condition,
-                               read_embeddings, read_named_tensors,
-                               read_video, read_video_header, read_wav,
+                               ConditionFile, Video, open_video,
+                               read_condition, read_embeddings,
+                               read_named_tensors, read_video, read_wav,
                                write_condition,
                                write_embeddings, write_named_tensors,
                                write_video, write_video_ppm, write_wav)
@@ -198,8 +198,14 @@ class TestRvid:
             read_video(d)
 
 
+def read_header(path):
+    """The VideoHeader that open_video reads of path."""
+    with open_video(path) as (header, _):
+        return header
+
+
 class TestFrameReads:
-    """read_video(path, frames) and read_video_header."""
+    """read_video(path, frames), and open_video's header and reads."""
 
     @staticmethod
     def write(kind, video, path):
@@ -212,12 +218,15 @@ class TestFrameReads:
                                                    dtype=np.uint8)
         p = tmp_path / "v"
         self.write(kind, Video(frames, 30000, 1001), p)
-        assert read_video_header(p) == (7, 5, 6, 30000, 1001)
-        for picked in ([0], [6], [2, 3, 4], [0, 1, 5, 6], [4, 2, 2],
-                       range(7), np.arange(3, 5)):
-            part = read_video(p, picked)
-            assert part.frames.tobytes() == frames[list(picked)].tobytes()
-            assert (part.fps_num, part.fps_den) == (30000, 1001)
+        # one reader reads as often as it is asked, as read_video does
+        with open_video(p) as (header, read):
+            assert header == (7, 5, 6, 30000, 1001)
+            for picked in ([0], [6], [2, 3, 4], [0, 1, 5, 6], [4, 2, 2],
+                           range(7), np.arange(3, 5)):
+                for part in (read(picked), read_video(p, picked)):
+                    assert part.frames.tobytes() == frames[
+                        list(picked)].tobytes()
+                    assert (part.fps_num, part.fps_den) == (30000, 1001)
         for past in (7, -1):
             with pytest.raises(FormatError, match=(
                     f"^no frame {past} in a video of 7 frames$")):
@@ -233,11 +242,36 @@ class TestFrameReads:
         p = tmp_path / "v.rvid"
         write_video(Video(np.ones((2, 3, 4, 3), np.uint8), 24), p)
         p.write_bytes(damage(p.read_bytes()))
-        for read in (read_video, read_video_header,
+        for read in (read_video, read_header,
                      lambda path: read_video(path, [0])):
             with pytest.raises(FormatError) as info:
                 read(p)
             assert str(info.value) == message
+
+    def test_an_rvid_cut_short_while_open_closes_its_file(self, tmp_path):
+        # the size was checked when the reader opened; a frame read then
+        # comes back short
+        p = tmp_path / "v.rvid"
+        write_video(Video(np.ones((2, 3, 4, 3), np.uint8), 24), p)
+        with no_fd_leak():
+            with pytest.raises(FormatError) as info:
+                with open_video(p) as (_, read):
+                    read([1])
+                    os.truncate(p, p.stat().st_size - 36)
+                    read()
+            assert str(info.value) == ("truncated file: RVID frames has 36 "
+                                       "of 72 bytes")
+
+    def test_a_ppm_frame_of_another_size_closes_every_file(self, tmp_path):
+        d = tmp_path / "frames"
+        write_video_ppm(Video(np.zeros((3, 4, 5, 3), np.uint8), 24), d)
+        (d / "frame_000002.ppm").write_bytes(b"P6\n5 3\n255\n" + bytes(45))
+        with no_fd_leak():
+            with pytest.raises(FormatError) as info:
+                with open_video(d) as (_, read):
+                    read([0, 1])
+                    read()
+            assert str(info.value) == "PPM frames have inconsistent dimensions"
 
     def test_a_ppm_frame_of_another_size_is_refused(self, tmp_path):
         d = tmp_path / "frames"
@@ -253,7 +287,7 @@ class TestFrameReads:
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
         with no_hang(5):
-            for read in (read_video, read_video_header,
+            for read in (read_video, read_header,
                          lambda path: read_video(path, [0])):
                 with pytest.raises(FormatError) as info:
                     read(fifo)
@@ -270,7 +304,7 @@ class TestFrameReads:
         os.mkfifo(d / name)
         reads = [read_video, lambda path: read_video(path, [2])]
         if name != "frame_000002.ppm":  # the header reads frame 0 alone
-            reads.append(read_video_header)
+            reads.append(read_header)
         start = time.monotonic()
         with no_hang(5):
             for read in reads:

@@ -82,9 +82,9 @@ class TestGenerate:
 
 
 def full_frame_disk(frame, cx, cy, radius, color):
-    """The disk painter as it was before it painted only the disk's
-    bounding box: it blends every pixel of a float frame. The oracle for
-    synthgen._paint_disk."""
+    """The disk painter as it was before it painted only a window around
+    the disk: it blends every pixel of a float frame. The oracle for
+    synthgen._paint_disks."""
     h, w, _ = frame.shape
     yy, xx = np.mgrid[0:h, 0:w]
     dist = np.sqrt((xx - cx) ** 2 + (yy - cy) ** 2)
@@ -93,11 +93,14 @@ def full_frame_disk(frame, cx, cy, radius, color):
     return blended
 
 
-def paint_full_frame(frame, cx, cy, radius, color):
-    """synthgen._paint_disk's contract, met by the oracle."""
-    base = np.full(frame.shape, float(BACKGROUND))
-    painted = full_frame_disk(base, cx, cy, radius, color)
-    frame[...] = np.clip(np.rint(painted), 0, 255).astype(np.uint8)
+def paint_full_frames(frames, xs, ys, radius, colors):
+    """synthgen._paint_disks's contract, met by the oracle frame by
+    frame."""
+    colors = np.broadcast_to(colors, (len(frames), 3))
+    for frame, cx, cy, color in zip(frames, xs, ys, colors):
+        base = np.full(frame.shape, float(BACKGROUND))
+        painted = full_frame_disk(base, cx, cy, radius, color)
+        frame[...] = np.clip(np.rint(painted), 0, 255).astype(np.uint8)
 
 
 class TestDiskPainter:
@@ -111,20 +114,25 @@ class TestDiskPainter:
                                  event_kind=kind, seed=seed)
             box, _ = generate(config)
             with monkeypatch.context() as patch:
-                patch.setattr(synthgen, "_paint_disk", paint_full_frame)
+                patch.setattr(synthgen, "_paint_disks", paint_full_frames)
                 oracle, _ = generate(config)
             assert box.video.frames.tobytes() == oracle.video.frames.tobytes()
 
-    @pytest.mark.parametrize("cx, cy", [
-        (0.0, 0.0), (-3.2, 12.5), (27.9, 5.5), (12.25, -7.5), (-8.0, 12.0),
-        (40.0, 40.0), (12.0, 31.5), (12.0, -30.0), (12.5, 12.5)])
+    CENTRES = [(0.0, 0.0), (-3.2, 12.5), (27.9, 5.5), (12.25, -7.5),
+               (-8.0, 12.0), (40.0, 40.0), (12.0, 31.5), (12.0, -30.0),
+               (12.5, 12.5)]
+
+    @pytest.mark.parametrize("cx, cy", CENTRES)
     def test_disks_at_and_beyond_the_edges(self, cx, cy):
+        # the centres are the frames of one stack; this case checks its own
+        xs, ys = np.array(self.CENTRES).T
         color = np.array([250.0, 120.0, 5.0])
-        box = np.full((24, 24, 3), BACKGROUND, dtype=np.uint8)
+        box = np.full((len(xs), 24, 24, 3), BACKGROUND, dtype=np.uint8)
         oracle = box.copy()
-        synthgen._paint_disk(box, cx, cy, 8.0, color)
-        paint_full_frame(oracle, cx, cy, 8.0, color)
-        assert box.tobytes() == oracle.tobytes()
+        synthgen._paint_disks(box, xs, ys, 8.0, color)
+        paint_full_frames(oracle, xs, ys, 8.0, color)
+        f = self.CENTRES.index((cx, cy))
+        assert box[f].tobytes() == oracle[f].tobytes()
 
 
 class TestAlignmentDegradation:
